@@ -160,9 +160,9 @@ def prepare_data(config: RunConfig, hp: HyperParams) -> PreparedData:
     vocab = data_mod.Vocabulary.build(train_docs + val_docs + test_docs)
     table = data_mod.load_embeddings(config.embeddings, vocab)
     if table.dim != hp.embedding_dim:
-        raise CheckpointError(
-            f"embedding file is {table.dim}-dimensional but the model expects "
-            f"{hp.embedding_dim}")
+        raise DatasetFormatError(
+            f"{config.embeddings}: embedding file is {table.dim}-dimensional but the model "
+            f"expects {hp.embedding_dim}")
 
     def encode(docs):
         samples = []

@@ -158,22 +158,13 @@ def load_embeddings(path, vocab: Vocabulary) -> EmbeddingTable:
     return EmbeddingTable(matrix, dim)
 
 
-class EntityResolver:
-    """Maps an entity name to its description text ('' when unknown)."""
-
-    def lookup(self, name: str) -> str:
-        raise NotImplementedError
-
-    def names(self) -> list[str]:
-        raise NotImplementedError
-
-
 def _normalize_name(name: str) -> str:
     return " ".join(name.lower().split())
 
 
-class SnapshotResolver(EntityResolver):
-    """File-backed resolver over a JSONL snapshot of entity descriptions."""
+class SnapshotResolver:
+    """Maps an entity name to its description text ('' when unknown), from a
+    JSONL snapshot of entity descriptions."""
 
     def __init__(self, path):
         self._descriptions = {}
@@ -202,21 +193,7 @@ class SnapshotResolver(EntityResolver):
         return list(self._names)
 
 
-class DictResolver(EntityResolver):
-    """In-memory resolver, mainly for tests."""
-
-    def __init__(self, mapping: dict):
-        self._mapping = {_normalize_name(k): v for k, v in mapping.items()}
-        self._names = list(mapping)
-
-    def lookup(self, name: str) -> str:
-        return self._mapping.get(_normalize_name(name), "")
-
-    def names(self) -> list[str]:
-        return list(self._names)
-
-
-def link_entities(doc: Document, resolver: EntityResolver) -> list[str]:
+def link_entities(doc: Document, resolver: SnapshotResolver) -> list[str]:
     """Gazetteer pass: snapshot names whose token sequence occurs in the news.
 
     Returns names in order of first appearance; used when a document carries
@@ -305,7 +282,7 @@ def read_dataset(path, strict: bool = False,
     return docs, warnings
 
 
-def resolve_documents(docs: list, resolver: EntityResolver | None) -> list:
+def resolve_documents(docs: list, resolver: SnapshotResolver | None) -> list:
     """Fill empty entity descriptions in place of the originals.
 
     Documents with an empty entity list get one from the gazetteer pass over
@@ -328,18 +305,16 @@ def resolve_documents(docs: list, resolver: EntityResolver | None) -> list:
     return out
 
 
-def resolve_entities(doc: Document, resolver: EntityResolver | None, hp) -> list:
+def resolve_entities(doc: Document, hp) -> list:
     """Combined entity-description sentence list for one document.
 
     Per entity (document order): keep at most ``hp.max_sentences_per_description``
-    sentences, resolving empty descriptions through the resolver; the
-    combined list is truncated to ``hp.max_entity_sentences``. Missing
-    entities contribute nothing.
+    sentences; the combined list is truncated to ``hp.max_entity_sentences``.
+    Entities without a description (filled beforehand by
+    :func:`resolve_documents` where a snapshot has one) contribute nothing.
     """
     combined = []
-    for name, sentences in doc.entity_descriptions:
-        if not sentences and resolver is not None:
-            sentences = sentences_to_tokens(resolver.lookup(name))
+    for _, sentences in doc.entity_descriptions:
         combined.extend(sentences[:hp.max_sentences_per_description])
         if len(combined) >= hp.max_entity_sentences:
             break
@@ -393,15 +368,14 @@ def _pad_block(sentences: list, vocab: Vocabulary, slots: int, max_words: int):
     return ids, word_mask, sent_mask
 
 
-def encode_document(doc: Document, vocab: Vocabulary, hp,
-                    resolver: EntityResolver | None = None) -> SampleArrays:
+def encode_document(doc: Document, vocab: Vocabulary, hp) -> SampleArrays:
     """Truncate and pad one document to the hp dimensions."""
     if not any(doc.news_sentences):
         raise DegenerateInputError(f"document {doc.doc_id}: no news sentences to encode")
     news = _pad_block(doc.news_sentences, vocab, hp.max_news_sentences, hp.max_words)
     if not news[2].any():
         raise DegenerateInputError(f"document {doc.doc_id}: no news sentences to encode")
-    entity_sents = resolve_entities(doc, resolver, hp)
+    entity_sents = resolve_entities(doc, hp)
     entities = _pad_block(entity_sents, vocab, hp.max_entity_sentences, hp.max_words)
     comments = _pad_block(doc.comment_sentences, vocab, hp.max_comment_sentences, hp.max_words)
     return SampleArrays(

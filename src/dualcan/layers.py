@@ -22,7 +22,7 @@ from .autodiff import (
     matmul,
     mul,
     sigmoid,
-    slice_cols,
+    slice_rows,
     softmax_rows,
     sub,
     tanh,
@@ -194,45 +194,35 @@ def gru_sequence(columns: list, p: GruParams, keep: list | None = None,
     return states
 
 
-def bigru(seq: Tensor, p_fwd: GruParams, p_bwd: GruParams, mask=None) -> Tensor:
-    """Bidirectional GRU over the columns of ``seq`` [in x T] -> [2h x T].
+def bigru(columns: list, p_fwd: GruParams, p_bwd: GruParams, keep: list | None = None) -> list:
+    """Bidirectional GRU over a list of T [in x B] columns -> T states [2h x B].
 
-    Column t stacks the forward state after steps 1..t on the backward state
-    after steps T..t; both directions start from zero. With ``mask`` given
-    (boolean [T]), padding positions neither advance the recurrences nor
-    change the carried states.
+    State t stacks the forward state after steps 1..t on the backward state
+    after steps T..t; both directions start from zero. ``keep`` is passed to
+    both recurrences, so where it is 0 a column neither advances them nor
+    changes the carried states.
     """
-    if seq.data.ndim != 2:
-        raise ShapeError(f"bigru needs a 2-D sequence, got shape {seq.data.shape}")
-    T = seq.shape[1]
-    if T == 0:
-        raise ShapeError("bigru over an empty sequence")
-    cols = [slice_cols(seq, t, t + 1) for t in range(T)]
-    keep = None
-    if mask is not None:
-        m = np.asarray(mask, dtype=bool)
-        if m.shape != (T,):
-            raise ShapeError(f"bigru mask shape {m.shape} does not match T={T}")
-        keep = [Tensor(np.array([[1.0 if m[t] else 0.0]])) for t in range(T)]
-    fwd = gru_sequence(cols, p_fwd, keep, reverse=False)
-    bwd = gru_sequence(cols, p_bwd, keep, reverse=True)
-    return concat([concat(fwd, axis=1), concat(bwd, axis=1)], axis=0)
+    fwd = gru_sequence(columns, p_fwd, keep)
+    bwd = gru_sequence(columns, p_bwd, keep, reverse=True)
+    return [concat([f, b], axis=0) for f, b in zip(fwd, bwd)]
 
 
-def word_attention(v: Tensor, mask, p: WordAttentionParams):
-    """Pool word states [2h x M] into one sentence vector.
+def word_attention(states: list, mask, p: WordAttentionParams):
+    """Pool T word states [2h x B] into one vector per batch column.
 
-    Scores come from a tanh projection of each column against a learned
-    context vector; a masked softmax turns them into weights. Returns
-    (pooled [2h x 1], weights [1 x M]).
+    Scores come from a tanh projection of each state against a learned
+    context vector; a softmax over each row of the boolean ``mask`` [B x T]
+    turns them into weights, and a row with no real word raises
+    :class:`DegenerateMaskError`. Returns (pooled [2h x B], weights [B x T]).
     """
-    keys = tanh(add(matmul(p.proj, v), p.bias))
-    scores = matmul(p.context, keys)
-    m = None if mask is None else np.asarray(mask, dtype=bool).reshape(1, -1)
-    if m is not None and not m.any():
-        raise DegenerateMaskError("word_attention over a fully masked sentence")
-    weights = softmax_rows(scores, m)
-    pooled = matmul(v, transpose(weights))
+    scores = transpose(concat([matmul(p.context, tanh(add(matmul(p.proj, s), p.bias)))
+                               for s in states], axis=0))
+    weights = softmax_rows(scores, mask)
+    weights_t = transpose(weights)
+    pooled = None
+    for t, s in enumerate(states):
+        term = mul(s, slice_rows(weights_t, t, t + 1))
+        pooled = term if pooled is None else add(pooled, term)
     return pooled, weights
 
 
@@ -272,7 +262,3 @@ def co_attention(s: Tensor, d: Tensor, mask_s, mask_d, p: CoAttentionParams) -> 
     pooled_d = matmul(attn_d, transpose(d))                              # [1 x 2h]
     return CoAttentionOutput(affinity, inter_s, inter_d, attn_s, attn_d, pooled_s, pooled_d)
 
-
-def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Affine map w @ x + b for column inputs."""
-    return add(matmul(w, x), b)

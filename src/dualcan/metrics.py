@@ -65,11 +65,6 @@ def prf(c: Confusion, averaging: str = "positive"):
     raise MetricError(f"unknown averaging '{averaging}' (expected positive or macro)")
 
 
-def accuracy(preds: list, labels: list) -> float:
-    c = confusion(preds, labels)
-    return (c.tp + c.tn) / c.total
-
-
 def pr_auc(scores: list, labels: list) -> float:
     """Average precision over the ranking by descending score.
 

@@ -31,9 +31,7 @@ from .autodiff import (
     mul,
     scale,
     slice_cols,
-    slice_rows,
     softmax_rows,
-    tanh,
     transpose,
 )
 from .data import SampleArrays
@@ -244,22 +242,8 @@ def _word_encode_blocks(blocks: list, enc: EncoderParams, embeddings) -> list:
     k, m = sub_ids.shape
     inputs = [Tensor(embeddings.lookup(sub_ids[:, t]).T) for t in range(m)]
     keep = [Tensor(sub_mask[:, t].astype(np.float64).reshape(1, k)) for t in range(m)]
-    fwd = layers.gru_sequence(inputs, enc.fwd, keep, reverse=False)
-    bwd = layers.gru_sequence(inputs, enc.bwd, keep, reverse=True)
-    states = [concat([fwd[t], bwd[t]], axis=0) for t in range(m)]  # each [2h x K]
-
-    # attention scores for all sentences at once, then a per-row masked softmax
-    score_rows = []
-    for t in range(m):
-        keys = tanh(add(matmul(enc.attention.proj, states[t]), enc.attention.bias))
-        score_rows.append(matmul(enc.attention.context, keys))    # [1 x K]
-    scores = transpose(concat(score_rows, axis=0))                # [K x M]
-    alpha = softmax_rows(scores, sub_mask)                        # [K x M]
-    alpha_t = transpose(alpha)                                    # [M x K]
-    pooled = None
-    for t in range(m):
-        term = mul(states[t], slice_rows(alpha_t, t, t + 1))
-        pooled = term if pooled is None else add(pooled, term)    # [2h x K]
+    states = layers.bigru(inputs, enc.fwd, enc.bwd, keep)
+    pooled, _ = layers.word_attention(states, sub_mask, enc.attention)   # [2h x K]
     for j, (b, slot) in enumerate(gathered):
         columns[b][slot] = slice_cols(pooled, j, j + 1)
     return columns
@@ -270,38 +254,10 @@ def _scatter_columns(columns: list, rows: int) -> Tensor:
     return concat(parts, axis=1)
 
 
-def _finish_news(cols: list, sent_mask: np.ndarray, params: ModelParams,
-                 hp: HyperParams) -> Tensor:
-    seq = _scatter_columns(cols, 2 * hp.hidden_size)                   # [2h x N]
-    states = layers.bigru(seq, params.sentence_fwd, params.sentence_bwd, sent_mask)
-    keep_row = Tensor(sent_mask.astype(np.float64).reshape(1, -1))
-    return mul(states, keep_row)
-
-
-def encode_news(ids: np.ndarray, word_mask: np.ndarray, sent_mask: np.ndarray,
-                params: ModelParams, embeddings, hp: HyperParams):
-    """News content: word-level attention per sentence, then a sentence-level
-    BiGRU over the sentence vectors. Pad columns come out exactly zero."""
-    if not sent_mask.any():
-        raise layers.DegenerateMaskError("news side has no real sentences")
-    cols = _word_encode_blocks([(ids, word_mask, sent_mask)],
-                               params.news_encoder, embeddings)[0]
-    return _finish_news(cols, sent_mask, params, hp), sent_mask.copy()
-
-
-def encode_side(ids: np.ndarray, word_mask: np.ndarray, sent_mask: np.ndarray,
-                enc: EncoderParams, embeddings, hp: HyperParams):
-    """Entity or comment side: word-level attention only, no sentence-level
-    recurrence, so sentence order on these sides is interchangeable."""
-    h2 = 2 * hp.hidden_size
-    cols = _word_encode_blocks([(ids, word_mask, sent_mask)], enc, embeddings)[0]
-    return _scatter_columns(cols, h2), sent_mask.copy()
-
-
 def encode_samples(samples: list, params: ModelParams, embeddings,
                    hp: HyperParams) -> list:
     """Encode many padded samples, sharing one word-level recurrence per
-    source across the whole list."""
+    source and one news sentence-level recurrence across the whole list."""
     for sample in samples:
         if not sample.news_sent_mask.any():
             raise layers.DegenerateMaskError(
@@ -316,23 +272,25 @@ def encode_samples(samples: list, params: ModelParams, embeddings,
     comment_cols = _word_encode_blocks(
         [(s.comment_ids, s.comment_word_mask, s.comment_sent_mask) for s in samples],
         params.comment_encoder, embeddings)
-    encoded = []
-    for i, sample in enumerate(samples):
-        encoded.append(EncodedSample(
-            news=_finish_news(news_cols[i], sample.news_sent_mask, params, hp),
-            news_mask=sample.news_sent_mask.copy(),
-            entities=_scatter_columns(entity_cols[i], h2),
-            entity_mask=sample.entity_sent_mask.copy(),
-            comments=_scatter_columns(comment_cols[i], h2),
-            comment_mask=sample.comment_sent_mask.copy(),
-            label=sample.label,
-        ))
-    return encoded
-
-
-def encode_sample(sample: SampleArrays, params: ModelParams, embeddings,
-                  hp: HyperParams) -> EncodedSample:
-    return encode_samples([sample], params, embeddings, hp)[0]
+    # sentence-level BiGRU over the whole batch: step n holds sentence slot n
+    # of every sample; pad columns are zeroed after it
+    sent_mask = np.stack([s.news_sent_mask for s in samples]).astype(np.float64)  # [B x N]
+    steps = [_scatter_columns([cols[n] for cols in news_cols], h2)
+             for n in range(sent_mask.shape[1])]
+    keep = [Tensor(sent_mask[:, n].reshape(1, -1)) for n in range(sent_mask.shape[1])]
+    states = layers.bigru(steps, params.sentence_fwd, params.sentence_bwd, keep)
+    states = [mul(s, k) for s, k in zip(states, keep)]
+    news = [concat([slice_cols(s, i, i + 1) for s in states], axis=1)
+            for i in range(len(samples))]
+    return [EncodedSample(
+        news=news[i],
+        news_mask=sample.news_sent_mask.copy(),
+        entities=_scatter_columns(entity_cols[i], h2),
+        entity_mask=sample.entity_sent_mask.copy(),
+        comments=_scatter_columns(comment_cols[i], h2),
+        comment_mask=sample.comment_sent_mask.copy(),
+        label=sample.label,
+    ) for i, sample in enumerate(samples)]
 
 
 def _side_mask(mask: np.ndarray) -> np.ndarray:
@@ -394,7 +352,7 @@ def predicted_label(probs: np.ndarray) -> int:
 
 def run_sample(sample: SampleArrays, params: ModelParams, embeddings, hp: HyperParams):
     """Encode one padded sample and run the forward pass."""
-    return forward(encode_sample(sample, params, embeddings, hp), params)
+    return forward(encode_samples([sample], params, embeddings, hp)[0], params)
 
 
 # ---------------------------------------------------------------------------

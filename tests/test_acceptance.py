@@ -119,7 +119,8 @@ def test_criterion_02_oracle_equivalence():
         mask = rng.uniform(size=m) < 0.75
         if not mask.any():
             mask[int(rng.integers(0, m))] = True
-        pooled, weights = layers.word_attention(ad.Tensor(v), mask, p)
+        pooled, weights = layers.word_attention(
+            [ad.Tensor(v[:, t:t + 1]) for t in range(m)], mask.reshape(1, -1), p)
         exp_pooled, exp_alpha = word_attention_loops(
             v, list(mask), p.proj.data, p.bias.data.reshape(-1), p.context.data)
         worst = max(worst,
@@ -327,7 +328,7 @@ def test_criterion_09_metrics_oracle():
     labels = [1, 0, 0, 1, 1, 0, 1, 1, 0, 0]
     c = metrics.confusion(preds, labels)
     assert (c.tp, c.fp, c.tn, c.fn) == (3, 2, 3, 2)
-    assert metrics.accuracy(preds, labels) == 6 / 10
+    assert metrics.metrics_report(preds, labels)["accuracy"] == 6 / 10
     p, r, f1 = metrics.prf(c)
     assert p == 3 / 5 and r == 3 / 5
     assert f1 == 2 * (3 / 5) * (3 / 5) / ((3 / 5) + (3 / 5))

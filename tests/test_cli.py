@@ -175,6 +175,14 @@ def test_eval_embedding_dim_mismatch_is_contract_error(synth_dir, trained_dir, t
                    "--config", str(cfg)) == 2
 
 
+def test_prepare_data_embedding_dim_mismatch_is_dataset_error(synth_dir, tmp_path):
+    emb = tmp_path / "bad_emb.txt"
+    emb.write_text("market 0.1 0.2\n")
+    config = cli.RunConfig(dataset=str(synth_dir / "dataset.jsonl"), embeddings=str(emb))
+    with pytest.raises(data.DatasetFormatError, match="bad_emb.txt"):
+        cli.prepare_data(config, model.HyperParams())
+
+
 def test_eval_empty_dataset_errors(trained_dir, tmp_path):
     empty = tmp_path / "empty.jsonl"
     empty.write_text("")

@@ -167,15 +167,23 @@ def test_snapshot_resolver_rejects_bad_records(tmp_path):
         data.SnapshotResolver(path)
 
 
-def test_link_entities_gazetteer():
-    resolver = data.DictResolver({"acme": "Acme is a brand.", "zeta corp": "Zeta makes widgets."})
+def snapshot(tmp_path, descriptions: dict):
+    path = tmp_path / "snap.jsonl"
+    path.write_text("".join(json.dumps({"name": name, "description": text}) + "\n"
+                            for name, text in descriptions.items()))
+    return data.SnapshotResolver(path)
+
+
+def test_link_entities_gazetteer(tmp_path):
+    resolver = snapshot(tmp_path, {"acme": "Acme is a brand.",
+                                   "zeta corp": "Zeta makes widgets."})
     doc = data.Document("x", [["we", "saw", "zeta", "corp", "today"],
                               ["acme", "replied"]], [], [], 0)
     assert data.link_entities(doc, resolver) == ["zeta corp", "acme"]
 
 
-def test_resolve_documents_fills_descriptions():
-    resolver = data.DictResolver({"acme": "Acme is a brand. It sells tools."})
+def test_resolve_documents_fills_descriptions(tmp_path):
+    resolver = snapshot(tmp_path, {"acme": "Acme is a brand. It sells tools."})
     doc = data.Document("x", [["acme", "said"]], [], [("acme", [])], 0)
     out = data.resolve_documents([doc], resolver)[0]
     assert out.entity_descriptions[0][1] == [["acme", "is", "a", "brand", "."],
@@ -187,7 +195,7 @@ def test_resolve_entities_caps_per_description():
     hp = dataclasses.replace(tiny_hyperparams(), max_entity_sentences=10)
     sentences = [[f"s{i}"] for i in range(6)]
     doc = data.Document("x", [["a"]], [], [("e", sentences)], 0)
-    out = data.resolve_entities(doc, None, hp)
+    out = data.resolve_entities(doc, hp)
     # six available but only the first four sentences of a description count
     assert out == sentences[:4]
 
@@ -196,7 +204,7 @@ def test_resolve_entities_overall_cap_dominates():
     hp = tiny_hyperparams()  # entity budget of 2
     sentences = [[f"s{i}"] for i in range(6)]
     doc = data.Document("x", [["a"]], [], [("e", sentences)], 0)
-    assert data.resolve_entities(doc, None, hp) == sentences[:2]
+    assert data.resolve_entities(doc, hp) == sentences[:2]
 
 
 def test_resolve_entities_overall_cap_preserves_order():
@@ -206,7 +214,7 @@ def test_resolve_entities_overall_cap_preserves_order():
     for e in range(30):
         entities.append((f"e{e}", [[f"e{e}s{i}"] for i in range(4)]))
     doc = data.Document("x", [["a"]], [], entities, 0)
-    out = data.resolve_entities(doc, None, hp)
+    out = data.resolve_entities(doc, hp)
     assert len(out) == 100
     assert out[0] == ["e0s0"]
     assert out[99] == ["e24s3"]
@@ -215,7 +223,7 @@ def test_resolve_entities_overall_cap_preserves_order():
 def test_resolve_entities_empty():
     hp = tiny_hyperparams()
     doc = data.Document("x", [["a"]], [], [], 0)
-    assert data.resolve_entities(doc, None, hp) == []
+    assert data.resolve_entities(doc, hp) == []
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +338,7 @@ def test_encode_document_matches_padding_oracle():
     npt.assert_array_equal(sample.news_ids, ids)
     npt.assert_array_equal(sample.news_word_mask, wm)
     npt.assert_array_equal(sample.news_sent_mask, sm)
-    ent = data.resolve_entities(doc, None, hp)
+    ent = data.resolve_entities(doc, hp)
     ids, wm, sm = _padding_oracle(ent, vocab, hp.max_entity_sentences, hp.max_words)
     npt.assert_array_equal(sample.entity_ids, ids)
     ids, wm, sm = _padding_oracle(doc.comment_sentences, vocab,
@@ -512,7 +520,7 @@ def test_gen_synthetic_entity_slots_filled(tmp_path):
     docs = data.resolve_documents(docs, resolver)
     hp = model.HyperParams(max_entity_sentences=8, max_words=20)
     for doc in docs:
-        assert len(data.resolve_entities(doc, None, hp)) == 8
+        assert len(data.resolve_entities(doc, hp)) == 8
 
 
 def test_gen_synthetic_comment_cue_is_late(tmp_path):

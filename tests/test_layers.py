@@ -87,41 +87,59 @@ def test_gru_cell_shape_errors():
 # ---------------------------------------------------------------------------
 
 
+def columns_of(seq):
+    """Split [in x T] into T [in x 1] column tensors."""
+    return [ad.Tensor(seq[:, t:t + 1]) for t in range(seq.shape[1])]
+
+
+def stacked(states):
+    return np.hstack([s.data for s in states])
+
+
 def test_bigru_single_step_concatenates_both_cells(rng):
     pf, pb = make_gru(2, 3, seed=3), make_gru(2, 3, seed=4)
     x = rng.uniform(-1, 1, (2, 1))
-    out = layers.bigru(ad.Tensor(x), pf, pb)
+    out = layers.bigru([ad.Tensor(x)], pf, pb)
     zero = ad.Tensor(np.zeros((3, 1)))
     f = layers.gru_cell(ad.Tensor(x), zero, pf)
     b = layers.gru_cell(ad.Tensor(x), zero, pb)
-    npt.assert_allclose(out.data, np.vstack([f.data, b.data]), atol=1e-15)
+    assert len(out) == 1
+    npt.assert_allclose(out[0].data, np.vstack([f.data, b.data]), atol=1e-15)
 
 
 def test_bigru_zero_params_zero_output(rng):
     pf, pb = zero_gru(2, 3), zero_gru(2, 3)
-    out = layers.bigru(ad.Tensor(rng.uniform(-1, 1, (2, 4))), pf, pb)
-    npt.assert_array_equal(out.data, np.zeros((6, 4)))
+    out = layers.bigru(columns_of(rng.uniform(-1, 1, (2, 4))), pf, pb)
+    npt.assert_array_equal(stacked(out), np.zeros((6, 4)))
 
 
 def test_bigru_matches_loop_oracle(rng):
+    # batch column j of every step belongs to sequence j
     pf, pb = make_gru(3, 2, seed=5), make_gru(3, 2, seed=6)
-    seq = rng.uniform(-1, 1, (3, 3))
-    out = layers.bigru(ad.Tensor(seq), pf, pb)
-    npt.assert_allclose(out.data, bigru_loops(seq, pf, pb), atol=1e-12)
+    seqs = rng.uniform(-1, 1, (4, 3, 3))              # [B x in x T]
+    out = layers.bigru([ad.Tensor(seqs[:, :, t].T) for t in range(3)], pf, pb)
+    for j in range(4):
+        got = np.hstack([s.data[:, j:j + 1] for s in out])
+        npt.assert_allclose(got, bigru_loops(seqs[j], pf, pb), atol=1e-12)
 
 
 def test_bigru_masked_matches_loop_oracle(rng):
     pf, pb = make_gru(2, 2, seed=8), make_gru(2, 2, seed=9)
-    seq = rng.uniform(-1, 1, (2, 5))
-    mask = np.array([True, True, False, True, False])
-    out = layers.bigru(ad.Tensor(seq), pf, pb, mask)
-    npt.assert_allclose(out.data, bigru_loops(seq, pf, pb, list(mask)), atol=1e-12)
+    seqs = rng.uniform(-1, 1, (3, 2, 5))              # [B x in x T]
+    masks = np.array([[True, True, False, True, False],
+                      [True, False, False, False, False],
+                      [True, True, True, True, True]])
+    keep = [ad.Tensor(masks[:, t].astype(float).reshape(1, -1)) for t in range(5)]
+    out = layers.bigru([ad.Tensor(seqs[:, :, t].T) for t in range(5)], pf, pb, keep)
+    for j in range(3):
+        got = np.hstack([s.data[:, j:j + 1] for s in out])
+        npt.assert_allclose(got, bigru_loops(seqs[j], pf, pb, list(masks[j])), atol=1e-12)
 
 
 def test_bigru_empty_sequence_errors():
     pf, pb = make_gru(2, 2), make_gru(2, 2)
     with pytest.raises(ad.ShapeError):
-        layers.bigru(ad.Tensor(np.zeros((2, 0))), pf, pb)
+        layers.bigru([], pf, pb)
 
 
 def test_gru_hidden_stays_in_unit_interval(rng):
@@ -129,8 +147,8 @@ def test_gru_hidden_stays_in_unit_interval(rng):
     pf, pb = make_gru(3, 4, seed=10), make_gru(3, 4, seed=11)
     for _ in range(10):
         seq = rng.uniform(-5, 5, (3, 6))
-        out = layers.bigru(ad.Tensor(seq), pf, pb)
-        assert (np.abs(out.data) < 1.0).all()
+        out = layers.bigru(columns_of(seq), pf, pb)
+        assert (np.abs(stacked(out)) < 1.0).all()
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +163,7 @@ def make_attn(hidden, seed=17):
 def test_word_attention_single_position(rng):
     p = make_attn(2)
     v = rng.uniform(-1, 1, (4, 1))
-    pooled, weights = layers.word_attention(ad.Tensor(v), np.array([True]), p)
+    pooled, weights = layers.word_attention(columns_of(v), np.array([[True]]), p)
     npt.assert_array_equal(weights.data, [[1.0]])
     npt.assert_allclose(pooled.data, v, atol=1e-15)
 
@@ -154,28 +172,35 @@ def test_word_attention_identical_columns_uniform(rng):
     p = make_attn(3)
     col = rng.uniform(-1, 1, (6, 1))
     v = np.repeat(col, 4, axis=1)
-    mask = np.array([True, True, True, False])
-    pooled, weights = layers.word_attention(ad.Tensor(v), mask, p)
+    mask = np.array([[True, True, True, False]])
+    pooled, weights = layers.word_attention(columns_of(v), mask, p)
     npt.assert_allclose(weights.data[0, :3], [1 / 3] * 3, atol=1e-12)
     assert weights.data[0, 3] == 0.0
 
 
 def test_word_attention_matches_loop_oracle(rng):
+    # batch column j of every state is one sentence with mask row j
     p = make_attn(2, seed=23)
-    v = rng.uniform(-1, 1, (4, 4))
-    mask = np.array([True, False, True, True])
-    pooled, weights = layers.word_attention(ad.Tensor(v), mask, p)
-    exp_pooled, exp_alpha = word_attention_loops(
-        v, list(mask), p.proj.data, p.bias.data.reshape(-1), p.context.data)
-    npt.assert_allclose(weights.data[0], exp_alpha, atol=1e-12)
-    npt.assert_allclose(pooled.data[:, 0], exp_pooled, atol=1e-12)
+    v = rng.uniform(-1, 1, (3, 4, 4))                 # [B x 2h x T]
+    mask = np.array([[True, False, True, True],
+                     [False, True, False, False],
+                     [True, True, True, True]])
+    pooled, weights = layers.word_attention([ad.Tensor(v[:, :, t].T) for t in range(4)],
+                                            mask, p)
+    assert weights.shape == (3, 4) and pooled.shape == (4, 3)
+    for j in range(3):
+        exp_pooled, exp_alpha = word_attention_loops(
+            v[j], list(mask[j]), p.proj.data, p.bias.data.reshape(-1), p.context.data)
+        npt.assert_allclose(weights.data[j], exp_alpha, atol=1e-12)
+        npt.assert_allclose(pooled.data[:, j], exp_pooled, atol=1e-12)
 
 
 def test_word_attention_fully_masked_errors(rng):
     p = make_attn(2)
+    mask = np.array([[True, False, False], [False, False, False]])
     with pytest.raises(ad.DegenerateMaskError):
-        layers.word_attention(ad.Tensor(rng.uniform(-1, 1, (4, 3))),
-                              np.array([False, False, False]), p)
+        layers.word_attention([ad.Tensor(rng.uniform(-1, 1, (4, 2))) for _ in range(3)],
+                              mask, p)
 
 
 def test_word_attention_weights_sum_to_one_masked_zero(rng):
@@ -186,7 +211,7 @@ def test_word_attention_weights_sum_to_one_masked_zero(rng):
         mask = rng.uniform(size=m) < 0.7
         if not mask.any():
             mask[0] = True
-        _, weights = layers.word_attention(ad.Tensor(v), mask, p)
+        _, weights = layers.word_attention(columns_of(v), mask.reshape(1, -1), p)
         assert abs(weights.data.sum() - 1.0) <= 1e-12
         assert (weights.data[0, ~mask] == 0.0).all()
 
@@ -194,11 +219,11 @@ def test_word_attention_weights_sum_to_one_masked_zero(rng):
 def test_word_attention_ignores_masked_column_values(rng):
     p = make_attn(2, seed=31)
     v = rng.uniform(-1, 1, (4, 4))
-    mask = np.array([True, False, True, False])
-    pooled_a, weights_a = layers.word_attention(ad.Tensor(v), mask, p)
+    mask = np.array([[True, False, True, False]])
+    pooled_a, weights_a = layers.word_attention(columns_of(v), mask, p)
     v2 = v.copy()
-    v2[:, ~mask] = rng.uniform(50, 60, (4, 2))
-    pooled_b, weights_b = layers.word_attention(ad.Tensor(v2), mask, p)
+    v2[:, ~mask[0]] = rng.uniform(50, 60, (4, 2))
+    pooled_b, weights_b = layers.word_attention(columns_of(v2), mask, p)
     npt.assert_array_equal(pooled_a.data, pooled_b.data)
     npt.assert_array_equal(weights_a.data, weights_b.data)
 
@@ -315,31 +340,6 @@ def test_co_attention_errors():
 
 
 # ---------------------------------------------------------------------------
-# linear
-# ---------------------------------------------------------------------------
-
-
-def test_linear_identity_and_zero(rng):
-    x = rng.uniform(-1, 1, (3, 1))
-    eye = ad.Tensor(np.eye(3))
-    zero_b = ad.Tensor(np.zeros((3, 1)))
-    npt.assert_allclose(layers.linear(ad.Tensor(x), eye, zero_b).data, x, atol=1e-15)
-    b = rng.uniform(-1, 1, (3, 1))
-    out = layers.linear(ad.Tensor(x), ad.Tensor(np.zeros((3, 3))), ad.Tensor(b))
-    npt.assert_allclose(out.data, b, atol=1e-15)
-
-
-def test_linear_matches_loop_oracle(rng):
-    from oracles import matmul_loops
-
-    w = rng.uniform(-1, 1, (4, 3))
-    x = rng.uniform(-1, 1, (3, 1))
-    b = rng.uniform(-1, 1, (4, 1))
-    out = layers.linear(ad.Tensor(x), ad.Tensor(w), ad.Tensor(b))
-    npt.assert_allclose(out.data, matmul_loops(w, x) + b, atol=1e-12)
-
-
-# ---------------------------------------------------------------------------
 # layer gradients
 # ---------------------------------------------------------------------------
 
@@ -348,14 +348,15 @@ def test_all_layer_gradients_pass_grad_check(rng):
     pf, pb = make_gru(3, 2, seed=51), make_gru(3, 2, seed=52)
     attn = make_attn(2, seed=53)
     co = make_coattn(2, seed=54)
-    seq = ad.Tensor(rng.uniform(-1, 1, (3, 4)))
+    seq = columns_of(rng.uniform(-1, 1, (3, 4)))
     d_side = ad.Tensor(rng.uniform(-1, 1, (4, 3)))
     mask_seq = np.array([True, True, True, False])
+    keep = [ad.Tensor([[float(m)]]) for m in mask_seq]
     mask_d = np.array([True, True, False])
 
     def f():
-        states = layers.bigru(seq, pf, pb, mask_seq)
-        pooled, _ = layers.word_attention(states, mask_seq, attn)
+        states = layers.bigru(seq, pf, pb, keep)
+        pooled, _ = layers.word_attention(states, mask_seq.reshape(1, -1), attn)
         out = layers.co_attention(ad.concat([pooled, pooled, pooled, pooled], axis=1),
                                   d_side, mask_seq, mask_d, co)
         return ad.sum_all(ad.add(out.pooled_primary, out.pooled_secondary))

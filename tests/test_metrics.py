@@ -94,9 +94,9 @@ def test_f1_identities(rng):
 
 
 def test_accuracy():
-    assert metrics.accuracy([1, 0, 1], [1, 0, 1]) == 1.0
-    assert metrics.accuracy([1, 0], [0, 1]) == 0.0
-    assert metrics.accuracy(FIX_PREDS, FIX_LABELS) == pytest.approx(0.6)
+    assert metrics.metrics_report([1, 0, 1], [1, 0, 1])["accuracy"] == 1.0
+    assert metrics.metrics_report([1, 0], [0, 1])["accuracy"] == 0.0
+    assert metrics.metrics_report(FIX_PREDS, FIX_LABELS)["accuracy"] == 6 / 10
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 from dualcan import autodiff as ad
 from dualcan import data, layers, model
 
-from conftest import tiny_documents, tiny_embeddings, tiny_vocab
+from conftest import random_document, tiny_documents, tiny_embeddings, tiny_vocab
 from oracles import model_forward_loops
 
 LN2 = math.log(2.0)
@@ -24,25 +24,28 @@ def zero_all(params):
 # ---------------------------------------------------------------------------
 
 
+def encode_one(sample, params, emb, hp):
+    return model.encode_samples([sample], params, emb, hp)[0]
+
+
 def test_encode_news_single_word_sentence(tiny_setup):
     hp, params, vocab, emb, _ = tiny_setup
     doc = data.Document("x", [["alpha"]], [], [], 0)
     sample = data.encode_document(doc, vocab, hp)
-    s, mask = model.encode_news(sample.news_ids, sample.news_word_mask,
-                                sample.news_sent_mask, params, emb, hp)
-    npt.assert_array_equal(mask, [True, False])
+    enc = encode_one(sample, params, emb, hp)
+    npt.assert_array_equal(enc.news_mask, [True, False])
     # expected: word BiGRU state pooled with weight 1, then the sentence BiGRU
     word_vec = emb.matrix[vocab.id_of("alpha")].reshape(-1, 1)
-    word_states = layers.bigru(ad.Tensor(word_vec), params.news_encoder.fwd,
+    word_states = layers.bigru([ad.Tensor(word_vec)], params.news_encoder.fwd,
                                params.news_encoder.bwd)
-    pooled, weights = layers.word_attention(word_states, np.array([True]),
+    pooled, weights = layers.word_attention(word_states, np.array([[True]]),
                                             params.news_encoder.attention)
     npt.assert_array_equal(weights.data, [[1.0]])
-    seq = np.hstack([pooled.data, np.zeros((4, 1))])
-    expected = layers.bigru(ad.Tensor(seq), params.sentence_fwd,
-                            params.sentence_bwd, mask).data
-    expected[:, 1] = 0.0
-    npt.assert_allclose(s.data, expected, atol=1e-12)
+    keep = [ad.Tensor([[1.0]]), ad.Tensor([[0.0]])]
+    states = layers.bigru([pooled, ad.Tensor(np.zeros((4, 1)))], params.sentence_fwd,
+                          params.sentence_bwd, keep)
+    expected = np.hstack([states[0].data, np.zeros((4, 1))])
+    npt.assert_allclose(enc.news.data, expected, atol=1e-12)
 
 
 def test_encode_news_zero_params_zero_embeddings(tiny_setup):
@@ -51,39 +54,36 @@ def test_encode_news_zero_params_zero_embeddings(tiny_setup):
     emb = data.EmbeddingTable(np.zeros((len(vocab), hp.embedding_dim)), hp.embedding_dim)
     doc = data.Document("x", [["alpha", "beta"], ["gamma"]], [], [], 0)
     sample = data.encode_document(doc, vocab, hp)
-    s, _ = model.encode_news(sample.news_ids, sample.news_word_mask,
-                             sample.news_sent_mask, params, emb, hp)
+    s = encode_one(sample, params, emb, hp).news
     npt.assert_array_equal(s.data, np.zeros_like(s.data))
 
 
 def test_encode_news_empty_document_errors(tiny_setup):
-    hp, params, vocab, emb, _ = tiny_setup
-    ids = np.zeros((2, 3), dtype=int)
-    masks = np.zeros((2, 3), dtype=bool)
+    hp, params, _, emb, samples = tiny_setup
+    empty = samples[0].copy()
+    empty.news_ids[:] = 0
+    empty.news_word_mask[:] = False
+    empty.news_sent_mask[:] = False
     with pytest.raises(ad.DegenerateMaskError):
-        model.encode_news(ids, masks, np.zeros(2, dtype=bool), params, emb, hp)
+        model.encode_samples([samples[1], empty], params, emb, hp)
 
 
 def test_encode_side_empty_gives_zeros_and_false_mask(tiny_setup):
-    hp, params, _, emb, _ = tiny_setup
-    ids = np.zeros((2, 3), dtype=int)
-    masks = np.zeros((2, 3), dtype=bool)
-    cols, mask = model.encode_side(ids, masks, np.zeros(2, dtype=bool),
-                                   params.comment_encoder, emb, hp)
-    npt.assert_array_equal(cols.data, np.zeros((4, 2)))
-    assert not mask.any()
+    hp, params, vocab, emb, _ = tiny_setup
+    doc = data.Document("x", [["alpha"]], [], [], 0)
+    enc = encode_one(data.encode_document(doc, vocab, hp), params, emb, hp)
+    for cols, mask in ((enc.comments, enc.comment_mask), (enc.entities, enc.entity_mask)):
+        npt.assert_array_equal(cols.data, np.zeros((4, 2)))
+        assert not mask.any()
 
 
 def test_encode_side_exact_limit_full_mask(tiny_setup):
     hp, params, vocab, emb, _ = tiny_setup
     doc = data.Document("x", [["alpha"]],
                         [["beta", "gamma"], ["delta"]], [], 0)
-    sample = data.encode_document(doc, vocab, hp)
-    cols, mask = model.encode_side(sample.comment_ids, sample.comment_word_mask,
-                                   sample.comment_sent_mask,
-                                   params.comment_encoder, emb, hp)
-    assert mask.all()
-    assert (np.abs(cols.data).sum(axis=0) > 0).all()
+    enc = encode_one(data.encode_document(doc, vocab, hp), params, emb, hp)
+    assert enc.comment_mask.all()
+    assert (np.abs(enc.comments.data).sum(axis=0) > 0).all()
 
 
 def test_encode_side_truncation_is_inert(tiny_setup):
@@ -95,10 +95,8 @@ def test_encode_side_truncation_is_inert(tiny_setup):
     sample_b = data.encode_document(doc_b, vocab, hp)
     # limits cut both comment lists to the first two sentences
     npt.assert_array_equal(sample_a.comment_ids, sample_b.comment_ids)
-    cols_a, _ = model.encode_side(sample_a.comment_ids, sample_a.comment_word_mask,
-                                  sample_a.comment_sent_mask, params.comment_encoder, emb, hp)
-    cols_b, _ = model.encode_side(sample_b.comment_ids, sample_b.comment_word_mask,
-                                  sample_b.comment_sent_mask, params.comment_encoder, emb, hp)
+    cols_a = encode_one(sample_a, params, emb, hp).comments
+    cols_b = encode_one(sample_b, params, emb, hp).comments
     npt.assert_array_equal(cols_a.data, cols_b.data)
 
 
@@ -107,8 +105,7 @@ def test_encode_news_matches_composed_oracle(tiny_setup):
     from oracles import bigru_loops, word_side_loops
 
     sample = samples[0]
-    s, _ = model.encode_news(sample.news_ids, sample.news_word_mask,
-                             sample.news_sent_mask, params, emb, hp)
+    s = encode_one(sample, params, emb, hp).news
     s0 = word_side_loops(sample.news_ids, sample.news_word_mask,
                          sample.news_sent_mask, params.news_encoder, emb)
     expected = bigru_loops(s0, params.sentence_fwd, params.sentence_bwd,
@@ -117,14 +114,49 @@ def test_encode_news_matches_composed_oracle(tiny_setup):
     npt.assert_allclose(s.data, expected, atol=1e-10)
 
 
-def test_encode_samples_matches_encode_sample(tiny_setup):
+def test_encode_samples_batch_matches_single_sample(tiny_setup):
     hp, params, _, emb, samples = tiny_setup
     batch = model.encode_samples(samples, params, emb, hp)
     for sample, enc_b in zip(samples, batch):
-        enc_1 = model.encode_sample(sample, params, emb, hp)
+        enc_1 = encode_one(sample, params, emb, hp)
         npt.assert_allclose(enc_1.news.data, enc_b.news.data, atol=1e-12)
         npt.assert_allclose(enc_1.entities.data, enc_b.entities.data, atol=1e-12)
         npt.assert_allclose(enc_1.comments.data, enc_b.comments.data, atol=1e-12)
+
+
+def test_encode_samples_mixed_batch_matches_oracle(tiny_setup):
+    hp, params, vocab, emb, _ = tiny_setup
+    rng = np.random.default_rng(5)
+    docs = [data.Document("one", [["alpha", "beta"]], [["gamma"]], [("acme", [["delta"]])], 1),
+            data.Document("full", [["eta"], ["theta", "iota"]], [["zeta"]],
+                          [("acme", [["eps", "alpha"]])], 0)]
+    docs += [random_document(rng, f"r{i}", vocab.tokens()) for i in range(6)]
+    samples = [data.encode_document(d, vocab, hp) for d in docs]
+    samples[2] = model.ablate(samples[2], "N+C")
+    samples[3] = model.ablate(samples[3], "N+E")
+    assert [int(s.news_sent_mask.sum()) for s in samples[:2]] == [1, hp.max_news_sentences]
+    for sample, enc in zip(samples, model.encode_samples(samples, params, emb, hp)):
+        logits, _ = model.forward(enc, params)
+        exp_logits, _ = model_forward_loops(sample, params, emb, hp)
+        npt.assert_allclose(logits.data.reshape(-1), exp_logits, atol=1e-12)
+
+
+@pytest.mark.parametrize("size", [1, 8])
+def test_encode_samples_runs_one_recurrence_per_level(tiny_setup, monkeypatch, size):
+    # three word-level BiGRUs (news, entities, comments) and the news
+    # sentence-level BiGRU, each running gru_sequence once per direction
+    hp, params, _, emb, samples = tiny_setup
+    calls = {"gru_sequence": 0, "bigru": 0}
+    for name in calls:
+        original = getattr(layers, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(layers, name, counted)
+    model.encode_samples((samples * 4)[:size], params, emb, hp)
+    assert calls == {"gru_sequence": 8, "bigru": 4}
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +212,7 @@ def test_forward_empty_side_uses_uniform_fallback(tiny_setup):
     assert np.isfinite(logits.data).all()
     # no real comments: uniform over every slot, pooled vector is zero
     npt.assert_allclose(report.comment, [0.5, 0.5], atol=1e-12)
-    enc = model.encode_sample(sample, params, emb, hp)
+    enc = encode_one(sample, params, emb, hp)
     out = layers.co_attention(enc.news, enc.comments, enc.news_mask,
                               np.ones(2, dtype=bool), params.comment_coattn)
     npt.assert_allclose(out.pooled_secondary.data, np.zeros((1, 4)), atol=1e-15)
@@ -323,7 +355,7 @@ def test_ablate_drops_entity_side(tiny_setup):
     assert not out.entity_sent_mask.any()
     npt.assert_array_equal(out.comment_ids, samples[0].comment_ids)
     # the pooled entity vector collapses to the padding fallback (zero)
-    enc = model.encode_sample(out, params, emb, hp)
+    enc = encode_one(out, params, emb, hp)
     co = layers.co_attention(enc.news, enc.entities, enc.news_mask,
                              np.ones(hp.max_entity_sentences, dtype=bool),
                              params.entity_coattn)
