@@ -1,9 +1,10 @@
 """Command-line entry points: train, eval, explain, synth.
 
 Configuration is a plain-text key-value file (``key = value``, ``hp.name``
-for hyperparameters, ``#`` comments); ``--profile`` seeds the hyperparameters
-and ``--set key=value`` overrides individual entries. Exit codes: 0 success,
-1 usage, 2 data error, 3 numerical failure.
+for hyperparameters, full-line ``#`` comments, each value cast by the type of
+its setting); ``--profile`` seeds the hyperparameters and ``--set key=value``
+overrides individual entries. Exit codes: 0 success, 1 usage, 2 data error,
+3 numerical failure.
 """
 
 from __future__ import annotations
@@ -59,74 +60,53 @@ class RunConfig:
             raise UsageError(f"mode must be one of {model.MODES}, got '{self.mode}'")
 
 
-def _parse_value(raw: str):
-    raw = raw.strip()
-    for cast in (int, float):
-        try:
-            return cast(raw)
-        except ValueError:
-            continue
-    return raw
+def _key_value(text: str, where: str) -> tuple:
+    key, sep, value = text.partition("=")
+    if not sep:
+        raise UsageError(f"{where}: expected 'key = value', got {text!r}")
+    return key.strip(), value.strip()
 
 
 def parse_config_file(path) -> dict:
+    """``key = value`` lines as stripped strings; a line whose first
+    non-blank character is ``#`` is a comment."""
     entries = {}
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
-            stripped = line.split("#", 1)[0].strip()
-            if not stripped:
-                continue
-            if "=" not in stripped:
-                raise UsageError(f"{path}:{line_no}: expected 'key = value'")
-            key, value = stripped.split("=", 1)
-            entries[key.strip()] = _parse_value(value)
+            stripped = line.strip()
+            if stripped and not stripped.startswith("#"):
+                key, value = _key_value(stripped, f"{path}:{line_no}")
+                entries[key] = value
     return entries
 
 
-_HP_KEYS = {f.name for f in fields(HyperParams)}
-
-
 def build_run_config(args) -> RunConfig:
+    """Config file entries, then ``--set`` overrides, each cast by the declared
+    type of its field (``hp.<name>`` of HyperParams, any other key of
+    RunConfig), over the ``--profile`` hyperparameters."""
     entries = {}
     if getattr(args, "config", None):
         if not Path(args.config).exists():
             raise DatasetFormatError(f"config file does not exist: {args.config}")
         entries.update(parse_config_file(args.config))
-    for override in getattr(args, "set", None) or []:
-        if "=" not in override:
-            raise UsageError(f"--set needs key=value, got '{override}'")
-        key, value = override.split("=", 1)
-        entries[key.strip()] = _parse_value(value)
+    entries.update(_key_value(text, "--set") for text in getattr(args, "set", None) or [])
 
-    hp = HyperParams.profile(args.profile) if getattr(args, "profile", None) else HyperParams()
-    hp_overrides = {}
-    config = RunConfig(hp=hp)
-    for key, value in entries.items():
-        if key.startswith("hp."):
-            name = key[3:]
-            if name not in _HP_KEYS:
-                raise UsageError(f"unknown hyperparameter 'hp.{name}'")
-            caster = float if name == "learning_rate" else int
-            try:
-                hp_overrides[name] = caster(value)
-            except (TypeError, ValueError) as e:
-                raise UsageError(f"hp.{name} needs a {caster.__name__}, got {value!r}") from e
-        elif key in ("dataset", "train", "val", "test", "embeddings", "entities", "mode", "out"):
-            setattr(config, key, str(value))
-        elif key == "split_seed":
-            config.split_seed = int(value)
-        elif key == "seed":
-            hp_overrides.setdefault("seed", int(value))
-        else:
-            raise UsageError(f"unknown config key '{key}'")
-    if hp_overrides:
-        config.hp = replace(hp, **hp_overrides)
+    run_values, hp_values = {}, {}
+    for key, text in entries.items():
+        is_hp = key.startswith("hp.")
+        owner, name = (HyperParams, key[3:]) if is_hp else (RunConfig, key)
+        try:
+            (hp_values if is_hp else run_values)[name] = model.parse_field(owner, name, text)
+        except ValueError as e:
+            raise UsageError(f"config key '{key}': {e}") from e
     if getattr(args, "mode", None):
-        config.mode = args.mode
-    if getattr(args, "seed", None) is not None:
-        config.hp = replace(config.hp, seed=args.seed)
+        run_values["mode"] = args.mode
     if getattr(args, "out", None):
-        config.out = args.out
+        run_values["out"] = args.out
+    if getattr(args, "seed", None) is not None:
+        hp_values["seed"] = args.seed
+    hp = HyperParams.profile(args.profile) if getattr(args, "profile", None) else HyperParams()
+    config = RunConfig(**run_values, hp=replace(hp, **hp_values))
     config.hp.validate()
     return config
 
@@ -298,22 +278,15 @@ def cmd_synth(args) -> int:
         raise UsageError(str(e)) from e
     paths = data_mod.gen_synthetic(spec, args.out)
     config_path = Path(args.out) / "config.cfg"
-    hp = HyperParams.profile("synthetic")
+    hp = replace(HyperParams.profile("synthetic"), embedding_dim=args.dim,
+                 max_entity_sentences=args.entity_slots, seed=args.seed)
+    settings = {"dataset": paths["dataset"], "entities": paths["entities"],
+                "embeddings": paths["embeddings"], "out": Path(args.out) / "run",
+                "split_seed": args.seed}
+    settings.update((f"hp.{f.name}", getattr(hp, f.name)) for f in fields(hp))
     with open(config_path, "w", encoding="utf-8") as fh:
-        fh.write(f"dataset = {paths['dataset']}\n")
-        fh.write(f"entities = {paths['entities']}\n")
-        fh.write(f"embeddings = {paths['embeddings']}\n")
-        fh.write(f"out = {Path(args.out) / 'run'}\n")
-        fh.write(f"split_seed = {args.seed}\n")
-        fh.write(f"hp.embedding_dim = {args.dim}\n")
-        fh.write(f"hp.hidden_size = {hp.hidden_size}\n")
-        fh.write(f"hp.max_words = {hp.max_words}\n")
-        fh.write(f"hp.max_news_sentences = {hp.max_news_sentences}\n")
-        fh.write(f"hp.max_entity_sentences = {args.entity_slots}\n")
-        fh.write(f"hp.max_comment_sentences = {hp.max_comment_sentences}\n")
-        fh.write(f"hp.batch_size = {hp.batch_size}\n")
-        fh.write(f"hp.learning_rate = {hp.learning_rate}\n")
-        fh.write(f"hp.seed = {args.seed}\n")
+        for key, value in settings.items():
+            fh.write(f"{key} = {value}\n")
     for name, path in paths.items():
         print(f"{name}: {path}")
     print(f"config: {config_path}")

@@ -8,6 +8,7 @@ weights, shading normalized per column.
 from __future__ import annotations
 
 import json
+from html import escape
 
 import numpy as np
 
@@ -64,13 +65,14 @@ def render_heatmap_svg(path, weights: np.ndarray, sample_ids: list, title: str) 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',
-        f'<text x="{LEFT_MARGIN}" y="16" font-size="12" font-family="sans-serif">{title}</text>',
+        f'<text x="{LEFT_MARGIN}" y="16" font-size="12" font-family="sans-serif">'
+        f'{escape(title, quote=False)}</text>',
     ]
     for j, sid in enumerate(sample_ids):
         x = LEFT_MARGIN + j * CELL + CELL // 2
         parts.append(
             f'<text x="{x}" y="{TOP_MARGIN - 6}" font-size="8" font-family="sans-serif" '
-            f'text-anchor="middle">{sid}</text>')
+            f'text-anchor="middle">{escape(str(sid), quote=False)}</text>')
     for i in range(rows):
         y = TOP_MARGIN + i * CELL
         parts.append(

@@ -101,6 +101,6 @@ def metrics_report(preds: list, labels: list, scores: list | None = None) -> dic
         "f1_macro": f_mac,
         "pr_auc": None,
     }
-    if scores is not None:
+    if scores is not None and c.tp + c.fn:  # undefined without a positive label
         report["pr_auc"] = pr_auc(scores, labels)
     return report

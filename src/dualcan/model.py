@@ -14,7 +14,8 @@ co-attention inputs, so perturbing padded content cannot change the logits.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -55,7 +56,9 @@ _CHECKPOINT_MAGIC = "DUALCAN-CKPT v1"
 @dataclass
 class HyperParams:
     """Model and training dimensions; all sentence/word limits are global,
-    so batching is plain concatenation."""
+    so batching is plain concatenation. A field's ``min`` (default 1) is the
+    least value ``validate`` accepts; field order is the order of the ``hp``
+    lines in a checkpoint header."""
 
     embedding_dim: int = 16
     hidden_size: int = 8
@@ -66,20 +69,16 @@ class HyperParams:
     max_sentences_per_description: int = 4
     max_sentences_per_comment: int = 2
     batch_size: int = 8
-    learning_rate: float = 0.005
+    learning_rate: float = field(default=0.005, metadata={"min": 0})
     max_epochs: int = 30
     patience: int = 5
-    seed: int = 0
+    seed: int = field(default=0, metadata={"min": 0})
 
     def validate(self) -> None:
-        for name in ("embedding_dim", "hidden_size", "max_words", "max_news_sentences",
-                     "max_entity_sentences", "max_comment_sentences",
-                     "max_sentences_per_description", "max_sentences_per_comment",
-                     "batch_size", "max_epochs", "patience"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"hyperparameter {name} must be positive")
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be nonnegative")
+        for f in fields(self):
+            value, least = getattr(self, f.name), f.metadata.get("min", 1)
+            if not value >= least:
+                raise ValueError(f"hyperparameter {f.name} must be at least {least}, got {value!r}")
 
     @staticmethod
     def profile(name: str) -> "HyperParams":
@@ -96,6 +95,25 @@ class HyperParams:
         if name == "synthetic":
             return HyperParams()
         raise ValueError(f"unknown profile '{name}' (expected gossipcop, coaid or synthetic)")
+
+
+# declared field types read as strings (postponed annotations)
+_PARSERS = {"int": int, "float": float, "str": str, "str | None": str}
+
+
+def parse_field(owner, name: str, text: str):
+    """Parse ``text`` by the declared type of field ``name`` of the dataclass
+    ``owner``. Only fields of a type in ``_PARSERS`` are settings; raises
+    ValueError naming the field."""
+    declared = {f.name: f.type for f in fields(owner) if f.type in _PARSERS}
+    if name not in declared:
+        raise ValueError(f"unknown setting '{name}'")
+    if not text:
+        raise ValueError(f"{name} needs a value")
+    try:
+        return _PARSERS[declared[name]](text)
+    except ValueError:
+        raise ValueError(f"{name} expects type {declared[name]}, got {text!r}") from None
 
 
 @dataclass
@@ -547,20 +565,14 @@ def train(train_samples: list, val_samples: list, hp: HyperParams,
 # checkpoint io
 # ---------------------------------------------------------------------------
 
-_HP_FIELDS = ("embedding_dim", "hidden_size", "max_words", "max_news_sentences",
-              "max_entity_sentences", "max_comment_sentences",
-              "max_sentences_per_description", "max_sentences_per_comment",
-              "batch_size", "learning_rate", "max_epochs", "patience", "seed")
-
-
 def save_checkpoint(path, hp: HyperParams, params: ModelParams) -> None:
     """Text header (version, hyperparameters, tensor directory with shapes and
     byte offsets) followed by raw little-endian float64 payloads."""
     named = params.named()
     header = io.StringIO()
     header.write(_CHECKPOINT_MAGIC + "\n")
-    for name in _HP_FIELDS:
-        header.write(f"hp {name} {getattr(hp, name)!r}\n")
+    for f in fields(hp):
+        header.write(f"hp {f.name} {getattr(hp, f.name)!r}\n")
     offset = 0
     blobs = []
     for name, tensor in named.items():
@@ -580,46 +592,56 @@ def load_checkpoint(path):
     """Read a checkpoint back; returns (hp, values dict name -> array).
 
     The round trip is bit-exact: arrays compare equal to what was saved.
+    Anything malformed raises CheckpointError: the tensors must have unique
+    names and lie back to back from offset 0 in header order, filling the
+    payload exactly.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
-    newline = raw.find(b"\n")
-    if newline < 0 or raw[:newline].decode("utf-8", "replace") != _CHECKPOINT_MAGIC:
-        raise CheckpointError(f"{path}: not a recognized checkpoint file")
-    pos = newline + 1
+    try:
+        return _parse_checkpoint(raw)
+    except ValueError as e:
+        raise CheckpointError(f"{path}: {e}") from e
+
+
+def _parse_checkpoint(raw: bytes):
+    if not raw.startswith(_CHECKPOINT_MAGIC.encode() + b"\n"):
+        raise ValueError("not a recognized checkpoint file")
+    end = raw.find(b"\nend\n")
+    if end < 0:
+        raise ValueError("truncated header")
     hp_kwargs = {}
     directory = []
-    while True:
-        newline = raw.find(b"\n", pos)
-        if newline < 0:
-            raise CheckpointError(f"{path}: truncated header")
-        line = raw[pos:newline].decode("utf-8")
-        pos = newline + 1
-        if line == "end":
-            break
+    for line in raw[:end].decode("utf-8").split("\n")[1:]:
         parts = line.split(" ")
-        if parts[0] == "hp" and len(parts) == 3:
-            key, value = parts[1], parts[2]
-            if key not in _HP_FIELDS:
-                raise CheckpointError(f"{path}: unknown hyperparameter '{key}'")
-            hp_kwargs[key] = float(value) if key == "learning_rate" else int(value)
+        if parts[0] == "hp" and len(parts) == 3 and parts[1] not in hp_kwargs:
+            hp_kwargs[parts[1]] = parse_field(HyperParams, parts[1], parts[2])
         elif parts[0] == "tensor" and len(parts) == 4:
             shape = tuple(int(s) for s in parts[2].split(","))
+            if min(shape) < 0:
+                raise ValueError(f"tensor {parts[1]} has a negative dimension")
             directory.append((parts[1], shape, int(parts[3])))
         else:
-            raise CheckpointError(f"{path}: malformed header line {line!r}")
-    payload = raw[pos:]
-    values = {}
-    for name, shape, offset in directory:
-        count = int(np.prod(shape))
-        end = offset + count * 8
-        if end > len(payload):
-            raise CheckpointError(f"{path}: payload truncated for tensor {name}")
-        values[name] = np.frombuffer(payload[offset:end], dtype="<f8").reshape(shape).copy()
-    missing = set(_HP_FIELDS) - set(hp_kwargs)
+            raise ValueError(f"malformed or repeated header line {line!r}")
+    missing = {f.name for f in fields(HyperParams)} - set(hp_kwargs)
     if missing:
-        raise CheckpointError(f"{path}: header missing hyperparameters {sorted(missing)}")
+        raise ValueError(f"header missing hyperparameters {sorted(missing)}")
     hp = HyperParams(**hp_kwargs)
+    hp.validate()
+    payload = raw[end + len(b"\nend\n"):]
+    values = {}
+    pos = 0
+    for name, shape, offset in directory:
+        if name in values:
+            raise ValueError(f"tensor {name} listed twice")
+        if offset != pos:
+            raise ValueError(f"tensor {name} starts at byte {offset}, expected {pos}")
+        pos += 8 * math.prod(shape)
+        if pos > len(payload):
+            raise ValueError(f"payload truncated for tensor {name}")
+        values[name] = np.frombuffer(payload[offset:pos], dtype="<f8").reshape(shape).copy()
+    if pos != len(payload):
+        raise ValueError(f"{len(payload) - pos} payload bytes after the last tensor")
     return hp, values
 
 

@@ -384,16 +384,6 @@ def test_forward_replay_is_bit_identical(rng):
     npt.assert_array_equal(first, second)
 
 
-def test_operator_sugar():
-    a = ad.Tensor([[1.0, 2.0]])
-    b = ad.Tensor([[3.0, 4.0]])
-    npt.assert_array_equal((a + b).data, [[4.0, 6.0]])
-    npt.assert_array_equal((a - b).data, [[-2.0, -2.0]])
-    npt.assert_array_equal((a * b).data, [[3.0, 8.0]])
-    npt.assert_array_equal((-a).data, [[-1.0, -2.0]])
-    npt.assert_array_equal((a @ b.T).data, [[11.0]])
-
-
 # ---------------------------------------------------------------------------
 # grad_check
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import json
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -159,6 +160,16 @@ def test_eval_overfit_model_scores_training_set_perfectly(synth_dir, tmp_path, c
     assert report["accuracy"] == 1.0
 
 
+def test_eval_checkpoint_with_bad_hyperparameter_exits_2(synth_dir, trained_dir, tmp_path,
+                                                         capsys):
+    raw = (trained_dir / "checkpoint.bin").read_bytes()
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(raw.replace(b"\nhp batch_size 8\n", b"\nhp batch_size 8.5\n", 1))
+    assert run_cli("eval", "--checkpoint", str(bad),
+                   "--config", str(synth_dir / "config.cfg")) == 2
+    assert "batch_size" in capsys.readouterr().err
+
+
 def test_eval_missing_checkpoint(synth_dir, tmp_path):
     assert run_cli("eval", "--checkpoint", str(tmp_path / "none.bin"),
                    "--config", str(synth_dir / "config.cfg")) == 2
@@ -256,6 +267,28 @@ def test_heatmap_shading_is_monotone(tmp_path):
     assert grid[0, 0] == 0 and grid[1, 1] == 0
 
 
+def test_heatmaps_escape_ids_and_titles(tmp_path):
+    import xml.etree.ElementTree as ET
+
+    from dualcan import interpret
+
+    ids = ["a&b<c", "plain>id"]
+    attn = model.AttentionReport(*(np.array([0.25, 0.75]) for _ in range(4)),
+                                 *(np.array([True, True]) for _ in range(3)))
+    entries = [interpret.report_entry(i, 0, [0.5, 0.5], attn) for i in ids]
+    written = interpret.export_heatmaps(tmp_path, entries)
+    assert len(written) == 4
+    titled = tmp_path / "titled.svg"
+    interpret.render_heatmap_svg(titled, np.ones((1, 1)), ["x"], "news & <co>")
+
+    def texts(path):
+        return {t.text for t in ET.parse(path).iter("{http://www.w3.org/2000/svg}text")}
+
+    for path in written:
+        assert set(ids) <= texts(path)
+    assert "news & <co>" in texts(titled)
+
+
 def test_single_sentence_sample_heatmap_is_full_dark(synth_dir, trained_dir, tmp_path):
     # a news side with one real sentence puts weight 1.0 in one full-dark cell
     hp, values = model.load_checkpoint(trained_dir / "checkpoint.bin")
@@ -309,8 +342,45 @@ def test_parse_config_roundtrip(tmp_path):
     cfg.write_text("# comment line\ndataset = a.jsonl\nhp.hidden_size = 12\n"
                    "hp.learning_rate = 0.01\nmode = N+C\n")
     entries = cli.parse_config_file(cfg)
-    assert entries == {"dataset": "a.jsonl", "hp.hidden_size": 12,
-                       "hp.learning_rate": 0.01, "mode": "N+C"}
+    assert entries == {"dataset": "a.jsonl", "hp.hidden_size": "12",
+                       "hp.learning_rate": "0.01", "mode": "N+C"}
+    config = cli.build_run_config(cli.build_parser().parse_args(["train", "--config", str(cfg)]))
+    assert (config.hp.hidden_size, config.hp.learning_rate) == (12, 0.01)
+    assert (config.dataset, config.mode) == ("a.jsonl", "N+C")
+
+
+def test_config_values_are_not_guessed(tmp_path):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("   # indented comment = still a comment\nout = 1e3\n"
+                   "entities = c/ent#1.jsonl\nsplit_seed = 7\n")
+    args = cli.build_parser().parse_args(["train", "--config", str(cfg),
+                                          "--set", "dataset=d#2.jsonl"])
+    config = cli.build_run_config(args)
+    assert (config.out, config.entities, config.dataset) == ("1e3", "c/ent#1.jsonl", "d#2.jsonl")
+    assert config.split_seed == 7
+
+
+@pytest.mark.parametrize("line, key", [("hp.batch_size = 8.9", "hp.batch_size"),
+                                       ("split_seed = 2.5", "split_seed"),
+                                       ("seed = 3", "seed"),
+                                       ("dataset =", "dataset"),
+                                       ("hp = 3", "hp")])
+def test_bad_config_value_exits_1_naming_key(tmp_path, capsys, line, key):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(line + "\n")
+    assert run_cli("train", "--config", str(cfg)) == 1
+    assert f"'{key}'" in capsys.readouterr().err
+
+
+def test_synth_config_reads_back_as_synthetic_profile(tmp_path):
+    out = tmp_path / "corpus"
+    assert run_cli("synth", "--out", str(out), "--size", "10", "--dim", "12",
+                   "--entity-slots", "4", "--seed", "5") == 0
+    config = cli.build_run_config(
+        cli.build_parser().parse_args(["train", "--config", str(out / "config.cfg")]))
+    assert config.hp == replace(model.HyperParams.profile("synthetic"), embedding_dim=12,
+                                max_entity_sentences=4, seed=5)
+    assert (config.split_seed, config.out) == (5, str(out / "run"))
 
 
 def test_parse_config_rejects_malformed(tmp_path):

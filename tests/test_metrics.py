@@ -187,3 +187,9 @@ def test_metrics_report_without_scores():
     report = metrics.metrics_report([1, 0], [1, 0])
     assert report["pr_auc"] is None
     assert report["accuracy"] == 1.0
+
+
+def test_metrics_report_without_positive_labels():
+    report = metrics.metrics_report([1, 0], [0, 0], [0.7, 0.2])
+    assert report["pr_auc"] is None
+    assert report["accuracy"] == 0.5

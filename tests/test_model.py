@@ -3,11 +3,14 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dualcan import autodiff as ad
 from dualcan import data, layers, model
 
-from conftest import random_document, tiny_documents, tiny_embeddings, tiny_vocab
+from conftest import (random_document, tiny_documents, tiny_embeddings, tiny_hyperparams,
+                      tiny_vocab)
 from oracles import model_forward_loops
 
 LN2 = math.log(2.0)
@@ -497,6 +500,16 @@ def test_train_loss_decreases(tiny_setup):
     assert result.history[-1].train_loss < result.history[0].train_loss
 
 
+def test_train_with_all_negative_validation_split_completes(tiny_setup):
+    hp, params, vocab, emb, _ = tiny_setup
+    import dataclasses
+    hp2 = dataclasses.replace(hp, max_epochs=2)
+    samples = _toy_split(hp2, vocab, emb)
+    val = [s for s in samples if s.label == 0]
+    result = model.train(samples, val, hp2, params, emb)
+    assert [h.val["pr_auc"] for h in result.history] == [None, None]
+
+
 def test_train_rejects_empty_split(tiny_setup):
     hp, params, _, emb, samples = tiny_setup
     with pytest.raises(ValueError):
@@ -557,6 +570,100 @@ def test_checkpoint_rejects_truncated_payload(tiny_setup, tmp_path):
     path.write_bytes(raw[:-16])
     with pytest.raises(model.CheckpointError):
         model.load_checkpoint(path)
+
+
+def test_checkpoint_header_keeps_v1_layout(tiny_setup, tmp_path):
+    hp, params, _, _, _ = tiny_setup
+    path = tmp_path / "model.bin"
+    model.save_checkpoint(path, hp, params)
+    lines = path.read_bytes().split(b"\nend\n", 1)[0].decode().split("\n")
+    assert lines[:14] == [
+        "DUALCAN-CKPT v1", "hp embedding_dim 4", "hp hidden_size 2", "hp max_words 3",
+        "hp max_news_sentences 2", "hp max_entity_sentences 2", "hp max_comment_sentences 2",
+        "hp max_sentences_per_description 4", "hp max_sentences_per_comment 2",
+        "hp batch_size 2", "hp learning_rate 0.001", "hp max_epochs 30", "hp patience 5",
+        "hp seed 3"]
+    assert lines[14] == "tensor news.word.fwd.reset.w 2,4 0"
+
+
+def _first_tensor_line(raw: bytes) -> bytes:
+    start = raw.index(b"\ntensor ") + 1
+    return raw[start:raw.index(b"\n", start) + 1]
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda raw: raw.replace(b"hp batch_size 2\n", b"hp batch_size 8.5\n"), "batch_size"),
+    (lambda raw: raw.replace(b"hp hidden_size 2\n", b"hp hidden_size 0\n"), "hidden_size"),
+    (lambda raw: raw.replace(b"hp seed 3\n", b"hp seed 3\nhp seed 4\n"), "repeated"),
+    (lambda raw: raw.replace(b" 2,4 0\n", b" 2,4 -64\n", 1), "starts at byte -64"),
+    (lambda raw: raw.replace(b" 2,4 0\n", b" 2,4 0x0\n", 1), "0x0"),
+    (lambda raw: raw.replace(b" 2,4 0\n", b" 2.0,4 0\n", 1), "2.0"),
+    (lambda raw: raw.replace(b" 2,4 0\n", b" -2,-4 0\n", 1), "negative dimension"),
+    (lambda raw: raw.replace(b"\nend\n", b"\n" + _first_tensor_line(raw) + b"end\n") + bytes(8),
+     "listed twice"),
+    (lambda raw: raw + bytes(8), "8 payload bytes after"),
+    (lambda raw: raw.replace(b"\nend\n", b"\nen"), "truncated header"),
+], ids=["hp-not-int", "hp-invalid", "hp-repeated", "negative-offset", "hex-offset",
+        "float-shape", "negative-shape", "tensor-repeated", "trailing-bytes", "no-end-line"])
+def test_checkpoint_rejects_inconsistent_directory(tiny_setup, tmp_path, corrupt, message):
+    hp, params, _, _, _ = tiny_setup
+    path = tmp_path / "model.bin"
+    model.save_checkpoint(path, hp, params)
+    path.write_bytes(corrupt(path.read_bytes()))
+    with pytest.raises(model.CheckpointError, match=message):
+        model.load_checkpoint(path)
+
+
+@pytest.fixture(scope="module")
+def saved_checkpoint(tmp_path_factory):
+    hp = tiny_hyperparams()
+    params = model.ModelParams.create(hp)
+    path = tmp_path_factory.mktemp("ckpt") / "model.bin"
+    model.save_checkpoint(path, hp, params)
+    raw = path.read_bytes()
+    return path, raw, raw.index(b"\nend\n") + 5, params.copy_values()
+
+
+_HEADER_JUNK = [b"-8", b"8.5", b"0", b"1e3", b"", b" ", b",", b"\n", b"x", b"tensor ", b"hp ",
+                b"end\n", b"99999999999", b"\xff\xfe"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_corrupt_checkpoint_loads_saved_values_or_raises(saved_checkpoint, data):
+    # one header edit at most, then a truncation or appended bytes: without a
+    # checksum, a tensor that keeps its name and shape must keep its bytes
+    path, raw, header_len, saved = saved_checkpoint
+    blob = bytearray(raw)
+    if data.draw(st.booleans()):
+        lines = raw[:header_len].split(b"\n")
+        at = data.draw(st.integers(0, len(lines) - 2))
+        edit = data.draw(st.sampled_from(["bytes", "drop", "repeat"]))
+        if edit == "bytes":
+            col = data.draw(st.integers(0, len(lines[at])))
+            width = data.draw(st.integers(0, 3))
+            new = data.draw(st.sampled_from(_HEADER_JUNK) | st.binary(max_size=3))
+            lines[at] = lines[at][:col] + new + lines[at][col + width:]
+        elif edit == "drop":
+            del lines[at]
+        else:
+            lines.insert(at, lines[at])
+        blob = bytearray(b"\n".join(lines)) + raw[header_len:]
+    tail = data.draw(st.sampled_from(["keep", "cut", "append"]))
+    if tail == "cut":
+        del blob[data.draw(st.integers(0, len(blob))):]
+    elif tail == "append":
+        blob += data.draw(st.binary(max_size=24))
+    path.write_bytes(bytes(blob))
+    try:
+        _, values = model.load_checkpoint(path)
+    except model.CheckpointError:
+        return
+    for name, array in values.items():
+        if name in saved and array.shape == saved[name].shape:
+            npt.assert_array_equal(array, saved[name])
+    if bytes(blob) == raw:
+        assert values.keys() == saved.keys()
 
 
 def test_hyperparams_profiles():
