@@ -182,6 +182,13 @@ def _result(op: str, data: np.ndarray, parents: tuple, backward_fn) -> Tensor:
     return out
 
 
+def fused(op: str, data: np.ndarray, parents: tuple, backward_fn) -> Tensor:
+    """Record ``data``, computed outside this module from ``parents``, as one
+    tape node named ``op``. ``backward_fn(g)`` receives the output gradient
+    and must add into ``grad`` of every parent that requires grad."""
+    return _result(op, data, parents, backward_fn)
+
+
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum ``grad`` down to ``shape`` (reverses numpy broadcasting)."""
     while grad.ndim > len(shape):
@@ -386,6 +393,26 @@ def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
             x.grad[:, start:stop] += g
 
     return _result("slice_cols", data, (x,), bwd)
+
+
+def gather_cols(x: Tensor, index) -> Tensor:
+    """Columns ``x[:, index]`` for a 1-D integer ``index``; an entry of -1
+    gives a zero column."""
+    index = np.asarray(index, dtype=np.intp)
+    if x.data.ndim != 2 or index.ndim != 1:
+        raise ShapeError(f"gather_cols needs a 2-D tensor and a 1-D index, got "
+                         f"{x.data.shape} and {index.shape}")
+    if index.size and not (-1 <= index.min() and index.max() < x.data.shape[1]):
+        raise ShapeError(f"column index out of range for shape {x.data.shape}")
+    live = index >= 0
+    data = np.zeros((x.data.shape[0], index.size))
+    data[:, live] = x.data[:, index[live]]
+
+    def bwd(g):
+        if x.requires_grad:
+            np.add.at(x.grad, (slice(None), index[live]), g[:, live])
+
+    return _result("gather_cols", data, (x,), bwd)
 
 
 def softmax_rows(x: Tensor, mask=None) -> Tensor:

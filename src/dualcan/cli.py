@@ -207,6 +207,12 @@ def cmd_train(args) -> int:
 
 
 def _load_for_eval(args):
+    # the checkpoint fixes the hyperparameters; hp.* lines of a --config file
+    # (the training config) are read and then replaced
+    for text in args.set or []:
+        if text.partition("=")[0].strip().startswith("hp."):
+            raise UsageError(f"--set {text}: {args.command} uses the hyperparameters "
+                             f"stored in the checkpoint")
     hp, values = model.load_checkpoint(args.checkpoint)
     params = model.restore_params(hp, values)
     config = build_run_config(args)
@@ -300,17 +306,19 @@ def build_parser() -> _Parser:
 
     def common(p):
         p.add_argument("--config", help="key=value config file")
-        p.add_argument("--profile", choices=["gossipcop", "coaid", "synthetic"],
-                       help="hyperparameter profile")
         p.add_argument("--mode", choices=list(model.MODES),
                        help="input ablation mode")
-        p.add_argument("--seed", type=int, help="override the run seed")
         p.add_argument("--out", help="output directory")
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override a config entry")
 
+    # eval and explain take the hyperparameters from the checkpoint, so only
+    # train has the flags that set them
     p_train = sub.add_parser("train", help="train and write checkpoint + logs")
     common(p_train)
+    p_train.add_argument("--profile", choices=["gossipcop", "coaid", "synthetic"],
+                         help="hyperparameter profile")
+    p_train.add_argument("--seed", type=int, help="override the run seed")
 
     p_eval = sub.add_parser("eval", help="score a checkpoint on a dataset split")
     p_eval.add_argument("--checkpoint", required=True)

@@ -1,4 +1,4 @@
-"""Parameterized building blocks: GRU cells, bidirectional sequence encoding,
+"""Parameterized building blocks: a GRU recurrence, bidirectional sequence encoding,
 additive word attention, and the co-attention block that fuses two sentence
 sequences through an affinity matrix.
 
@@ -19,12 +19,12 @@ from .autodiff import (
     Tensor,
     add,
     concat,
+    fused,
     matmul,
     mul,
-    sigmoid,
+    slice_cols,
     slice_rows,
     softmax_rows,
-    sub,
     tanh,
     transpose,
 )
@@ -147,51 +147,85 @@ class CoAttentionOutput:
     pooled_secondary: Tensor     # [1 x 2h]
 
 
-def gru_cell(x: Tensor, h_prev: Tensor, p: GruParams) -> Tensor:
-    """One GRU step: h = (1 - z) * h_prev + z * h_cand.
-
-    ``x`` may be a single column [in x 1] or a column batch [in x B]; the
-    batch dimension is carried through unchanged.
-    """
-    if x.shape[0] != p.input_size:
-        raise ShapeError(f"gru_cell input has {x.shape[0]} rows, params expect {p.input_size}")
-    if h_prev.shape[0] != p.hidden_size:
-        raise ShapeError(f"gru_cell state has {h_prev.shape[0]} rows, params expect {p.hidden_size}")
-    if x.shape[1] != h_prev.shape[1]:
-        raise ShapeError(f"gru_cell batch mismatch: x {x.shape} vs h_prev {h_prev.shape}")
-    r = sigmoid(add(add(matmul(p.w_reset, x), matmul(p.u_reset, h_prev)), p.b_reset))
-    z = sigmoid(add(add(matmul(p.w_update, x), matmul(p.u_update, h_prev)), p.b_update))
-    cand = tanh(add(add(matmul(p.w_cand, x), matmul(p.u_cand, mul(r, h_prev))), p.b_cand))
-    # (1 - z) * h_prev + z * cand, written to avoid a constant tensor
-    return add(h_prev, mul(z, sub(cand, h_prev)))
-
-
-def _masked_step(x_t: Tensor, h: Tensor, p: GruParams, keep_t) -> Tensor:
-    """GRU step where masked-out columns carry the previous state through."""
-    cell = gru_cell(x_t, h, p)
-    if keep_t is None:
-        return cell
-    return add(h, mul(keep_t, sub(cell, h)))
-
-
 def gru_sequence(columns: list, p: GruParams, keep: list | None = None,
                  reverse: bool = False) -> list:
-    """Run a GRU over a list of [in x B] columns from a zero initial state.
+    """Run a GRU over a list of T [in x B] columns from a zero initial state.
 
     Returns the state after each position, in position order. ``keep`` is an
-    optional list of [1 x B] float tensors; where 0, the state passes through
-    unchanged (padding positions do not advance the recurrence).
+    optional list of T [1 x B] float tensors; a step computes the cell
+    ``h + z * (cand - h)`` and moves to ``h + keep * (cell - h)``, so where
+    ``keep`` is 0 the state passes through unchanged (padding positions do
+    not advance the recurrence).
+
+    The whole recurrence is one tape node: the gate inputs of every step come
+    from one stacked [3h x in] @ [in x T*B] product, each step does one
+    stacked [2h x h] reset/update product, and the backward pass is
+    hand-written BPTT that forms the weight and input gradients with one
+    matmul each. The node's output stacks the states as [h x T*B]; the
+    returned list is cut from it.
     """
     if not columns:
         raise ShapeError("gru_sequence over an empty sequence")
-    batch = columns[0].shape[1]
-    h = Tensor(np.zeros((p.hidden_size, batch)))
-    order = range(len(columns) - 1, -1, -1) if reverse else range(len(columns))
-    states = [None] * len(columns)
+    n, batch, h = len(columns), columns[0].shape[1], p.hidden_size
+    for col in columns:
+        if col.shape != (p.input_size, batch):
+            raise ShapeError(f"gru_sequence column of shape {col.shape}, expected "
+                             f"{p.input_size} rows (params) and {batch} columns (batch)")
+    if keep is not None and (len(keep) != n or any(k.shape != (1, batch) for k in keep)):
+        raise ShapeError(f"gru_sequence keep needs {n} rows of shape (1, {batch})")
+    weights = tuple(p.named().values())   # reset, update, cand: w, u, b each
+    w = np.concatenate([p.w_reset.data, p.w_update.data, p.w_cand.data])   # [3h x in]
+    u_rz = np.concatenate([p.u_reset.data, p.u_update.data])              # [2h x h]
+    b_rz = np.concatenate([p.b_reset.data, p.b_update.data])
+    u_c, b_c = p.u_cand.data, p.b_cand.data
+    x = np.concatenate([col.data for col in columns], axis=1)                 # [in x T*B]
+    x_gates = (w @ x).reshape(3 * h, n, batch)
+    k = None if keep is None else np.concatenate([kt.data for kt in keep])  # [T x B]
+    order = range(n - 1, -1, -1) if reverse else range(n)
+    # per step t: the carried state before it, both gates, the candidate, the
+    # state after it
+    prev, gates, cand, states = (np.empty((rows, n, batch)) for rows in (h, 2 * h, h, h))
+    state = np.zeros((h, batch))
     for t in order:
-        h = _masked_step(columns[t], h, p, keep[t] if keep is not None else None)
-        states[t] = h
-    return states
+        prev[:, t] = state
+        a = x_gates[:2 * h, t] + u_rz @ state
+        a += b_rz
+        rz = gates[:, t] = 1.0 / (1.0 + np.exp(-a))
+        c = cand[:, t] = np.tanh(x_gates[2 * h:, t] + u_c @ (rz[:h] * state) + b_c)
+        cell = state + rz[h:] * (c - state)
+        state = cell if k is None else state + k[t] * (cell - state)
+        states[:, t] = state
+
+    def backward(grad):
+        g = grad.reshape(h, n, batch)
+        d_pre = np.empty((3 * h, n, batch))     # gate pre-activation gradients
+        carry = np.zeros((h, batch))
+        for t in reversed(order):
+            d_state = g[:, t] + carry
+            d_cell = d_state if k is None else k[t] * d_state
+            r, z, c, s = gates[:h, t], gates[h:, t], cand[:, t], prev[:, t]
+            d_pre[2 * h:, t] = d_cand = d_cell * z * (1.0 - c * c)
+            d_rs = u_c.T @ d_cand
+            d_pre[:h, t] = d_rs * s * r * (1.0 - r)
+            d_pre[h:2 * h, t] = d_cell * (c - s) * z * (1.0 - z)
+            carry = d_state - d_cell * z + d_rs * r + u_rz.T @ d_pre[:2 * h, t]
+        d_pre = d_pre.reshape(3 * h, n * batch)
+        d_w = d_pre @ x.T                                                  # [3h x in]
+        d_u = np.concatenate([d_pre[:2 * h] @ prev.reshape(h, -1).T,
+                              d_pre[2 * h:] @ (gates[:h] * prev).reshape(h, -1).T])  # [3h x h]
+        d_b = d_pre.sum(axis=1, keepdims=True)                             # [3h x 1]
+        for i, tensor in enumerate(weights):
+            if tensor.requires_grad:
+                gate = slice(i // 3 * h, (i // 3 + 1) * h)
+                tensor.grad += (d_w, d_u, d_b)[i % 3][gate]
+        if any(col.requires_grad for col in columns):
+            d_x = w.T @ d_pre
+            for t, col in enumerate(columns):
+                if col.requires_grad:
+                    col.grad += d_x[:, t * batch:(t + 1) * batch]
+
+    out = fused("gru_sequence", states.reshape(h, n * batch), (*columns, *weights), backward)
+    return [slice_cols(out, t * batch, (t + 1) * batch) for t in range(n)]
 
 
 def bigru(columns: list, p_fwd: GruParams, p_bwd: GruParams, keep: list | None = None) -> list:

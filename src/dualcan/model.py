@@ -26,10 +26,10 @@ from .autodiff import (
     Tensor,
     add,
     concat,
+    gather_cols,
     log,
     matmul,
     mean_all,
-    mul,
     scale,
     slice_cols,
     softmax_rows,
@@ -237,39 +237,35 @@ class AttentionReport:
     comment_mask: np.ndarray
 
 
-def _word_encode_blocks(blocks: list, enc: EncoderParams, embeddings) -> list:
+def _word_encode_blocks(blocks: list, enc: EncoderParams, embeddings):
     """Word-level encode the real sentences of many (ids, word_mask, sent_mask)
     blocks in one batched recurrence.
 
-    All real sentences across all blocks become columns of a single sequence
-    batch; the recurrence and attention pooling run once. Returns, per block,
-    a list of [2h x 1] pooled columns with None at pad slots.
+    All real sentences across all blocks, in block then slot order, become
+    the columns of one sequence batch, as long as the longest of them; the
+    recurrence and attention pooling run once. Returns (pooled [2h x K],
+    index [blocks x slots]), where index holds the pooled column of each real
+    slot and -1 at pad slots; with no real sentence, pooled is one zero column.
     """
-    gathered = []  # (block index, slot index)
-    id_rows, mask_rows = [], []
-    for b, (ids, word_mask, sent_mask) in enumerate(blocks):
-        for slot in np.flatnonzero(sent_mask):
-            gathered.append((b, int(slot)))
-            id_rows.append(ids[slot])
-            mask_rows.append(word_mask[slot])
-    columns = [[None] * blocks[b][0].shape[0] for b in range(len(blocks))]
-    if not gathered:
-        return columns
-    sub_ids = np.stack(id_rows)            # [K x M]
-    sub_mask = np.stack(mask_rows)         # [K x M]
-    k, m = sub_ids.shape
-    inputs = [Tensor(embeddings.lookup(sub_ids[:, t]).T) for t in range(m)]
-    keep = [Tensor(sub_mask[:, t].astype(np.float64).reshape(1, k)) for t in range(m)]
+    sent_mask = np.stack([sent for _, _, sent in blocks])                # [B x S]
+    index = np.full(sent_mask.shape, -1)
+    index[sent_mask] = np.arange(np.count_nonzero(sent_mask))
+    if not sent_mask.any():
+        return Tensor(np.zeros((2 * enc.fwd.hidden_size, 1))), index
+    word_mask = np.stack([words for _, words, _ in blocks])[sent_mask]   # [K x M]
+    # the time axis ends at the last real word of any gathered sentence: the
+    # steps cut off are padding in every column and would not move a state;
+    # at least one step stays, so a sentence without words still fails in
+    # word_attention
+    real_steps = np.flatnonzero(word_mask.any(axis=0))
+    m = int(real_steps[-1]) + 1 if real_steps.size else 1
+    word_mask = word_mask[:, :m]
+    ids = np.stack([ids for ids, _, _ in blocks])[sent_mask][:, :m]
+    inputs = [Tensor(embeddings.lookup(ids[:, t]).T) for t in range(m)]
+    keep = [Tensor(word_mask[:, t].astype(np.float64).reshape(1, -1)) for t in range(m)]
     states = layers.bigru(inputs, enc.fwd, enc.bwd, keep)
-    pooled, _ = layers.word_attention(states, sub_mask, enc.attention)   # [2h x K]
-    for j, (b, slot) in enumerate(gathered):
-        columns[b][slot] = slice_cols(pooled, j, j + 1)
-    return columns
-
-
-def _scatter_columns(columns: list, rows: int) -> Tensor:
-    parts = [c if c is not None else Tensor(np.zeros((rows, 1))) for c in columns]
-    return concat(parts, axis=1)
+    pooled, _ = layers.word_attention(states, word_mask, enc.attention)   # [2h x K]
+    return pooled, index
 
 
 def encode_samples(samples: list, params: ModelParams, embeddings,
@@ -280,32 +276,29 @@ def encode_samples(samples: list, params: ModelParams, embeddings,
         if not sample.news_sent_mask.any():
             raise layers.DegenerateMaskError(
                 f"sample {sample.doc_id}: news side has no real sentences")
-    h2 = 2 * hp.hidden_size
-    news_cols = _word_encode_blocks(
+    news_pooled, news_index = _word_encode_blocks(
         [(s.news_ids, s.news_word_mask, s.news_sent_mask) for s in samples],
         params.news_encoder, embeddings)
-    entity_cols = _word_encode_blocks(
+    entity_pooled, entity_index = _word_encode_blocks(
         [(s.entity_ids, s.entity_word_mask, s.entity_sent_mask) for s in samples],
         params.entity_encoder, embeddings)
-    comment_cols = _word_encode_blocks(
+    comment_pooled, comment_index = _word_encode_blocks(
         [(s.comment_ids, s.comment_word_mask, s.comment_sent_mask) for s in samples],
         params.comment_encoder, embeddings)
     # sentence-level BiGRU over the whole batch: step n holds sentence slot n
-    # of every sample; pad columns are zeroed after it
-    sent_mask = np.stack([s.news_sent_mask for s in samples]).astype(np.float64)  # [B x N]
-    steps = [_scatter_columns([cols[n] for cols in news_cols], h2)
-             for n in range(sent_mask.shape[1])]
-    keep = [Tensor(sent_mask[:, n].reshape(1, -1)) for n in range(sent_mask.shape[1])]
-    states = layers.bigru(steps, params.sentence_fwd, params.sentence_bwd, keep)
-    states = [mul(s, k) for s, k in zip(states, keep)]
-    news = [concat([slice_cols(s, i, i + 1) for s in states], axis=1)
-            for i in range(len(samples))]
+    # of every sample (a zero column at pad slots); in the stacked states,
+    # column n*B + i is slot n of sample i, and pad slots read as zero columns
+    sent_mask = news_index >= 0                                           # [B x N]
+    batch, slots = sent_mask.shape
+    steps = [gather_cols(news_pooled, news_index[:, n]) for n in range(slots)]
+    keep = [Tensor(sent_mask[:, n].astype(np.float64).reshape(1, -1)) for n in range(slots)]
+    news = concat(layers.bigru(steps, params.sentence_fwd, params.sentence_bwd, keep), axis=1)
     return [EncodedSample(
-        news=news[i],
+        news=gather_cols(news, np.where(sent_mask[i], np.arange(slots) * batch + i, -1)),
         news_mask=sample.news_sent_mask.copy(),
-        entities=_scatter_columns(entity_cols[i], h2),
+        entities=gather_cols(entity_pooled, entity_index[i]),
         entity_mask=sample.entity_sent_mask.copy(),
-        comments=_scatter_columns(comment_cols[i], h2),
+        comments=gather_cols(comment_pooled, comment_index[i]),
         comment_mask=sample.comment_sent_mask.copy(),
         label=sample.label,
     ) for i, sample in enumerate(samples)]

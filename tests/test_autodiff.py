@@ -213,6 +213,25 @@ def test_slice_out_of_range():
         ad.slice_cols(ad.Tensor(np.zeros((2, 3))), 2, 5)
 
 
+def test_gather_cols_values_zero_columns_and_gradient(rng):
+    x = ad.Tensor(rng.uniform(-1, 1, (3, 4)), requires_grad=True)
+    w = rng.uniform(-1, 1, (3, 4))
+    g = ad.Graph()
+    with g:
+        out = ad.gather_cols(x, [2, -1, 0, 2])
+        loss = ad.sum_all(ad.mul(out, ad.Tensor(w)))
+    g.backward(loss)
+    npt.assert_array_equal(out.data, np.stack([x.data[:, 2], np.zeros(3), x.data[:, 0],
+                                               x.data[:, 2]], axis=1))
+    expected = np.zeros((3, 4))
+    expected[:, 0] = w[:, 2]
+    expected[:, 2] = w[:, 0] + w[:, 3]      # a column picked twice sums both gradients
+    npt.assert_allclose(x.grad, expected, atol=1e-15)
+    for bad in ([4], [-2], [[0]]):
+        with pytest.raises(ad.ShapeError):
+            ad.gather_cols(x, bad)
+
+
 def test_broadcast_add_gradient_sums(rng):
     x = ad.Tensor(rng.uniform(-1, 1, (3, 4)), requires_grad=True)
     bias = ad.Tensor(rng.uniform(-1, 1, (3, 1)), requires_grad=True)

@@ -1,6 +1,8 @@
 import json
 import re
+import shlex
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -203,6 +205,41 @@ def test_eval_empty_dataset_errors(trained_dir, tmp_path):
     cfg.write_text(f"dataset = {empty}\nembeddings = {emb}\n")
     assert run_cli("eval", "--checkpoint", str(trained_dir / "checkpoint.bin"),
                    "--config", str(cfg)) == 2
+
+
+@pytest.mark.parametrize("flag", [("--profile", "gossipcop"), ("--seed", "3"),
+                                  ("--set", "hp.batch_size=1"), ("--set", "hp.hidden_size=999")])
+@pytest.mark.parametrize("command", ["eval", "explain"])
+def test_eval_and_explain_refuse_hyperparameter_flags(synth_dir, trained_dir, tmp_path, capsys,
+                                                      command, flag):
+    # the checkpoint fixes the hyperparameters; a flag that would set them is
+    # refused by name instead of being silently replaced
+    out = tmp_path / "out"
+    code = run_cli(command, "--checkpoint", str(trained_dir / "checkpoint.bin"),
+                   "--config", str(synth_dir / "config.cfg"), "--out", str(out), *flag)
+    assert code == 1
+    assert " ".join(flag) in capsys.readouterr().err
+    assert not out.exists()
+
+
+def readme_commands():
+    """The ``dualcan`` command lines of the README's "Command line" block."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```")[1]
+    return [shlex.split(line, comments=True)[1:]
+            for line in block.replace("\\\n", " ").splitlines() if line.startswith("dualcan ")]
+
+
+def test_readme_command_lines_run(tmp_path, monkeypatch):
+    # run as written, in a fresh directory, on a smaller corpus and two epochs;
+    # eval and explain read the training config, hp.* lines included
+    monkeypatch.chdir(tmp_path)
+    commands = readme_commands()
+    assert [argv[0] for argv in commands] == ["synth", "train", "eval", "explain"]
+    shorter = {"synth": ["--size", "24"], "train": ["--set", "hp.max_epochs=2"]}
+    for argv in commands:
+        assert run_cli(*argv, *shorter.get(argv[0], [])) == 0, argv
+    assert (tmp_path / "corpus" / "explain" / "attention_report.json").exists()
 
 
 # ---------------------------------------------------------------------------

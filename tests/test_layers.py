@@ -27,69 +27,201 @@ def zero_gru(input_size, hidden):
 
 
 # ---------------------------------------------------------------------------
-# gru_cell
+# gru_sequence: one GRU cell per step
 # ---------------------------------------------------------------------------
 
 
-def test_gru_cell_zero_params_zero_state_gives_zero():
-    p = zero_gru(2, 3)
-    out = layers.gru_cell(ad.Tensor(np.ones((2, 1))), ad.Tensor(np.zeros((3, 1))), p)
-    npt.assert_array_equal(out.data, np.zeros((3, 1)))
+def gru_cell(x, h_prev, p):
+    """Tape-composed reference for one step: h = (1 - z) * h_prev + z * h_cand."""
+    r = ad.sigmoid(ad.add(ad.add(ad.matmul(p.w_reset, x), ad.matmul(p.u_reset, h_prev)),
+                          p.b_reset))
+    z = ad.sigmoid(ad.add(ad.add(ad.matmul(p.w_update, x), ad.matmul(p.u_update, h_prev)),
+                          p.b_update))
+    cand = ad.tanh(ad.add(ad.add(ad.matmul(p.w_cand, x),
+                                 ad.matmul(p.u_cand, ad.mul(r, h_prev))), p.b_cand))
+    return ad.add(h_prev, ad.mul(z, ad.sub(cand, h_prev)))
 
 
-def test_gru_cell_output_is_convex_combination(rng):
-    # h stays inside (-1, 1) whenever h_prev does: new state is a convex mix
-    # of h_prev and a tanh value
-    p = make_gru(2, 4)
-    h_prev = rng.uniform(-0.99, 0.99, (4, 1))
-    out = layers.gru_cell(ad.Tensor(rng.uniform(-2, 2, (2, 1))), ad.Tensor(h_prev), p)
-    assert (np.abs(out.data) < 1.0).all()
+def masked_step(x, h, p, keep_t):
+    """Reference step where keep_t = 0 columns carry the previous state."""
+    cell = gru_cell(x, h, p)
+    return cell if keep_t is None else ad.add(h, ad.mul(keep_t, ad.sub(cell, h)))
 
 
-def test_gru_cell_matches_formula_oracle():
-    p = make_gru(2, 1, seed=13)
-    x = np.array([[1.0], [0.0]])
-    h_prev = np.array([[0.5]])
-    out = layers.gru_cell(ad.Tensor(x), ad.Tensor(h_prev), p)
-    expected = gru_cell_loops(x[:, 0], h_prev[:, 0], *gru_params_arrays(p))
-    npt.assert_allclose(out.data[:, 0], expected, atol=1e-12)
-
-
-def test_gru_cell_random_matches_oracle(rng):
-    p = make_gru(3, 5, seed=21)
-    x = rng.uniform(-2, 2, (3, 1))
-    h_prev = rng.uniform(-1, 1, (5, 1))
-    out = layers.gru_cell(ad.Tensor(x), ad.Tensor(h_prev), p)
-    expected = gru_cell_loops(x[:, 0], h_prev[:, 0], *gru_params_arrays(p))
-    npt.assert_allclose(out.data[:, 0], expected, atol=1e-12)
-
-
-def test_gru_cell_column_batch_equals_per_column(rng):
-    p = make_gru(3, 4, seed=2)
-    x = rng.uniform(-1, 1, (3, 5))
-    h_prev = rng.uniform(-1, 1, (4, 5))
-    batched = layers.gru_cell(ad.Tensor(x), ad.Tensor(h_prev), p)
-    for j in range(5):
-        single = layers.gru_cell(ad.Tensor(x[:, j:j + 1]), ad.Tensor(h_prev[:, j:j + 1]), p)
-        npt.assert_allclose(batched.data[:, j:j + 1], single.data, atol=1e-12)
-
-
-def test_gru_cell_shape_errors():
-    p = make_gru(2, 3)
-    with pytest.raises(ad.ShapeError):
-        layers.gru_cell(ad.Tensor(np.zeros((5, 1))), ad.Tensor(np.zeros((3, 1))), p)
-    with pytest.raises(ad.ShapeError):
-        layers.gru_cell(ad.Tensor(np.zeros((2, 1))), ad.Tensor(np.zeros((4, 1))), p)
-
-
-# ---------------------------------------------------------------------------
-# bigru
-# ---------------------------------------------------------------------------
+def gru_sequence_reference(columns, p, keep=None, reverse=False):
+    h = ad.Tensor(np.zeros((p.hidden_size, columns[0].shape[1])))
+    states = [None] * len(columns)
+    order = range(len(columns) - 1, -1, -1) if reverse else range(len(columns))
+    for t in order:
+        h = states[t] = masked_step(columns[t], h, p, None if keep is None else keep[t])
+    return states
 
 
 def columns_of(seq):
     """Split [in x T] into T [in x 1] column tensors."""
     return [ad.Tensor(seq[:, t:t + 1]) for t in range(seq.shape[1])]
+
+
+def keep_rows(mask):
+    """[B x T] boolean mask -> T keep rows [1 x B]."""
+    return [ad.Tensor(mask[:, t].astype(float).reshape(1, -1)) for t in range(mask.shape[1])]
+
+
+def test_gru_cell_zero_params_zero_state_gives_zero():
+    p = zero_gru(2, 3)
+    out = layers.gru_sequence([ad.Tensor(np.ones((2, 1)))], p)
+    assert len(out) == 1
+    npt.assert_array_equal(out[0].data, np.zeros((3, 1)))
+
+
+def test_gru_cell_output_is_convex_combination(rng):
+    # h stays inside (-1, 1) whenever h_prev does: each new state is a convex
+    # mix of the previous one and a tanh value
+    p = make_gru(2, 4)
+    out = layers.gru_sequence(columns_of(rng.uniform(-2, 2, (2, 6))), p)
+    assert all((np.abs(s.data) < 1.0).all() for s in out)
+
+
+def test_gru_cell_matches_formula_oracle():
+    # the second step starts from the state the first one reached
+    p = make_gru(2, 1, seed=13)
+    x = np.array([[1.0, 0.0], [0.0, 1.0]])
+    out = layers.gru_sequence(columns_of(x), p)
+    first = gru_cell_loops(x[:, 0], np.zeros(1), *gru_params_arrays(p))
+    second = gru_cell_loops(x[:, 1], first, *gru_params_arrays(p))
+    npt.assert_allclose(out[0].data[:, 0], first, atol=1e-12)
+    npt.assert_allclose(out[1].data[:, 0], second, atol=1e-12)
+
+
+def test_gru_cell_random_matches_oracle(rng):
+    p = make_gru(3, 5, seed=21)
+    x = rng.uniform(-2, 2, (3, 4))
+    out = layers.gru_sequence(columns_of(x), p)
+    h = np.zeros(5)
+    for t in range(4):
+        h = gru_cell_loops(x[:, t], h, *gru_params_arrays(p))
+        npt.assert_allclose(out[t].data[:, 0], h, atol=1e-12)
+
+
+def test_gru_cell_column_batch_equals_per_column(rng):
+    p = make_gru(3, 4, seed=2)
+    x = rng.uniform(-1, 1, (3, 5, 3))                  # [in x B x T]
+    batched = layers.gru_sequence([ad.Tensor(x[:, :, t]) for t in range(3)], p)
+    for j in range(5):
+        single = layers.gru_sequence(columns_of(x[:, j, :]), p)
+        for t in range(3):
+            npt.assert_allclose(batched[t].data[:, j:j + 1], single[t].data, atol=1e-12)
+
+
+def test_gru_cell_shape_errors():
+    p = make_gru(2, 3)
+    with pytest.raises(ad.ShapeError):        # input rows do not match the params
+        layers.gru_sequence([ad.Tensor(np.zeros((5, 1)))], p)
+    with pytest.raises(ad.ShapeError):        # columns of different batch sizes
+        layers.gru_sequence([ad.Tensor(np.zeros((2, 2))), ad.Tensor(np.zeros((2, 3)))], p)
+    two = [ad.Tensor(np.zeros((2, 2)))] * 2
+    for keep in ([ad.Tensor(np.ones((1, 3)))] * 2,     # keep row of another batch size
+                 [ad.Tensor(np.ones((2, 2)))] * 2,     # keep of two rows
+                 [ad.Tensor(np.ones((1, 2)))]):        # one keep row for two steps
+        with pytest.raises(ad.ShapeError):
+            layers.gru_sequence(two, p, keep)
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("batch,steps", [(1, 5), (4, 1), (1, 1), (3, 6)])
+def test_gru_sequence_matches_loop_oracle(rng, batch, steps, reverse):
+    p = make_gru(3, 4, seed=61)
+    seqs = rng.uniform(-1, 1, (batch, 3, steps))       # [B x in x T]
+    mask = rng.uniform(size=(batch, steps)) < 0.6
+    mask[:, steps // 2] = True
+    out = layers.gru_sequence([ad.Tensor(seqs[:, :, t].T) for t in range(steps)], p,
+                              keep_rows(mask), reverse=reverse)
+    rows = slice(4, 8) if reverse else slice(0, 4)     # bigru_loops stacks fwd on bwd
+    for j in range(batch):
+        got = np.hstack([s.data[:, j:j + 1] for s in out])
+        npt.assert_allclose(got, bigru_loops(seqs[j], p, p, list(mask[j]))[rows], atol=1e-12)
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_gru_sequence_keep_zero_carries_state_bit_identical(rng, reverse):
+    p = make_gru(2, 3, seed=62)
+    mask = np.array([[False, True, False, False, True, False],
+                     [True, False, True, True, False, False]])
+    columns = [ad.Tensor(rng.uniform(-1, 1, (2, 2))) for _ in range(6)]
+    out = layers.gru_sequence(columns, p, keep_rows(mask), reverse=reverse)
+    order = list(range(5, -1, -1)) if reverse else list(range(6))
+    before = np.zeros((3, 2))
+    for t in order:
+        for j in range(2):
+            if not mask[j, t]:
+                npt.assert_array_equal(out[t].data[:, j], before[:, j])
+        before = out[t].data
+    assert (before != 0.0).all()
+
+
+def test_gru_sequence_records_one_node(rng):
+    p = make_gru(2, 3, seed=63)
+    g = ad.Graph()
+    with g:
+        out = layers.gru_sequence(columns_of(rng.uniform(-1, 1, (2, 5))), p)
+    ops = [node.op for node in g._nodes]
+    assert ops == ["gru_sequence"] + ["slice_cols"] * 5
+    assert len(out) == 5
+
+
+def _weighted_state_sum(states, weights):
+    total = None
+    for s, w in zip(states, weights):
+        term = ad.sum_all(ad.mul(s, w))
+        total = term if total is None else ad.add(total, term)
+    return total
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_gru_sequence_gradients_match_tape_reference(rng, reverse):
+    p = make_gru(3, 4, seed=64)
+    columns = [ad.Tensor(rng.uniform(-1, 1, (3, 3)), requires_grad=True) for _ in range(5)]
+    mask = np.array([[True, True, False, True, False],
+                     [False, True, True, True, True],
+                     [True, False, False, False, False]])
+    keep = keep_rows(mask)
+    weights = [ad.Tensor(rng.uniform(-1, 1, (4, 3))) for _ in range(5)]
+    tensors = list(p.named().values()) + columns
+    grads = []
+    for run in (layers.gru_sequence, gru_sequence_reference):
+        for t in tensors:
+            t.zero_grad()
+        g = ad.Graph()
+        with g:
+            loss = _weighted_state_sum(run(columns, p, keep, reverse=reverse), weights)
+        g.backward(loss)
+        grads.append([t.grad.copy() for t in tensors])
+    for fused_grad, reference_grad in zip(*grads):
+        npt.assert_allclose(fused_grad, reference_grad, rtol=0, atol=1e-10)
+    # an input at a step its column does not keep gets exactly zero gradient
+    npt.assert_array_equal(grads[0][len(p.named()) + 4][:, 2], 0.0)
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_gru_sequence_grad_check_with_input_columns(rng, reverse):
+    p = make_gru(3, 2, seed=65)
+    columns = [ad.Tensor(rng.uniform(-1, 1, (3, 2)), requires_grad=True) for _ in range(4)]
+    keep = keep_rows(np.array([[True, False, True, True], [True, True, True, False]]))
+    weights = [ad.Tensor(rng.uniform(-1, 1, (2, 2))) for _ in range(4)]
+
+    def f():
+        return _weighted_state_sum(layers.gru_sequence(columns, p, keep, reverse=reverse),
+                                   weights)
+
+    params = dict(p.named())
+    params.update((f"x{t}", c) for t, c in enumerate(columns))
+    report = ad.grad_check(f, params, h=1e-5)
+    assert report.passed(1e-4), report.summary()
+
+
+# ---------------------------------------------------------------------------
+# bigru
+# ---------------------------------------------------------------------------
 
 
 def stacked(states):
@@ -100,9 +232,8 @@ def test_bigru_single_step_concatenates_both_cells(rng):
     pf, pb = make_gru(2, 3, seed=3), make_gru(2, 3, seed=4)
     x = rng.uniform(-1, 1, (2, 1))
     out = layers.bigru([ad.Tensor(x)], pf, pb)
-    zero = ad.Tensor(np.zeros((3, 1)))
-    f = layers.gru_cell(ad.Tensor(x), zero, pf)
-    b = layers.gru_cell(ad.Tensor(x), zero, pb)
+    f = gru_cell(ad.Tensor(x), ad.Tensor(np.zeros((3, 1))), pf)
+    b = gru_cell(ad.Tensor(x), ad.Tensor(np.zeros((3, 1))), pb)
     assert len(out) == 1
     npt.assert_allclose(out[0].data, np.vstack([f.data, b.data]), atol=1e-15)
 

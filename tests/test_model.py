@@ -162,6 +162,60 @@ def test_encode_samples_runs_one_recurrence_per_level(tiny_setup, monkeypatch, s
     assert calls == {"gru_sequence": 8, "bigru": 4}
 
 
+def test_sentence_without_words_fails_after_time_trimming(tiny_setup):
+    # a real sentence slot whose words are all padding cannot be pooled: it
+    # raises DegenerateMaskError (exit 2 on the command line), also when no
+    # gathered sentence of its source has a real word left to trim to
+    hp, params, _, emb, samples = tiny_setup
+    broken = samples[0].copy()
+    broken.comment_word_mask[0] = False
+    with pytest.raises(layers.DegenerateMaskError):
+        model.encode_samples([broken, samples[1]], params, emb, hp)
+    broken.comment_word_mask[:] = False
+    assert broken.comment_sent_mask.any()
+    with pytest.raises(layers.DegenerateMaskError):
+        model.encode_samples([broken], params, emb, hp)
+
+
+def test_synthetic_training_batch_tape(tmp_path, monkeypatch):
+    # one synthetic-profile training batch of 8: each GRU recurrence is one
+    # tape node, the whole tape stays under 1,000 nodes, and a word-level
+    # recurrence runs as many steps as the longest real sentence of its source
+    from dualcan import cli
+
+    assert cli.main(["synth", "--out", str(tmp_path), "--size", "60", "--seed", "7"]) == 0
+    config = cli.build_run_config(
+        cli.build_parser().parse_args(["train", "--config", str(tmp_path / "config.cfg")]))
+    hp = config.hp
+    prepared = cli.prepare_data(config, hp)
+    batch = prepared.train[:8]
+    params = model.ModelParams.create(hp)
+    steps = {}
+    original = layers.gru_sequence
+
+    def recorded(columns, p, *args, **kwargs):
+        steps.setdefault(id(p), []).append(len(columns))
+        return original(columns, p, *args, **kwargs)
+
+    monkeypatch.setattr(layers, "gru_sequence", recorded)
+    graph = ad.Graph()
+    with graph:
+        encoded = model.encode_samples(batch, params, prepared.embeddings, hp)
+        loss = ad.mean_all(ad.concat([model.cross_entropy(model.forward(enc, params)[0], enc.label)
+                                      for enc in encoded], axis=1))
+    graph.backward(loss)
+    assert len(batch) == 8 and hp == model.HyperParams(embedding_dim=16, seed=7)
+    assert len(graph) < 1000
+    assert [node.op for node in graph._nodes].count("gru_sequence") == 8
+    longest = {}
+    for source, enc in (("news", params.news_encoder), ("entity", params.entity_encoder),
+                        ("comment", params.comment_encoder)):
+        longest[source] = max(int(getattr(s, f"{source}_word_mask").sum(axis=1).max())
+                              for s in batch)
+        assert steps[id(enc.fwd)] == steps[id(enc.bwd)] == [longest[source]]
+    assert min(longest.values()) < hp.max_words
+
+
 # ---------------------------------------------------------------------------
 # forward
 # ---------------------------------------------------------------------------
