@@ -425,27 +425,40 @@ def softmax_rows(x: Tensor, mask=None) -> Tensor:
     """
     if x.data.ndim != 2:
         raise ShapeError(f"softmax_rows needs a 2-D tensor, got shape {x.data.shape}")
-    if mask is None:
-        keep = np.ones(x.data.shape, dtype=bool)
-    else:
-        keep = np.asarray(mask, dtype=bool)
-        if keep.ndim == 1:
-            keep = keep.reshape(1, -1)
-        if keep.shape != x.data.shape:
-            raise ShapeError(f"mask shape {keep.shape} does not match input {x.data.shape}")
-    if not keep.any(axis=1).all():
-        raise DegenerateMaskError("softmax row with every position masked out")
-    neg = np.where(keep, x.data, -np.inf)
-    shifted = neg - neg.max(axis=1, keepdims=True)
-    e = np.exp(shifted)  # exp(-inf) == 0, so masked positions drop out exactly
-    data = e / e.sum(axis=1, keepdims=True)
+    if mask is not None:
+        mask = np.asarray(mask, dtype=bool)
+        if mask.ndim == 1:
+            mask = mask.reshape(1, -1)
+    data = masked_softmax(x.data, mask)
 
     def bwd(g):
         if x.requires_grad:
-            inner = (g * data).sum(axis=1, keepdims=True)
-            x.grad += data * (g - inner)
+            x.grad += softmax_backward(data, g)
 
     return _result("softmax_rows", data, (x,), bwd)
+
+
+def masked_softmax(x: np.ndarray, mask=None) -> np.ndarray:
+    """Softmax over the last axis of an array, keeping the positions where
+    the boolean ``mask`` (same shape, or None for all) is True; see
+    :func:`softmax_rows`. Fused layers call this on plain arrays."""
+    if mask is None:
+        mask = np.ones(x.shape, dtype=bool)
+    elif mask.shape != x.shape:
+        raise ShapeError(f"mask shape {mask.shape} does not match input {x.shape}")
+    if not mask.any(axis=-1).all():
+        raise DegenerateMaskError("softmax row with every position masked out")
+    neg = np.where(mask, x, -np.inf)
+    shifted = neg - neg.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)  # exp(-inf) == 0, so masked positions drop out exactly
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def softmax_backward(probs: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Gradient at the input of a softmax over the last axis, given its
+    output ``probs`` and the gradient ``g`` at that output."""
+    inner = (g * probs).sum(axis=-1, keepdims=True)
+    return probs * (g - inner)
 
 
 # ---------------------------------------------------------------------------

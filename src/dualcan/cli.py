@@ -164,15 +164,26 @@ def _write_metrics(path, report: dict) -> None:
 
 
 def _write_epoch_csv(path, history) -> None:
-    columns = ["epoch", "train_loss", "val_accuracy", "val_precision_pos",
+    # a metric without a value (pr_auc with no positive label) is an empty field
+    columns = ["epoch", "train_loss", "grad_norm", "val_accuracy", "val_precision_pos",
                "val_recall_pos", "val_f1_pos", "val_precision_macro",
                "val_recall_macro", "val_f1_macro", "val_pr_auc"]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(columns)
         for row in history:
-            writer.writerow([row.epoch, repr(row.train_loss)] +
-                            [repr(row.val[c[4:]]) for c in columns[2:]])
+            values = [row.train_loss, row.grad_norm] + [row.val[c[4:]] for c in columns[3:]]
+            writer.writerow([row.epoch] + ["" if v is None else repr(v) for v in values])
+
+
+def _warn_missing_classes(splits: dict) -> None:
+    """One stderr warning per split that lacks a class; training goes on."""
+    for split, samples in splits.items():
+        present = {s.label for s in samples}
+        for label, name in ((0, "real"), (1, "fake")):
+            if label not in present:
+                print(f"warning: {split} split has no samples with label {label} ({name})",
+                      file=sys.stderr)
 
 
 def cmd_train(args) -> int:
@@ -184,6 +195,8 @@ def cmd_train(args) -> int:
         print(f"warning: {warning}", file=sys.stderr)
     if not prepared.train or not prepared.val:
         raise DatasetFormatError("train/validation splits are empty after encoding")
+    _warn_missing_classes({"train": prepared.train, "val": prepared.val,
+                           "test": prepared.test})
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
     params = ModelParams.create(hp)

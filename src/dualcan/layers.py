@@ -17,16 +17,10 @@ from .autodiff import (
     DegenerateMaskError,
     ShapeError,
     Tensor,
-    add,
     concat,
     fused,
-    matmul,
-    mul,
-    slice_cols,
-    slice_rows,
-    softmax_rows,
-    tanh,
-    transpose,
+    masked_softmax,
+    softmax_backward,
 )
 
 
@@ -138,31 +132,33 @@ class CoAttentionParams:
 
 @dataclass
 class CoAttentionOutput:
-    affinity: Tensor             # [E x N]
-    interaction_primary: Tensor  # [2h x N]
-    interaction_secondary: Tensor  # [2h x E]
-    attn_primary: Tensor         # [1 x N]
-    attn_secondary: Tensor       # [1 x E]
-    pooled_primary: Tensor       # [1 x 2h]
-    pooled_secondary: Tensor     # [1 x 2h]
+    """One co-attention block over a batch of B samples. Only ``pooled`` is
+    on the tape; the maps are plain arrays, one slice per sample."""
+
+    pooled: Tensor                    # [4h x B]: pooled primary over pooled secondary
+    affinity: np.ndarray              # [B x E x N]
+    interaction_primary: np.ndarray   # [B x 2h x N]
+    interaction_secondary: np.ndarray  # [B x 2h x E]
+    attn_primary: np.ndarray          # [B x N]
+    attn_secondary: np.ndarray        # [B x E]
 
 
 def gru_sequence(columns: list, p: GruParams, keep: list | None = None,
-                 reverse: bool = False) -> list:
+                 reverse: bool = False) -> Tensor:
     """Run a GRU over a list of T [in x B] columns from a zero initial state.
 
-    Returns the state after each position, in position order. ``keep`` is an
-    optional list of T [1 x B] float tensors; a step computes the cell
-    ``h + z * (cand - h)`` and moves to ``h + keep * (cell - h)``, so where
-    ``keep`` is 0 the state passes through unchanged (padding positions do
-    not advance the recurrence).
+    Returns the states after every position as one [h x T*B] tensor, in
+    position order: column t*B + b is the state of sequence b after step t.
+    ``keep`` is an optional list of T [1 x B] float tensors; a step computes
+    the cell ``h + z * (cand - h)`` and moves to ``h + keep * (cell - h)``,
+    so where ``keep`` is 0 the state passes through unchanged (padding
+    positions do not advance the recurrence).
 
     The whole recurrence is one tape node: the gate inputs of every step come
     from one stacked [3h x in] @ [in x T*B] product, each step does one
     stacked [2h x h] reset/update product, and the backward pass is
     hand-written BPTT that forms the weight and input gradients with one
-    matmul each. The node's output stacks the states as [h x T*B]; the
-    returned list is cut from it.
+    matmul each.
     """
     if not columns:
         raise ShapeError("gru_sequence over an empty sequence")
@@ -224,75 +220,135 @@ def gru_sequence(columns: list, p: GruParams, keep: list | None = None,
                 if col.requires_grad:
                     col.grad += d_x[:, t * batch:(t + 1) * batch]
 
-    out = fused("gru_sequence", states.reshape(h, n * batch), (*columns, *weights), backward)
-    return [slice_cols(out, t * batch, (t + 1) * batch) for t in range(n)]
+    return fused("gru_sequence", states.reshape(h, n * batch), (*columns, *weights), backward)
 
 
-def bigru(columns: list, p_fwd: GruParams, p_bwd: GruParams, keep: list | None = None) -> list:
-    """Bidirectional GRU over a list of T [in x B] columns -> T states [2h x B].
+def bigru(columns: list, p_fwd: GruParams, p_bwd: GruParams, keep: list | None = None) -> Tensor:
+    """Bidirectional GRU over a list of T [in x B] columns -> states [2h x T*B].
 
-    State t stacks the forward state after steps 1..t on the backward state
-    after steps T..t; both directions start from zero. ``keep`` is passed to
-    both recurrences, so where it is 0 a column neither advances them nor
-    changes the carried states.
+    Column t*B + b stacks the forward state of sequence b after steps 1..t on
+    its backward state after steps T..t; both directions start from zero.
+    ``keep`` is passed to both recurrences, so where it is 0 a column neither
+    advances them nor changes the carried states.
     """
-    fwd = gru_sequence(columns, p_fwd, keep)
-    bwd = gru_sequence(columns, p_bwd, keep, reverse=True)
-    return [concat([f, b], axis=0) for f, b in zip(fwd, bwd)]
+    return concat([gru_sequence(columns, p_fwd, keep),
+                   gru_sequence(columns, p_bwd, keep, reverse=True)], axis=0)
 
 
-def word_attention(states: list, mask, p: WordAttentionParams):
-    """Pool T word states [2h x B] into one vector per batch column.
+def _columns(x: np.ndarray) -> np.ndarray:
+    """[B x rows x K] per-sample blocks -> [rows x B*K], column b*K + k."""
+    return x.transpose(1, 0, 2).reshape(x.shape[1], -1)
 
-    Scores come from a tanh projection of each state against a learned
-    context vector; a softmax over each row of the boolean ``mask`` [B x T]
-    turns them into weights, and a row with no real word raises
-    :class:`DegenerateMaskError`. Returns (pooled [2h x B], weights [B x T]).
+
+def _blocks(x: np.ndarray, batch: int) -> np.ndarray:
+    """[rows x B*K] -> [B x rows x K], the inverse of :func:`_columns`."""
+    return x.reshape(x.shape[0], batch, -1).transpose(1, 0, 2)
+
+
+def word_attention(states: Tensor, mask, p: WordAttentionParams):
+    """Pool the word states of B sequences into one vector per sequence.
+
+    ``states`` [2h x T*B] holds word t of sequence b in column t*B + b, the
+    layout :func:`bigru` returns. Scores come from a tanh projection of each
+    state against a learned context vector; a softmax over each row of the
+    boolean ``mask`` [B x T] turns them into weights, and a row with no real
+    word raises :class:`DegenerateMaskError`. Returns (pooled [2h x B],
+    weights [B x T]); pooled is one tape node with a hand-written backward
+    pass, and the weights are a plain array.
     """
-    scores = transpose(concat([matmul(p.context, tanh(add(matmul(p.proj, s), p.bias)))
-                               for s in states], axis=0))
-    weights = softmax_rows(scores, mask)
-    weights_t = transpose(weights)
-    pooled = None
-    for t, s in enumerate(states):
-        term = mul(s, slice_rows(weights_t, t, t + 1))
-        pooled = term if pooled is None else add(pooled, term)
-    return pooled, weights
+    mask = np.asarray(mask, dtype=bool)
+    if mask.ndim != 2:
+        raise ShapeError(f"word_attention mask must be [B x T], got shape {mask.shape}")
+    batch, n = mask.shape
+    rows = p.proj.shape[1]
+    if states.shape != (rows, n * batch):
+        raise ShapeError(f"word_attention states of shape {states.shape}, expected "
+                         f"({rows}, {n * batch}) for a [{batch} x {n}] mask")
+    s = states.data
+    key = np.tanh(p.proj.data @ s + p.bias.data)                              # [h x T*B]
+    weights = masked_softmax((p.context.data @ key).reshape(n, batch).T, mask)  # [B x T]
+    s3 = s.reshape(rows, n, batch)
+    pooled = (s3 * weights.T).sum(axis=1)                                     # [2h x B]
+
+    def backward(g):
+        d_scores = softmax_backward(weights, (s3 * g[:, None, :]).sum(axis=0).T)
+        d_scores = d_scores.T.reshape(1, n * batch)
+        d_pre = (p.context.data.T @ d_scores) * (1.0 - key * key)             # [h x T*B]
+        if states.requires_grad:
+            states.grad += (g[:, None, :] * weights.T).reshape(rows, -1) + p.proj.data.T @ d_pre
+        if p.proj.requires_grad:
+            p.proj.grad += d_pre @ s.T
+        if p.bias.requires_grad:
+            p.bias.grad += d_pre.sum(axis=1, keepdims=True)
+        if p.context.requires_grad:
+            p.context.grad += d_scores @ key.T
+
+    out = fused("word_attention", pooled, (states, p.proj, p.bias, p.context), backward)
+    return out, weights
 
 
 def co_attention(s: Tensor, d: Tensor, mask_s, mask_d, p: CoAttentionParams) -> CoAttentionOutput:
-    """Fuse a primary sequence S [2h x N] with a secondary sequence D [2h x E].
+    """Fuse a primary sequence S [2h x N] with a secondary sequence D [2h x E]
+    in each of B samples.
 
-    The affinity matrix F = tanh(D^T Wr S) couples every secondary column to
-    every primary column; the interaction maps mix each side with the
+    ``s`` [2h x B*N] holds the primary sequence of sample b in columns
+    b*N .. b*N + N-1, and ``d`` [2h x B*E] the secondary one likewise; the
+    boolean masks [B x N] and [B x E] mark the real columns, and a mask row
+    with none raises :class:`DegenerateMaskError`. Per sample, the affinity
+    matrix F = tanh(D^T Wr S) couples every secondary column to every
+    primary column; the interaction maps mix each side with the
     affinity-weighted other side; masked softmax rows give one attention
     distribution per side, and the pooled vectors are the attention-weighted
-    column averages.
+    column averages. The whole batch is one tape node: batched 3-D products
+    forward and a hand-written backward pass.
     """
-    if s.shape[0] != d.shape[0]:
-        raise ShapeError(f"co_attention feature dims differ: S {s.shape} vs D {d.shape}")
-    if s.shape[0] != p.w_affinity.shape[0]:
-        raise ShapeError(f"co_attention params sized {p.w_affinity.shape} for features {s.shape[0]}")
-    n, e = s.shape[1], d.shape[1]
-    ms = None if mask_s is None else np.asarray(mask_s, dtype=bool)
-    md = None if mask_d is None else np.asarray(mask_d, dtype=bool)
-    if ms is not None and ms.shape != (n,):
-        raise ShapeError(f"mask_s shape {ms.shape} does not match N={n}")
-    if md is not None and md.shape != (e,):
-        raise ShapeError(f"mask_d shape {md.shape} does not match E={e}")
-    if ms is not None and not ms.any():
-        raise DegenerateMaskError("co_attention primary side fully masked")
-    if md is not None and not md.any():
-        raise DegenerateMaskError("co_attention secondary side fully masked")
+    ms, md = np.asarray(mask_s, dtype=bool), np.asarray(mask_d, dtype=bool)
+    if ms.ndim != 2 or md.ndim != 2 or ms.shape[0] != md.shape[0]:
+        raise ShapeError(f"co_attention masks must be [B x N] and [B x E], got "
+                         f"{ms.shape} and {md.shape}")
+    batch, n, e = ms.shape[0], ms.shape[1], md.shape[1]
+    k = p.w_affinity.shape[0]
+    if s.shape != (k, batch * n) or d.shape != (k, batch * e):
+        raise ShapeError(f"co_attention S {s.shape} and D {d.shape} do not match params "
+                         f"sized {k} and masks {ms.shape}, {md.shape}")
+    wa, wp, wd = p.w_affinity.data, p.w_primary.data, p.w_secondary.data
+    s3, d3 = _blocks(s.data, batch), _blocks(d.data, batch)      # [B x 2h x N], [B x 2h x E]
+    affinity = np.tanh((d3.transpose(0, 2, 1) @ wa) @ s3)        # [B x E x N]
+    proj_s, proj_d = _blocks(wp @ s.data, batch), _blocks(wd @ d.data, batch)
+    inter_s = np.tanh(proj_s + proj_d @ affinity)                        # [B x 2h x N]
+    inter_d = np.tanh(proj_d + proj_s @ affinity.transpose(0, 2, 1))     # [B x 2h x E]
+    attn_s = masked_softmax((p.score_primary.data @ inter_s)[:, 0], ms)    # [B x N]
+    attn_d = masked_softmax((p.score_secondary.data @ inter_d)[:, 0], md)  # [B x E]
+    pooled = np.concatenate([(s3 @ attn_s[:, :, None])[:, :, 0].T,
+                             (d3 @ attn_d[:, :, None])[:, :, 0].T])       # [4h x B]
 
-    affinity = tanh(matmul(matmul(transpose(d), p.w_affinity), s))      # [E x N]
-    proj_s = matmul(p.w_primary, s)                                      # [2h x N]
-    proj_d = matmul(p.w_secondary, d)                                    # [2h x E]
-    inter_s = tanh(add(proj_s, matmul(proj_d, affinity)))                # [2h x N]
-    inter_d = tanh(add(proj_d, matmul(proj_s, transpose(affinity))))     # [2h x E]
-    attn_s = softmax_rows(matmul(p.score_primary, inter_s), None if ms is None else ms.reshape(1, -1))
-    attn_d = softmax_rows(matmul(p.score_secondary, inter_d), None if md is None else md.reshape(1, -1))
-    pooled_s = matmul(attn_s, transpose(s))                              # [1 x 2h]
-    pooled_d = matmul(attn_d, transpose(d))                              # [1 x 2h]
-    return CoAttentionOutput(affinity, inter_s, inter_d, attn_s, attn_d, pooled_s, pooled_d)
+    def backward(g):
+        g_s, g_d = g[:k].T, g[k:].T                                     # [B x 2h]
+        d_sc_s = softmax_backward(attn_s, (g_s[:, None, :] @ s3)[:, 0])   # [B x N]
+        d_sc_d = softmax_backward(attn_d, (g_d[:, None, :] @ d3)[:, 0])   # [B x E]
+        d_pre_s = p.score_primary.data.T * d_sc_s[:, None, :] * (1.0 - inter_s * inter_s)
+        d_pre_d = p.score_secondary.data.T * d_sc_d[:, None, :] * (1.0 - inter_d * inter_d)
+        d_proj_s = _columns(d_pre_s + d_pre_d @ affinity)                  # [2h x B*N]
+        d_proj_d = _columns(d_pre_d + d_pre_s @ affinity.transpose(0, 2, 1))  # [2h x B*E]
+        d_aff = proj_d.transpose(0, 2, 1) @ d_pre_s + d_pre_d.transpose(0, 2, 1) @ proj_s
+        d_m = d_aff * (1.0 - affinity * affinity)   # at the affinity pre-activation D^T Wr S
+        d_m_s = _columns(d3 @ d_m)                                        # [2h x B*N]
+        if s.requires_grad:
+            s.grad += _columns(g_s[:, :, None] * attn_s[:, None, :]) + wp.T @ d_proj_s \
+                + wa.T @ d_m_s
+        if d.requires_grad:
+            d.grad += _columns(g_d[:, :, None] * attn_d[:, None, :]) + wd.T @ d_proj_d \
+                + _columns(_blocks(wa @ s.data, batch) @ d_m.transpose(0, 2, 1))
+        if p.w_affinity.requires_grad:
+            p.w_affinity.grad += d_m_s @ s.data.T
+        if p.w_primary.requires_grad:
+            p.w_primary.grad += d_proj_s @ s.data.T
+        if p.w_secondary.requires_grad:
+            p.w_secondary.grad += d_proj_d @ d.data.T
+        if p.score_primary.requires_grad:
+            p.score_primary.grad += d_sc_s.reshape(1, -1) @ _columns(inter_s).T
+        if p.score_secondary.requires_grad:
+            p.score_secondary.grad += d_sc_d.reshape(1, -1) @ _columns(inter_d).T
 
+    out = fused("co_attention", pooled, (s, d, *p.named().values()), backward)
+    return CoAttentionOutput(out, affinity, inter_s, inter_d, attn_s, attn_d)

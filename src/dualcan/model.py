@@ -23,17 +23,16 @@ from . import layers
 from .autodiff import (
     Graph,
     NonFiniteError,
+    ShapeError,
     Tensor,
     add,
     concat,
+    fused,
     gather_cols,
-    log,
+    masked_softmax,
     matmul,
-    mean_all,
-    scale,
     slice_cols,
-    softmax_rows,
-    transpose,
+    softmax_backward,
 )
 from .data import SampleArrays
 from .layers import CoAttentionParams, GruParams, WordAttentionParams
@@ -212,16 +211,38 @@ class ModelParams:
 
 
 @dataclass
-class EncodedSample:
-    """Per-source sentence features with their real-position masks."""
+class EncodedBatch:
+    """Sentence features of B samples with their real-position masks.
 
-    news: Tensor          # [2h x N]
-    news_mask: np.ndarray
-    entities: Tensor      # [2h x E]
-    entity_mask: np.ndarray
-    comments: Tensor      # [2h x U]
-    comment_mask: np.ndarray
-    label: int
+    Each source stacks its samples side by side: column b*N + n of ``news``
+    is sentence slot n of sample b, and likewise for ``entities`` and
+    ``comments``; pad slots are zero columns. Indexing or iterating gives
+    batch-of-1 views that share the tape.
+    """
+
+    news: Tensor             # [2h x B*N]
+    news_mask: np.ndarray    # [B x N]
+    entities: Tensor         # [2h x B*E]
+    entity_mask: np.ndarray  # [B x E]
+    comments: Tensor         # [2h x B*U]
+    comment_mask: np.ndarray  # [B x U]
+    labels: np.ndarray       # [B]
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def __getitem__(self, i: int) -> "EncodedBatch":
+        if not 0 <= i < len(self):
+            raise IndexError(f"sample {i} of a batch of {len(self)}")
+
+        def one(cols: Tensor, mask: np.ndarray) -> Tensor:
+            slots = mask.shape[1]
+            return slice_cols(cols, i * slots, (i + 1) * slots)
+
+        return EncodedBatch(one(self.news, self.news_mask), self.news_mask[i:i + 1],
+                            one(self.entities, self.entity_mask), self.entity_mask[i:i + 1],
+                            one(self.comments, self.comment_mask), self.comment_mask[i:i + 1],
+                            self.labels[i:i + 1])
 
 
 @dataclass
@@ -262,14 +283,18 @@ def _word_encode_blocks(blocks: list, enc: EncoderParams, embeddings):
     word_mask = word_mask[:, :m]
     ids = np.stack([ids for ids, _, _ in blocks])[sent_mask][:, :m]
     inputs = [Tensor(embeddings.lookup(ids[:, t]).T) for t in range(m)]
-    keep = [Tensor(word_mask[:, t].astype(np.float64).reshape(1, -1)) for t in range(m)]
-    states = layers.bigru(inputs, enc.fwd, enc.bwd, keep)
+    states = layers.bigru(inputs, enc.fwd, enc.bwd, _keep_rows(word_mask))
     pooled, _ = layers.word_attention(states, word_mask, enc.attention)   # [2h x K]
     return pooled, index
 
 
+def _keep_rows(mask: np.ndarray) -> list:
+    """[B x T] boolean mask -> the T [1 x B] keep rows of a recurrence."""
+    return [Tensor(mask[:, t:t + 1].T.astype(np.float64)) for t in range(mask.shape[1])]
+
+
 def encode_samples(samples: list, params: ModelParams, embeddings,
-                   hp: HyperParams) -> list:
+                   hp: HyperParams) -> EncodedBatch:
     """Encode many padded samples, sharing one word-level recurrence per
     source and one news sentence-level recurrence across the whole list."""
     for sample in samples:
@@ -286,68 +311,84 @@ def encode_samples(samples: list, params: ModelParams, embeddings,
         [(s.comment_ids, s.comment_word_mask, s.comment_sent_mask) for s in samples],
         params.comment_encoder, embeddings)
     # sentence-level BiGRU over the whole batch: step n holds sentence slot n
-    # of every sample (a zero column at pad slots); in the stacked states,
-    # column n*B + i is slot n of sample i, and pad slots read as zero columns
-    sent_mask = news_index >= 0                                           # [B x N]
-    batch, slots = sent_mask.shape
+    # of every sample (a zero column at pad slots), so in its states column
+    # n*B + b is slot n of sample b; one gather reorders them sample by
+    # sample, with zero columns at pad slots
+    news_mask = news_index >= 0                                           # [B x N]
+    batch, slots = news_mask.shape
     steps = [gather_cols(news_pooled, news_index[:, n]) for n in range(slots)]
-    keep = [Tensor(sent_mask[:, n].astype(np.float64).reshape(1, -1)) for n in range(slots)]
-    news = concat(layers.bigru(steps, params.sentence_fwd, params.sentence_bwd, keep), axis=1)
-    return [EncodedSample(
-        news=gather_cols(news, np.where(sent_mask[i], np.arange(slots) * batch + i, -1)),
-        news_mask=sample.news_sent_mask.copy(),
-        entities=gather_cols(entity_pooled, entity_index[i]),
-        entity_mask=sample.entity_sent_mask.copy(),
-        comments=gather_cols(comment_pooled, comment_index[i]),
-        comment_mask=sample.comment_sent_mask.copy(),
-        label=sample.label,
-    ) for i, sample in enumerate(samples)]
+    states = layers.bigru(steps, params.sentence_fwd, params.sentence_bwd,
+                          _keep_rows(news_mask))
+    order = np.arange(slots) * batch + np.arange(batch).reshape(-1, 1)    # [B x N]
+    return EncodedBatch(
+        news=gather_cols(states, np.where(news_mask, order, -1).reshape(-1)),
+        news_mask=news_mask,
+        entities=gather_cols(entity_pooled, entity_index.reshape(-1)),
+        entity_mask=entity_index >= 0,
+        comments=gather_cols(comment_pooled, comment_index.reshape(-1)),
+        comment_mask=comment_index >= 0,
+        labels=np.array([sample.label for sample in samples]),
+    )
 
 
 def _side_mask(mask: np.ndarray) -> np.ndarray:
     # an all-padding side is pooled uniformly over its (zero) columns so the
     # architecture stays total under ablation
-    if mask.any():
-        return mask
-    return np.ones_like(mask, dtype=bool)
+    return mask | ~mask.any(axis=1, keepdims=True)
 
 
-def forward(sample: EncodedSample, params: ModelParams):
-    """Run both co-attention blocks and the prediction head.
+def forward(encoded: EncodedBatch, params: ModelParams):
+    """Run both co-attention blocks and the prediction head over a batch.
 
-    Returns (logits [2 x 1], AttentionReport).
+    Returns (logits [2 x B], one AttentionReport per sample).
     """
-    ent = layers.co_attention(sample.news, sample.entities, sample.news_mask,
-                              _side_mask(sample.entity_mask), params.entity_coattn)
-    com = layers.co_attention(sample.news, sample.comments, sample.news_mask,
-                              _side_mask(sample.comment_mask), params.comment_coattn)
-    features = transpose(concat([ent.pooled_primary, ent.pooled_secondary,
-                                 com.pooled_primary, com.pooled_secondary], axis=1))
+    ent = layers.co_attention(encoded.news, encoded.entities, encoded.news_mask,
+                              _side_mask(encoded.entity_mask), params.entity_coattn)
+    com = layers.co_attention(encoded.news, encoded.comments, encoded.news_mask,
+                              _side_mask(encoded.comment_mask), params.comment_coattn)
+    features = concat([ent.pooled, com.pooled], axis=0)                  # [8h x B]
     hidden = add(matmul(params.head_w1, features), params.head_b1)
     logits = add(matmul(params.head_w2, hidden), params.head_b2)
-    report = AttentionReport(
-        news_entity=ent.attn_primary.data.reshape(-1).copy(),
-        entity=ent.attn_secondary.data.reshape(-1).copy(),
-        news_comment=com.attn_primary.data.reshape(-1).copy(),
-        comment=com.attn_secondary.data.reshape(-1).copy(),
-        news_mask=sample.news_mask.copy(),
-        entity_mask=sample.entity_mask.copy(),
-        comment_mask=sample.comment_mask.copy(),
-    )
-    return logits, report
+    reports = [AttentionReport(
+        news_entity=ent.attn_primary[b],
+        entity=ent.attn_secondary[b],
+        news_comment=com.attn_primary[b],
+        comment=com.attn_secondary[b],
+        news_mask=encoded.news_mask[b],
+        entity_mask=encoded.entity_mask[b],
+        comment_mask=encoded.comment_mask[b],
+    ) for b in range(len(encoded))]
+    return logits, reports
 
 
-def cross_entropy(logits: Tensor, label: int) -> Tensor:
-    """Softmax the two logits and take the negative log of the true class.
+_LOG_FLOOR = 1e-12
 
-    Probabilities are clamped at 1e-12 inside the log.
+
+def cross_entropy(logits: Tensor, labels) -> Tensor:
+    """Mean over the batch of the negative log softmax probability of each
+    column's true class; ``labels`` holds one 0/1 label per column of
+    ``logits`` [2 x B] (a plain int for one column).
+
+    Probabilities are clamped at 1e-12 inside the log, where the gradient is
+    zero. One tape node with a hand-written backward pass.
     """
-    probs = softmax_rows(transpose(logits))            # [1 x 2]
-    p0 = slice_cols(probs, 0, 1)
-    p1 = slice_cols(probs, 1, 2)
-    y = int(label)
-    return add(scale(log(p1, floor=1e-12), -float(y)),
-               scale(log(p0, floor=1e-12), -(1.0 - y)))
+    labels = np.asarray(labels, dtype=np.intp).reshape(-1)
+    if logits.shape != (2, labels.size):
+        raise ShapeError(f"cross_entropy of logits {logits.shape} and {labels.size} labels")
+    picked = np.arange(labels.size), labels
+    probs = masked_softmax(logits.data.T)                                  # [B x 2]
+    p_true = probs[picked]
+    per_sample = -np.log(np.maximum(p_true, _LOG_FLOOR))
+    scale = 1.0 / labels.size
+
+    def backward(g):
+        if logits.requires_grad:
+            d_probs = np.zeros_like(probs)
+            d_probs[picked] = (p_true >= _LOG_FLOOR) * (g[0, 0] * scale * -1.0) \
+                / np.maximum(p_true, _LOG_FLOOR)
+            logits.grad += softmax_backward(probs, d_probs).T
+
+    return fused("cross_entropy", np.array([[per_sample.sum() * scale]]), (logits,), backward)
 
 
 def predict_probs(logits: Tensor) -> np.ndarray:
@@ -362,8 +403,10 @@ def predicted_label(probs: np.ndarray) -> int:
 
 
 def run_sample(sample: SampleArrays, params: ModelParams, embeddings, hp: HyperParams):
-    """Encode one padded sample and run the forward pass."""
-    return forward(encode_samples([sample], params, embeddings, hp)[0], params)
+    """Encode one padded sample and run the forward pass; returns (logits
+    [2 x 1], AttentionReport)."""
+    logits, reports = forward(encode_samples([sample], params, embeddings, hp), params)
+    return logits, reports[0]
 
 
 # ---------------------------------------------------------------------------
@@ -466,6 +509,7 @@ GRAD_CLIP_NORM = 5.0
 class EpochLog:
     epoch: int
     train_loss: float
+    grad_norm: float   # the largest pre-clip global gradient norm of the epoch
     val: dict
 
 
@@ -485,11 +529,11 @@ def evaluate(samples: list, params: ModelParams, embeddings, hp: HyperParams,
         chunk = samples[start:start + hp.batch_size]
         encoded = encode_samples([ablate(s, mode) for s in chunk],
                                  params, embeddings, hp)
-        for enc in encoded:
-            logits, _ = forward(enc, params)
-            probs = predict_probs(logits)
+        logits, _ = forward(encoded, params)
+        for b, label in enumerate(encoded.labels):
+            probs = predict_probs(Tensor(logits.data[:, b:b + 1]))
             preds.append(predicted_label(probs))
-            labels.append(enc.label)
+            labels.append(int(label))
             scores.append(float(probs[1]))
     return metrics_report(preds, labels, scores)
 
@@ -517,27 +561,25 @@ def train(train_samples: list, val_samples: list, hp: HyperParams,
     since_best = 0
     for epoch in range(1, hp.max_epochs + 1):
         order = shuffle_rng.permutation(len(train_samples))
-        losses = []
+        losses, grad_norm = [], 0.0
         for start in range(0, len(order), hp.batch_size):
             batch = [train_samples[i] for i in order[start:start + hp.batch_size]]
             params.zero_grads()
             graph = Graph()
             with graph:
                 encoded = encode_samples(batch, params, embeddings, hp)
-                per_sample = [cross_entropy(forward(enc, params)[0], enc.label)
-                              for enc in encoded]
-                batch_loss = mean_all(concat(per_sample, axis=1))
+                batch_loss = cross_entropy(forward(encoded, params)[0], encoded.labels)
             loss_value = batch_loss.item()
             if not np.isfinite(loss_value):
                 raise DivergenceError(
                     f"non-finite loss in epoch {epoch}, batch starting at {start}")
             graph.backward(batch_loss)
-            clip_gradients(params, GRAD_CLIP_NORM)
+            grad_norm = max(grad_norm, clip_gradients(params, GRAD_CLIP_NORM))
             adam_step(params, state, hp.learning_rate)
             losses.append(loss_value)
         train_loss = float(np.mean(losses))
         val_report = evaluate(val_samples, params, embeddings, hp, mode)
-        history.append(EpochLog(epoch, train_loss, val_report))
+        history.append(EpochLog(epoch, train_loss, grad_norm, val_report))
         key = (val_report["f1_macro"], -train_loss)
         if key > best_key:
             improved_f1 = val_report["f1_macro"] > best_key[0]

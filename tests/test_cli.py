@@ -1,4 +1,6 @@
+import csv
 import json
+import math
 import re
 import shlex
 from dataclasses import replace
@@ -76,6 +78,16 @@ def test_train_epoch_csv_structure(trained_dir):
     assert header[:2] == ["epoch", "train_loss"]
     assert "val_f1_macro" in header
     assert len(lines) >= 2
+
+
+def test_train_epoch_csv_columns(trained_dir):
+    rows = list(csv.DictReader((trained_dir / "epochs.csv").open()))
+    assert list(rows[0]) == ["epoch", "train_loss", "grad_norm", "val_accuracy",
+                             "val_precision_pos", "val_recall_pos", "val_f1_pos",
+                             "val_precision_macro", "val_recall_macro", "val_f1_macro",
+                             "val_pr_auc"]
+    assert [int(row["epoch"]) for row in rows] == list(range(1, len(rows) + 1))
+    assert all(0.0 < float(row["grad_norm"]) < math.inf for row in rows)
 
 
 def test_train_deterministic_bit_identical(synth_dir, tmp_path):

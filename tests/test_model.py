@@ -36,18 +36,18 @@ def test_encode_news_single_word_sentence(tiny_setup):
     doc = data.Document("x", [["alpha"]], [], [], 0)
     sample = data.encode_document(doc, vocab, hp)
     enc = encode_one(sample, params, emb, hp)
-    npt.assert_array_equal(enc.news_mask, [True, False])
+    npt.assert_array_equal(enc.news_mask, [[True, False]])
     # expected: word BiGRU state pooled with weight 1, then the sentence BiGRU
     word_vec = emb.matrix[vocab.id_of("alpha")].reshape(-1, 1)
     word_states = layers.bigru([ad.Tensor(word_vec)], params.news_encoder.fwd,
                                params.news_encoder.bwd)
     pooled, weights = layers.word_attention(word_states, np.array([[True]]),
                                             params.news_encoder.attention)
-    npt.assert_array_equal(weights.data, [[1.0]])
+    npt.assert_array_equal(weights, [[1.0]])
     keep = [ad.Tensor([[1.0]]), ad.Tensor([[0.0]])]
     states = layers.bigru([pooled, ad.Tensor(np.zeros((4, 1)))], params.sentence_fwd,
                           params.sentence_bwd, keep)
-    expected = np.hstack([states[0].data, np.zeros((4, 1))])
+    expected = np.hstack([states.data[:, :1], np.zeros((4, 1))])
     npt.assert_allclose(enc.news.data, expected, atol=1e-12)
 
 
@@ -138,10 +138,44 @@ def test_encode_samples_mixed_batch_matches_oracle(tiny_setup):
     samples[2] = model.ablate(samples[2], "N+C")
     samples[3] = model.ablate(samples[3], "N+E")
     assert [int(s.news_sent_mask.sum()) for s in samples[:2]] == [1, hp.max_news_sentences]
-    for sample, enc in zip(samples, model.encode_samples(samples, params, emb, hp)):
+    encoded = model.encode_samples(samples, params, emb, hp)
+    batch_logits, reports = model.forward(encoded, params)
+    assert batch_logits.shape == (2, 8) and len(reports) == 8
+    for b, (sample, enc) in enumerate(zip(samples, encoded)):
         logits, _ = model.forward(enc, params)
         exp_logits, _ = model_forward_loops(sample, params, emb, hp)
         npt.assert_allclose(logits.data.reshape(-1), exp_logits, atol=1e-12)
+        npt.assert_allclose(batch_logits.data[:, b], exp_logits, atol=1e-12)
+        report = reports[b]
+        for weights, mask in ((report.news_entity, report.news_mask),
+                              (report.entity, report.entity_mask),
+                              (report.news_comment, report.news_mask),
+                              (report.comment, report.comment_mask)):
+            if mask.any():
+                assert abs(weights[mask].sum() - 1.0) <= 1e-12
+                assert (weights[~mask] == 0.0).all()
+            else:   # an ablated side: uniform over its slots
+                npt.assert_allclose(weights, 1.0 / mask.size, atol=1e-15)
+
+
+def test_encoded_batch_indexes_into_batch_of_one_views(tiny_setup):
+    hp, params, _, emb, samples = tiny_setup
+    encoded = model.encode_samples(samples, params, emb, hp)
+    n, e, u = hp.max_news_sentences, hp.max_entity_sentences, hp.max_comment_sentences
+    assert len(encoded) == 2 and encoded.news.shape == (4, 2 * n)
+    assert encoded.news_mask.shape == (2, n) and encoded.entity_mask.shape == (2, e)
+    npt.assert_array_equal(encoded.labels, [s.label for s in samples])
+    views = list(encoded)
+    assert len(views) == 2
+    for i, view in enumerate(views):
+        assert len(view) == 1 and view.labels.tolist() == [samples[i].label]
+        npt.assert_array_equal(view.news.data, encoded.news.data[:, i * n:(i + 1) * n])
+        npt.assert_array_equal(view.entities.data, encoded.entities.data[:, i * e:(i + 1) * e])
+        npt.assert_array_equal(view.comments.data, encoded.comments.data[:, i * u:(i + 1) * u])
+        npt.assert_array_equal(view.news_mask, [samples[i].news_sent_mask])
+        npt.assert_array_equal(view.comment_mask, [samples[i].comment_sent_mask])
+    with pytest.raises(IndexError):
+        encoded[2]
 
 
 @pytest.mark.parametrize("size", [1, 8])
@@ -178,8 +212,9 @@ def test_sentence_without_words_fails_after_time_trimming(tiny_setup):
 
 
 def test_synthetic_training_batch_tape(tmp_path, monkeypatch):
-    # one synthetic-profile training batch of 8: each GRU recurrence is one
-    # tape node, the whole tape stays under 1,000 nodes, and a word-level
+    # one synthetic-profile training batch of 8: each GRU recurrence, word
+    # attention and co-attention block is one tape node, the whole tape holds
+    # at most 60 nodes, and a word-level
     # recurrence runs as many steps as the longest real sentence of its source
     from dualcan import cli
 
@@ -201,12 +236,13 @@ def test_synthetic_training_batch_tape(tmp_path, monkeypatch):
     graph = ad.Graph()
     with graph:
         encoded = model.encode_samples(batch, params, prepared.embeddings, hp)
-        loss = ad.mean_all(ad.concat([model.cross_entropy(model.forward(enc, params)[0], enc.label)
-                                      for enc in encoded], axis=1))
+        loss = model.cross_entropy(model.forward(encoded, params)[0], encoded.labels)
     graph.backward(loss)
     assert len(batch) == 8 and hp == model.HyperParams(embedding_dim=16, seed=7)
-    assert len(graph) < 1000
-    assert [node.op for node in graph._nodes].count("gru_sequence") == 8
+    assert len(graph) <= 60
+    ops = [node.op for node in graph._nodes]
+    assert (ops.count("gru_sequence"), ops.count("word_attention"),
+            ops.count("co_attention")) == (8, 3, 2)
     longest = {}
     for source, enc in (("news", params.news_encoder), ("entity", params.entity_encoder),
                         ("comment", params.comment_encoder)):
@@ -271,8 +307,8 @@ def test_forward_empty_side_uses_uniform_fallback(tiny_setup):
     npt.assert_allclose(report.comment, [0.5, 0.5], atol=1e-12)
     enc = encode_one(sample, params, emb, hp)
     out = layers.co_attention(enc.news, enc.comments, enc.news_mask,
-                              np.ones(2, dtype=bool), params.comment_coattn)
-    npt.assert_allclose(out.pooled_secondary.data, np.zeros((1, 4)), atol=1e-15)
+                              np.ones((1, 2), dtype=bool), params.comment_coattn)
+    npt.assert_allclose(out.pooled.data[4:], np.zeros((4, 1)), atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -297,6 +333,45 @@ def test_loss_hand_value():
     expected = math.log(1.0 + math.exp(-2.0))
     assert model.cross_entropy(logits, 0).item() == pytest.approx(expected, abs=1e-12)
     assert expected == pytest.approx(0.12692801104297263, abs=1e-15)
+
+
+def cross_entropy_reference(logits, label):
+    """Tape-composed loss of one [2 x 1] logit column."""
+    probs = ad.softmax_rows(ad.transpose(logits))            # [1 x 2]
+    p0, p1 = ad.slice_cols(probs, 0, 1), ad.slice_cols(probs, 1, 2)
+    return ad.add(ad.scale(ad.log(p1, floor=1e-12), -float(label)),
+                  ad.scale(ad.log(p0, floor=1e-12), -(1.0 - label)))
+
+
+def test_loss_batch_is_mean_of_reference_columns(rng):
+    # value and logit gradient equal the tape-composed per-column losses and
+    # their mean bit for bit, including a column where the floor clamps
+    data = rng.uniform(-4, 4, (2, 7))
+    data[:, 3] = [-40.0, 40.0]
+    labels = [0, 1, 1, 0, 1, 0, 0]
+    grads = []
+    for batched in (True, False):
+        logits = ad.Tensor(data.copy(), requires_grad=True)
+        g = ad.Graph()
+        with g:
+            if batched:
+                loss = model.cross_entropy(logits, labels)
+            else:
+                loss = ad.mean_all(ad.concat(
+                    [cross_entropy_reference(ad.slice_cols(logits, b, b + 1), y)
+                     for b, y in enumerate(labels)], axis=1))
+        g.backward(loss)
+        grads.append((loss.item(), logits.grad))
+    assert grads[0][0] == grads[1][0]
+    npt.assert_array_equal(grads[0][1], grads[1][1])
+    npt.assert_array_equal(grads[0][1][:, 3], 0.0)   # clamped: no gradient
+
+
+def test_loss_shape_errors():
+    with pytest.raises(ad.ShapeError):
+        model.cross_entropy(ad.Tensor(np.zeros((2, 3))), [0, 1])
+    with pytest.raises(ad.ShapeError):
+        model.cross_entropy(ad.Tensor(np.zeros((3, 1))), 1)
 
 
 def test_loss_nonnegative_random(rng):
@@ -414,9 +489,9 @@ def test_ablate_drops_entity_side(tiny_setup):
     # the pooled entity vector collapses to the padding fallback (zero)
     enc = encode_one(out, params, emb, hp)
     co = layers.co_attention(enc.news, enc.entities, enc.news_mask,
-                             np.ones(hp.max_entity_sentences, dtype=bool),
+                             np.ones((1, hp.max_entity_sentences), dtype=bool),
                              params.entity_coattn)
-    npt.assert_allclose(co.pooled_secondary.data, np.zeros((1, 4)), atol=1e-15)
+    npt.assert_allclose(co.pooled.data[4:], np.zeros((4, 1)), atol=1e-15)
 
 
 def test_ablate_changes_logits_when_side_carried_content(tiny_setup):
@@ -554,7 +629,7 @@ def test_train_loss_decreases(tiny_setup):
     assert result.history[-1].train_loss < result.history[0].train_loss
 
 
-def test_train_with_all_negative_validation_split_completes(tiny_setup):
+def test_train_with_all_negative_validation_split_completes(tiny_setup, tmp_path, capsys):
     hp, params, vocab, emb, _ = tiny_setup
     import dataclasses
     hp2 = dataclasses.replace(hp, max_epochs=2)
@@ -562,6 +637,43 @@ def test_train_with_all_negative_validation_split_completes(tiny_setup):
     val = [s for s in samples if s.label == 0]
     result = model.train(samples, val, hp2, params, emb)
     assert [h.val["pr_auc"] for h in result.history] == [None, None]
+    # on the command line: one warning before training names the split and
+    # the missing label, and epochs.csv leaves the missing pr_auc empty
+    from dualcan import cli
+
+    corpus = tmp_path / "skewed"
+    assert cli.main(["synth", "--out", str(corpus), "--size", "30", "--balance", "0.1",
+                     "--seed", "1"]) == 0
+    capsys.readouterr()
+    assert cli.main(["train", "--config", str(corpus / "config.cfg"), "--out",
+                     str(corpus / "run"), "--set", "hp.max_epochs=2"]) == 0
+    warnings = [line for line in capsys.readouterr().err.splitlines()
+                if line.startswith("warning:")]
+    assert warnings == ["warning: val split has no samples with label 1 (fake)"]
+    rows = (corpus / "run" / "epochs.csv").read_text().splitlines()
+    assert [row.split(",")[-1] for row in rows] == ["val_pr_auc", "", ""]
+    assert "None" not in "".join(rows)
+
+
+def test_train_logs_largest_pre_clip_gradient_norm(tiny_setup, monkeypatch):
+    hp, params, vocab, emb, _ = tiny_setup
+    import dataclasses
+    hp2 = dataclasses.replace(hp, max_epochs=2, patience=2)
+    samples = _toy_split(hp2, vocab, emb)
+    norms = []
+    original = model.clip_gradients
+
+    def recorded(*args):
+        norms.append(original(*args))
+        return norms[-1]
+
+    monkeypatch.setattr(model, "clip_gradients", recorded)
+    result = model.train(samples, samples, hp2, params, emb)
+    per_epoch = len(samples) // hp2.batch_size
+    assert len(norms) == 2 * per_epoch
+    assert [h.grad_norm for h in result.history] == [max(norms[:per_epoch]),
+                                                     max(norms[per_epoch:])]
+    assert all(n > 0 for n in norms)
 
 
 def test_train_rejects_empty_split(tiny_setup):
@@ -579,9 +691,7 @@ def test_training_step_clean_under_debug_checks(tiny_setup):
         g = ad.Graph()
         with g:
             encoded = model.encode_samples(samples, params, emb, hp)
-            losses = [model.cross_entropy(model.forward(e, params)[0], e.label)
-                      for e in encoded]
-            loss = ad.mean_all(ad.concat(losses, axis=1))
+            loss = model.cross_entropy(model.forward(encoded, params)[0], encoded.labels)
         g.backward(loss)
         model.clip_gradients(params, model.GRAD_CLIP_NORM)
         model.adam_step(params, state, hp.learning_rate)
