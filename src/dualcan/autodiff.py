@@ -61,7 +61,8 @@ class Tensor:
     """A dense float64 array, optionally tracked for gradients.
 
     ``grad`` is lazily allocated: it stays ``None`` until a backward pass
-    touches the tensor, after which it has the same shape as ``data``.
+    touches the tensor, after which it has the same shape as ``data``. An
+    owner may make both views into larger buffers (``model.FlatParams``).
     """
 
     __slots__ = ("data", "requires_grad", "grad")
@@ -94,7 +95,10 @@ class Tensor:
         return float(self.data.reshape(-1)[0])
 
     def zero_grad(self) -> None:
-        self.grad = None
+        """Zero ``grad`` in place, so a grad that is a view stays one; a grad
+        never allocated stays None."""
+        if self.grad is not None:
+            self.grad.fill(0.0)
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"

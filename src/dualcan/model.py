@@ -132,17 +132,64 @@ class EncoderParams:
         )
 
     def named(self, prefix: str) -> dict:
-        out = {}
-        for key, t in self.fwd.named().items():
-            out[f"{prefix}.fwd.{key}"] = t
-        for key, t in self.bwd.named().items():
-            out[f"{prefix}.bwd.{key}"] = t
-        for key, t in self.attention.named().items():
-            out[f"{prefix}.attn.{key}"] = t
-        return out
+        return _prefixed({f"{prefix}.fwd": self.fwd, f"{prefix}.bwd": self.bwd,
+                          f"{prefix}.attn": self.attention})
 
 
-class ModelParams:
+def _prefixed(groups: dict) -> dict:
+    """{prefix: parameter group} -> {"prefix.key": tensor} in group order."""
+    return {f"{prefix}.{key}": t for prefix, group in groups.items()
+            for key, t in group.named().items()}
+
+
+class FlatParams:
+    """Named tensors laid out back to back, in ``named()`` order, in one
+    contiguous float64 ``values`` vector and one ``grads`` vector. Each
+    tensor's ``data`` and ``grad`` is a view into them: code that changes a
+    tensor writes into its views in place and never rebinds them."""
+
+    def __init__(self, named: dict):
+        self._named = dict(named)
+        sizes = [t.size for t in self._named.values()]
+        self._spans = [(stop - size, stop) for size, stop in zip(sizes, np.cumsum(sizes).tolist())]
+        self.values = np.concatenate([t.data.reshape(-1) for t in self._named.values()])
+        self.grads = np.zeros_like(self.values)
+        for t, (start, stop) in zip(self._named.values(), self._spans):
+            t.data = self.values[start:stop].reshape(t.shape)
+            t.grad = self.grads[start:stop].reshape(t.shape)
+
+    def named(self) -> dict:
+        return dict(self._named)
+
+    def name_at(self, index: int) -> str:
+        """Name of the tensor that holds flat position ``index``."""
+        return next(name for name, (_, stop) in zip(self._named, self._spans) if index < stop)
+
+    def zero_grads(self) -> None:
+        self.grads.fill(0.0)
+
+    def copy_values(self) -> dict:
+        snapshot = self.values.copy()
+        return {name: snapshot[start:stop].reshape(t.shape)
+                for (name, t), (start, stop) in zip(self._named.items(), self._spans)}
+
+    def load_values(self, values: dict) -> None:
+        """Write ``values`` (name -> array) into the tensors in place; every
+        name and shape is checked before anything is written."""
+        missing = set(self._named) - set(values)
+        extra = set(values) - set(self._named)
+        if missing or extra:
+            raise CheckpointError(
+                f"parameter names do not match (missing {sorted(missing)}, extra {sorted(extra)})")
+        for name, t in self._named.items():
+            if t.shape != values[name].shape:
+                raise CheckpointError(
+                    f"parameter {name}: shape {values[name].shape} != expected {t.shape}")
+        for name, t in self._named.items():
+            t.data[...] = values[name]
+
+
+class ModelParams(FlatParams):
     """Every learnable tensor of the network, enumerable by name.
 
     Word embeddings are deliberately not part of the parameter set: they are
@@ -164,50 +211,21 @@ class ModelParams:
         self.head_b1 = layers.zeros_init(q, 1)
         self.head_w2 = layers.uniform_init(2, q, rng)
         self.head_b2 = layers.zeros_init(2, 1)
+        super().__init__({
+            **self.news_encoder.named("news.word"),
+            **self.entity_encoder.named("entity.word"),
+            **self.comment_encoder.named("comment.word"),
+            **_prefixed({"news.sent.fwd": self.sentence_fwd, "news.sent.bwd": self.sentence_bwd,
+                         "coattn.entity": self.entity_coattn,
+                         "coattn.comment": self.comment_coattn}),
+            "head.w1": self.head_w1, "head.b1": self.head_b1,
+            "head.w2": self.head_w2, "head.b2": self.head_b2,
+        })
 
     @staticmethod
     def create(hp: HyperParams, seed: int | None = None) -> "ModelParams":
         rng = np.random.default_rng(hp.seed if seed is None else seed)
         return ModelParams(hp, rng)
-
-    def named(self) -> dict:
-        out = {}
-        out.update(self.news_encoder.named("news.word"))
-        out.update(self.entity_encoder.named("entity.word"))
-        out.update(self.comment_encoder.named("comment.word"))
-        for key, t in self.sentence_fwd.named().items():
-            out[f"news.sent.fwd.{key}"] = t
-        for key, t in self.sentence_bwd.named().items():
-            out[f"news.sent.bwd.{key}"] = t
-        for key, t in self.entity_coattn.named().items():
-            out[f"coattn.entity.{key}"] = t
-        for key, t in self.comment_coattn.named().items():
-            out[f"coattn.comment.{key}"] = t
-        out["head.w1"] = self.head_w1
-        out["head.b1"] = self.head_b1
-        out["head.w2"] = self.head_w2
-        out["head.b2"] = self.head_b2
-        return out
-
-    def zero_grads(self) -> None:
-        for t in self.named().values():
-            t.zero_grad()
-
-    def copy_values(self) -> dict:
-        return {name: t.data.copy() for name, t in self.named().items()}
-
-    def load_values(self, values: dict) -> None:
-        named = self.named()
-        missing = set(named) - set(values)
-        extra = set(values) - set(named)
-        if missing or extra:
-            raise CheckpointError(
-                f"parameter names do not match (missing {sorted(missing)}, extra {sorted(extra)})")
-        for name, t in named.items():
-            if t.data.shape != values[name].shape:
-                raise CheckpointError(
-                    f"parameter {name}: shape {values[name].shape} != expected {t.data.shape}")
-            t.data = values[name].astype(np.float64).copy()
 
 
 @dataclass
@@ -436,65 +454,64 @@ def ablate(sample: SampleArrays, mode: str) -> SampleArrays:
 # ---------------------------------------------------------------------------
 
 
+# elements per chunk of the Adam update: whole-vector expressions at paper
+# scale allocate several 8 MB temporaries while the step's graph is still
+# alive, which costs both time and peak memory; a 256 KB block stays in cache
+_ADAM_BLOCK = 1 << 15
+
+
 @dataclass
 class AdamState:
-    """First/second moment buffers per parameter plus the shared step count."""
+    """First/second moment vectors, laid out like ``FlatParams.values``, plus
+    the shared step count."""
 
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
 
     @staticmethod
-    def create(params: ModelParams) -> "AdamState":
-        state = AdamState()
-        for name, tensor in params.named().items():
-            state.m[name] = np.zeros_like(tensor.data)
-            state.v[name] = np.zeros_like(tensor.data)
-        return state
+    def create(params: FlatParams) -> "AdamState":
+        return AdamState(np.zeros_like(params.values), np.zeros_like(params.values))
 
 
-def adam_step(params: ModelParams, state: AdamState, lr: float) -> None:
-    """One bias-corrected Adam update over every named parameter.
+def adam_step(params: FlatParams, state: AdamState, lr: float) -> None:
+    """One bias-corrected Adam update over every parameter.
 
-    Parameters with no gradient (never touched by the loss) are treated as
-    having zero gradient.
+    A non-finite gradient anywhere raises NonFiniteError, naming the
+    parameter, before any value, moment or the step count moves.
     """
+    grads = params.grads
+    finite = np.isfinite(grads)
+    if not finite.all():
+        name = params.name_at(int(np.argmin(finite)))
+        raise NonFiniteError(
+            f"non-finite gradient for parameter {name} in Adam step {state.t + 1}")
     state.t += 1
     b1, b2 = state.beta1, state.beta2
     bias1 = 1.0 - b1 ** state.t
     bias2 = 1.0 - b2 ** state.t
-    for name, tensor in params.named().items():
-        g = tensor.grad if tensor.grad is not None else np.zeros_like(tensor.data)
-        if not np.all(np.isfinite(g)):
-            raise NonFiniteError(f"non-finite gradient for parameter {name}")
-        m = state.m[name]
-        v = state.v[name]
+    for start in range(0, grads.size, _ADAM_BLOCK):
+        block = slice(start, start + _ADAM_BLOCK)
+        g, m, v, x = grads[block], state.m[block], state.v[block], params.values[block]
         m *= b1
         m += (1.0 - b1) * g
         v *= b2
         v += (1.0 - b2) * g * g
         m_hat = m / bias1
         v_hat = v / bias2
-        tensor.data = tensor.data - lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        x -= lr * m_hat / (np.sqrt(v_hat) + state.eps)
 
 
-def clip_gradients(params: ModelParams, max_norm: float) -> float:
+def clip_gradients(params: FlatParams, max_norm: float) -> float:
     """Scale all gradients down to a global norm of ``max_norm``; returns the
     pre-clip norm."""
-    total = 0.0
-    named = params.named()
-    for tensor in named.values():
-        if tensor.grad is not None:
-            total += float((tensor.grad * tensor.grad).sum())
-    norm = float(np.sqrt(total))
+    grads = params.grads
+    norm = float(np.sqrt(grads @ grads))
     if norm > max_norm > 0:
-        factor = max_norm / norm
-        for tensor in named.values():
-            if tensor.grad is not None:
-                tensor.grad *= factor
+        grads *= max_norm / norm
     return norm
 
 
@@ -603,24 +620,20 @@ def train(train_samples: list, val_samples: list, hp: HyperParams,
 def save_checkpoint(path, hp: HyperParams, params: ModelParams) -> None:
     """Text header (version, hyperparameters, tensor directory with shapes and
     byte offsets) followed by raw little-endian float64 payloads."""
-    named = params.named()
     header = io.StringIO()
     header.write(_CHECKPOINT_MAGIC + "\n")
     for f in fields(hp):
         header.write(f"hp {f.name} {getattr(hp, f.name)!r}\n")
     offset = 0
-    blobs = []
-    for name, tensor in named.items():
-        shape = ",".join(str(s) for s in tensor.data.shape)
+    for name, tensor in params.named().items():
+        shape = ",".join(str(s) for s in tensor.shape)
         header.write(f"tensor {name} {shape} {offset}\n")
-        blob = tensor.data.astype("<f8").tobytes()
-        blobs.append(blob)
-        offset += len(blob)
+        offset += 8 * tensor.size
     header.write("end\n")
     with open(path, "wb") as fh:
         fh.write(header.getvalue().encode("utf-8"))
-        for blob in blobs:
-            fh.write(blob)
+        # the tensors lie back to back in header order in the flat vector
+        fh.write(params.values.astype("<f8").tobytes())
 
 
 def load_checkpoint(path):
@@ -629,7 +642,7 @@ def load_checkpoint(path):
     The round trip is bit-exact: arrays compare equal to what was saved.
     Anything malformed raises CheckpointError: the tensors must have unique
     names and lie back to back from offset 0 in header order, filling the
-    payload exactly.
+    payload exactly, and hold finite values only.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -674,7 +687,10 @@ def _parse_checkpoint(raw: bytes):
         pos += 8 * math.prod(shape)
         if pos > len(payload):
             raise ValueError(f"payload truncated for tensor {name}")
-        values[name] = np.frombuffer(payload[offset:pos], dtype="<f8").reshape(shape).copy()
+        array = np.frombuffer(payload[offset:pos], dtype="<f8")
+        if not np.isfinite(array).all():
+            raise ValueError(f"tensor {name} holds non-finite values")
+        values[name] = array.reshape(shape).copy()
     if pos != len(payload):
         raise ValueError(f"{len(payload) - pos} payload bytes after the last tensor")
     return hp, values

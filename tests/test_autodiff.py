@@ -287,6 +287,20 @@ def test_backward_accumulates_across_fanout():
     assert x.grad[0, 0] == 3.0
 
 
+def test_zero_grad_zeroes_in_place_and_keeps_unallocated_grad_none():
+    x = ad.Tensor([[1.0, 2.0]], requires_grad=True)
+    x.zero_grad()
+    assert x.grad is None
+    g = ad.Graph()
+    with g:
+        loss = ad.sum_all(ad.mul(x, x))
+    g.backward(loss)
+    grad = x.grad
+    x.zero_grad()
+    assert x.grad is grad
+    npt.assert_array_equal(grad, [[0.0, 0.0]])
+
+
 def test_backward_off_path_gets_zero_grad():
     x = ad.Tensor([[1.0]], requires_grad=True)
     y = ad.Tensor([[1.0]], requires_grad=True)

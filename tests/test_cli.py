@@ -3,6 +3,7 @@ import json
 import math
 import re
 import shlex
+import struct
 from dataclasses import replace
 from pathlib import Path
 
@@ -182,6 +183,25 @@ def test_eval_checkpoint_with_bad_hyperparameter_exits_2(synth_dir, trained_dir,
     assert run_cli("eval", "--checkpoint", str(bad),
                    "--config", str(synth_dir / "config.cfg")) == 2
     assert "batch_size" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("command", ["eval", "explain"])
+def test_eval_and_explain_reject_non_finite_checkpoint_payload(synth_dir, trained_dir, tmp_path,
+                                                                capsys, command, value):
+    # the first tensor's first float becomes NaN or Inf: a data error naming
+    # the tensor, before any output is written
+    raw = (trained_dir / "checkpoint.bin").read_bytes()
+    start = raw.index(b"\nend\n") + 5
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(raw[:start] + struct.pack("<d", value) + raw[start + 8:])
+    out = tmp_path / "out"
+    target = out / "metrics.json" if command == "eval" else out
+    assert run_cli(command, "--checkpoint", str(bad), "--config", str(synth_dir / "config.cfg"),
+                   "--out", str(target)) == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and "tensor news.word.fwd.reset.w holds non-finite" in err
+    assert not out.exists()
 
 
 def test_eval_missing_checkpoint(synth_dir, tmp_path):

@@ -1,4 +1,7 @@
+import dataclasses
 import math
+import re
+import struct
 
 import numpy as np
 import numpy.testing as npt
@@ -392,20 +395,10 @@ def test_predicted_label_tie_goes_to_real():
 # ---------------------------------------------------------------------------
 
 
-class _BareParams:
-    """Minimal stand-in exposing the named-tensor interface."""
-
-    def __init__(self, **tensors):
-        self._tensors = tensors
-
-    def named(self):
-        return dict(self._tensors)
-
-
 def test_adam_first_step_magnitude():
     x = ad.Tensor([[2.0, -3.0]], requires_grad=True)
-    x.grad = np.array([[1.0, -0.5]])
-    params = _BareParams(x=x)
+    params = model.FlatParams({"x": x})
+    x.grad[...] = [[1.0, -0.5]]
     state = model.AdamState.create(params)
     before = x.data.copy()
     model.adam_step(params, state, lr=0.01)
@@ -417,8 +410,8 @@ def test_adam_first_step_magnitude():
 
 def test_adam_zero_gradient_no_movement():
     x = ad.Tensor([[1.0, 2.0]], requires_grad=True)
-    x.grad = np.zeros((1, 2))
-    params = _BareParams(x=x)
+    params = model.FlatParams({"x": x})
+    x.grad[...] = np.zeros((1, 2))
     state = model.AdamState.create(params)
     before = x.data.copy()
     for _ in range(5):
@@ -428,7 +421,7 @@ def test_adam_zero_gradient_no_movement():
 
 def test_adam_three_steps_match_hand_run():
     x = ad.Tensor([[1.0]], requires_grad=True)
-    params = _BareParams(x=x)
+    params = model.FlatParams({"x": x})
     state = model.AdamState.create(params)
     # hand-run the update equations for f(x) = x^2
     xe, m, v = 1.0, 0.0, 0.0
@@ -442,15 +435,15 @@ def test_adam_three_steps_match_hand_run():
         xe -= 0.1 * m_hat / (math.sqrt(v_hat) + 1e-8)
         expected.append(xe)
     for t in range(3):
-        x.grad = 2.0 * x.data
+        x.grad[...] = 2.0 * x.data
         model.adam_step(params, state, lr=0.1)
         assert x.data[0, 0] == pytest.approx(expected[t], abs=1e-15)
 
 
 def test_adam_non_finite_gradient_fails_fast():
     x = ad.Tensor([[1.0]], requires_grad=True)
-    x.grad = np.array([[np.nan]])
-    params = _BareParams(x=x)
+    params = model.FlatParams({"x": x})
+    x.grad[...] = np.array([[np.nan]])
     state = model.AdamState.create(params)
     with pytest.raises(ad.NonFiniteError):
         model.adam_step(params, state, lr=0.1)
@@ -459,13 +452,154 @@ def test_adam_non_finite_gradient_fails_fast():
 def test_clip_gradients_scales_to_max_norm():
     x = ad.Tensor([[3.0]], requires_grad=True)
     y = ad.Tensor([[4.0]], requires_grad=True)
-    x.grad = np.array([[3.0]])
-    y.grad = np.array([[4.0]])
-    params = _BareParams(x=x, y=y)
+    params = model.FlatParams({"x": x, "y": y})
+    x.grad[...] = np.array([[3.0]])
+    y.grad[...] = np.array([[4.0]])
     norm = model.clip_gradients(params, 1.0)
     assert norm == pytest.approx(5.0)
     total = math.sqrt(float(x.grad[0, 0] ** 2 + y.grad[0, 0] ** 2))
     assert total == pytest.approx(1.0)
+
+
+def _clip_gradients_reference(grads: dict, max_norm: float) -> float:
+    """The per-tensor clipping loop the flat vector replaced, on name -> array."""
+    total = 0.0
+    for g in grads.values():
+        total += float((g * g).sum())
+    norm = float(np.sqrt(total))
+    if norm > max_norm > 0:
+        factor = max_norm / norm
+        for g in grads.values():
+            g *= factor
+    return norm
+
+
+def _adam_step_reference(values: dict, grads: dict, m: dict, v: dict, t: int, lr: float,
+                         b1=0.9, b2=0.999, eps=1e-8) -> None:
+    """The per-tensor Adam loop the blocked flat update replaced; ``values``,
+    ``m`` and ``v`` map names to arrays and are updated in step ``t``."""
+    bias1 = 1.0 - b1 ** t
+    bias2 = 1.0 - b2 ** t
+    for name, g in grads.items():
+        m[name] *= b1
+        m[name] += (1.0 - b1) * g
+        v[name] *= b2
+        v[name] += (1.0 - b2) * g * g
+        m_hat = m[name] / bias1
+        v_hat = v[name] / bias2
+        values[name] = values[name] - lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
+def _flat(arrays: dict) -> np.ndarray:
+    return np.concatenate([a.reshape(-1) for a in arrays.values()])
+
+
+def _multi_block_params():
+    # two full Adam blocks and a partial third one, split across tensor edges
+    rng = np.random.default_rng(5)
+    shapes = [(300, 200), (1, 77), (50, 200), (13, 1)]
+    return model.FlatParams({f"t{i}": ad.Tensor(rng.uniform(-1, 1, shape), requires_grad=True)
+                             for i, shape in enumerate(shapes)})
+
+
+@pytest.mark.parametrize("make, blocks", [
+    (lambda: model.ModelParams.create(model.HyperParams()), 1),
+    (_multi_block_params, 3),
+], ids=["synthetic-profile", "multi-block"])
+def test_flat_optimizer_matches_per_tensor_reference(make, blocks):
+    params = make()
+    size = params.values.size
+    assert -(-size // model._ADAM_BLOCK) == blocks and size % model._ADAM_BLOCK
+    named = params.named()
+    state = model.AdamState.create(params)
+    values = params.copy_values()
+    m = {name: np.zeros(t.shape) for name, t in named.items()}
+    v = {name: np.zeros(t.shape) for name, t in named.items()}
+    rng = np.random.default_rng(11)
+    for step in range(1, 7):
+        for t in named.values():
+            t.grad[...] = rng.normal(0.0, 0.1, t.shape)
+        grads = {name: t.grad.copy() for name, t in named.items()}
+        # odd steps clip, even steps do not
+        max_norm = math.sqrt(float((params.grads ** 2).sum())) * (0.5 if step % 2 else 2.0)
+        norm = model.clip_gradients(params, max_norm)
+        reference_norm = _clip_gradients_reference(grads, max_norm)
+        assert abs(norm - reference_norm) <= 1e-15 * reference_norm
+        npt.assert_allclose(params.grads, _flat(grads), rtol=1e-15, atol=0)
+        # Adam from the same clipped gradients moves every value and moment
+        # bit for bit as the per-tensor loop does
+        grads = {name: t.grad.copy() for name, t in named.items()}
+        model.adam_step(params, state, lr=0.01)
+        _adam_step_reference(values, grads, m, v, step, lr=0.01)
+        assert state.t == step
+        npt.assert_array_equal(params.values, _flat(values))
+        npt.assert_array_equal(state.m, _flat(m))
+        npt.assert_array_equal(state.v, _flat(v))
+
+
+@pytest.mark.parametrize("where", [0, -1], ids=["first-value", "last-value"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_adam_non_finite_gradient_moves_nothing_and_names_parameter(where, bad):
+    params = model.ModelParams.create(tiny_hyperparams())
+    named = params.named()
+    state = model.AdamState.create(params)
+    rng = np.random.default_rng(2)
+    params.grads[:] = rng.normal(0.0, 0.1, params.grads.size)
+    model.adam_step(params, state, lr=0.01)
+    params.grads[:] = rng.normal(0.0, 0.1, params.grads.size)
+    name = list(named)[len(named) // 2]
+    named[name].grad.reshape(-1)[where] = bad
+    values, m, v = params.values.copy(), state.m.copy(), state.v.copy()
+    with pytest.raises(ad.NonFiniteError, match=rf"parameter {re.escape(name)} in Adam step 2$"):
+        model.adam_step(params, state, lr=0.01)
+    assert state.t == 1
+    npt.assert_array_equal(params.values, values)
+    npt.assert_array_equal(state.m, m)
+    npt.assert_array_equal(state.v, v)
+
+
+def assert_flat_views(params) -> None:
+    """Every tensor's data and grad is the C-contiguous slice of the flat
+    vectors at its offset in named() order."""
+    offset = 0
+    for name, t in params.named().items():
+        for view, flat in ((t.data, params.values), (t.grad, params.grads)):
+            assert np.shares_memory(view, flat) and view.flags.c_contiguous, name
+            assert view.ctypes.data == flat.ctypes.data + 8 * offset, name
+        offset += t.size
+    assert offset == params.values.size == params.grads.size
+
+
+def test_parameters_stay_views_of_the_flat_vectors(tiny_setup):
+    hp, params, vocab, emb, samples = tiny_setup
+    assert_flat_views(params)
+    hp1 = dataclasses.replace(hp, max_epochs=2)
+    result = model.train(_toy_split(hp1, vocab, emb), samples, hp1, params, emb)
+    assert result.params is params
+    assert_flat_views(params)
+    values = model.ModelParams.create(hp, seed=9).copy_values()
+    params.load_values(values)
+    assert_flat_views(params)
+    npt.assert_array_equal(params.values, _flat(values))
+    restored = model.restore_params(hp, values)
+    assert_flat_views(restored)
+    npt.assert_array_equal(restored.values, params.values)
+
+    def f():
+        encoded = model.encode_samples(samples, params, emb, hp)
+        return model.cross_entropy(model.forward(encoded, params)[0], encoded.labels)
+
+    params.grads[:] = 1.0  # grad_check must zero this in place, not drop the views
+    report = ad.grad_check(f, params.named(), max_coords=32)
+    assert report.passed(1e-4), report.summary()
+    assert_flat_views(params)
+    once = params.grads.copy()
+    params.zero_grads()
+    g = ad.Graph()
+    with g:
+        loss = f()
+    g.backward(loss)
+    npt.assert_array_equal(params.grads, once)
 
 
 # ---------------------------------------------------------------------------
@@ -750,6 +884,34 @@ def test_checkpoint_header_keeps_v1_layout(tiny_setup, tmp_path):
     assert lines[14] == "tensor news.word.fwd.reset.w 2,4 0"
 
 
+def _save_checkpoint_reference(path, hp, params) -> None:
+    """The per-tensor v1 writer that one write of the flat vector replaced."""
+    header = "DUALCAN-CKPT v1\n" + "".join(
+        f"hp {f.name} {getattr(hp, f.name)!r}\n" for f in dataclasses.fields(hp))
+    offset, blobs = 0, []
+    for name, tensor in params.named().items():
+        header += f"tensor {name} {','.join(str(s) for s in tensor.data.shape)} {offset}\n"
+        blobs.append(tensor.data.astype("<f8").tobytes())
+        offset += len(blobs[-1])
+    path.write_bytes((header + "end\n").encode("utf-8") + b"".join(blobs))
+
+
+def test_checkpoint_bytes_match_per_tensor_writer(tiny_setup, tmp_path):
+    hp, _, vocab, emb, samples = tiny_setup
+    for params in (model.ModelParams.create(hp),
+                   model.train(samples, samples, dataclasses.replace(hp, max_epochs=1),
+                               model.ModelParams.create(hp), emb).params):
+        model.save_checkpoint(tmp_path / "flat.bin", hp, params)
+        _save_checkpoint_reference(tmp_path / "reference.bin", hp, params)
+        assert (tmp_path / "flat.bin").read_bytes() == (tmp_path / "reference.bin").read_bytes()
+
+
+def _with_payload_value(raw: bytes, value: float) -> bytes:
+    """``raw`` with the first float of the payload replaced by ``value``."""
+    start = raw.index(b"\nend\n") + 5
+    return raw[:start] + struct.pack("<d", value) + raw[start + 8:]
+
+
 def _first_tensor_line(raw: bytes) -> bytes:
     start = raw.index(b"\ntensor ") + 1
     return raw[start:raw.index(b"\n", start) + 1]
@@ -767,8 +929,11 @@ def _first_tensor_line(raw: bytes) -> bytes:
      "listed twice"),
     (lambda raw: raw + bytes(8), "8 payload bytes after"),
     (lambda raw: raw.replace(b"\nend\n", b"\nen"), "truncated header"),
+    (lambda raw: _with_payload_value(raw, math.nan), "news.word.fwd.reset.w holds non-finite"),
+    (lambda raw: _with_payload_value(raw, -math.inf), "news.word.fwd.reset.w holds non-finite"),
 ], ids=["hp-not-int", "hp-invalid", "hp-repeated", "negative-offset", "hex-offset",
-        "float-shape", "negative-shape", "tensor-repeated", "trailing-bytes", "no-end-line"])
+        "float-shape", "negative-shape", "tensor-repeated", "trailing-bytes", "no-end-line",
+        "nan-payload", "inf-payload"])
 def test_checkpoint_rejects_inconsistent_directory(tiny_setup, tmp_path, corrupt, message):
     hp, params, _, _, _ = tiny_setup
     path = tmp_path / "model.bin"
