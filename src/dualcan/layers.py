@@ -10,6 +10,7 @@ marks a real, non-padding position).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -24,8 +25,11 @@ from .autodiff import (
 )
 
 
-def uniform_init(rows: int, cols: int, rng: np.random.Generator) -> Tensor:
-    """Weight matrix drawn from U(-1/sqrt(fan_in), 1/sqrt(fan_in))."""
+def uniform_init(rows: int, cols: int, rng: np.random.Generator | None) -> Tensor:
+    """Weight matrix drawn from U(-1/sqrt(fan_in), 1/sqrt(fan_in)); with no
+    ``rng``, zeros that only lay out a tensor whose values are loaded later."""
+    if rng is None:
+        return zeros_init(rows, cols)
     bound = 1.0 / np.sqrt(cols)
     return Tensor(rng.uniform(-bound, bound, size=(rows, cols)), requires_grad=True)
 
@@ -58,7 +62,7 @@ class GruParams:
         return self.w_reset.shape[1]
 
     @staticmethod
-    def create(input_size: int, hidden_size: int, rng: np.random.Generator) -> "GruParams":
+    def create(input_size: int, hidden_size: int, rng: np.random.Generator | None) -> "GruParams":
         def w():
             return uniform_init(hidden_size, input_size, rng)
 
@@ -88,7 +92,7 @@ class WordAttentionParams:
     context: Tensor
 
     @staticmethod
-    def create(hidden_size: int, rng: np.random.Generator) -> "WordAttentionParams":
+    def create(hidden_size: int, rng: np.random.Generator | None) -> "WordAttentionParams":
         return WordAttentionParams(
             proj=uniform_init(hidden_size, 2 * hidden_size, rng),
             bias=zeros_init(hidden_size, 1),
@@ -110,7 +114,7 @@ class CoAttentionParams:
     score_secondary: Tensor  # [1 x 2h]
 
     @staticmethod
-    def create(hidden_size: int, rng: np.random.Generator) -> "CoAttentionParams":
+    def create(hidden_size: int, rng: np.random.Generator | None) -> "CoAttentionParams":
         d = 2 * hidden_size
         return CoAttentionParams(
             w_affinity=uniform_init(d, d, rng),
@@ -154,11 +158,18 @@ def gru_sequence(columns: list, p: GruParams, keep: list | None = None,
     so where ``keep`` is 0 the state passes through unchanged (padding
     positions do not advance the recurrence).
 
-    The whole recurrence is one tape node: the gate inputs of every step come
-    from one stacked [3h x in] @ [in x T*B] product, each step does one
-    stacked [2h x h] reset/update product, and the backward pass is
-    hand-written BPTT that forms the weight and input gradients with one
-    matmul each.
+    The whole recurrence is one tape node, packed like cuDNN's
+    variable-length sequences: step t works, forward and in BPTT, only on
+    its live prefix, the columns up to the last one whose keep is non-zero
+    at that step; the columns past it carry their state. With columns sorted
+    by descending length, as the word encoder passes them, the live prefix
+    is exactly the sentences still running. The gate inputs of every live
+    column-step come from one stacked [3h x in] product with the three
+    biases folded in, each step does one stacked [2h x h] reset/update
+    product, and the stored activations are packed [rows x R], R the total
+    of the live prefixes, so the weight and input gradients are one matmul
+    each over live column-steps only. A step whose prefix keeps every column
+    at exactly 1 takes the cell as its state without the keep blend.
     """
     if not columns:
         raise ShapeError("gru_sequence over an empty sequence")
@@ -172,43 +183,73 @@ def gru_sequence(columns: list, p: GruParams, keep: list | None = None,
     weights = tuple(p.named().values())   # reset, update, cand: w, u, b each
     w = np.concatenate([p.w_reset.data, p.w_update.data, p.w_cand.data])   # [3h x in]
     u_rz = np.concatenate([p.u_reset.data, p.u_update.data])              # [2h x h]
-    b_rz = np.concatenate([p.b_reset.data, p.b_update.data])
-    u_c, b_c = p.u_cand.data, p.b_cand.data
-    x = np.concatenate([col.data for col in columns], axis=1)                 # [in x T*B]
-    x_gates = (w @ x).reshape(3 * h, n, batch)
-    k = None if keep is None else np.concatenate([kt.data for kt in keep])  # [T x B]
+    u_c = p.u_cand.data
+    if keep is None:
+        k, live, blend = None, [batch] * n, [False] * n
+    else:
+        k = np.concatenate([kt.data for kt in keep])                      # [T x B]
+        moves, partial = k != 0.0, k != 1.0
+        # live[t]: columns up to the last one that moves at step t;
+        # blend[t]: some column of that prefix keeps neither 0 nor 1 exactly
+        live = np.where(moves.any(axis=1), batch - np.argmax(moves[:, ::-1], axis=1), 0)
+        first_partial = np.where(partial.any(axis=1), np.argmax(partial, axis=1), batch)
+        live, blend = live.tolist(), (first_partial < live).tolist()
+    # the live column-steps of step t are packed columns start[t] .. start[t + 1] - 1
+    start = [0, *accumulate(live)]
+    x = np.concatenate([col.data[:, :width] for col, width in zip(columns, live)], axis=1)
+    x_gates = w @ x                                                       # [3h x R]
+    x_gates += np.concatenate([p.b_reset.data, p.b_update.data, p.b_cand.data])
     order = range(n - 1, -1, -1) if reverse else range(n)
-    # per step t: the carried state before it, both gates, the candidate, the
-    # state after it
-    prev, gates, cand, states = (np.empty((rows, n, batch)) for rows in (h, 2 * h, h, h))
+    # per live column-step: the carried state before it, both gates, the
+    # candidate; and per step the state of every column after it
+    prev, gates, cand = (np.empty((rows, start[-1])) for rows in (h, 2 * h, h))
+    states = np.empty((h, n, batch))
     state = np.zeros((h, batch))
     for t in order:
-        prev[:, t] = state
-        a = x_gates[:2 * h, t] + u_rz @ state
-        a += b_rz
-        rz = gates[:, t] = 1.0 / (1.0 + np.exp(-a))
-        c = cand[:, t] = np.tanh(x_gates[2 * h:, t] + u_c @ (rz[:h] * state) + b_c)
-        cell = state + rz[h:] * (c - state)
-        state = cell if k is None else state + k[t] * (cell - state)
+        width = live[t]
+        if width:
+            packed = slice(start[t], start[t + 1])
+            s = prev[:, packed] = state[:, :width]
+            a = u_rz @ s
+            a += x_gates[:2 * h, packed]
+            rz = gates[:, packed] = 1.0 / (1.0 + np.exp(-a))
+            c = u_c @ (rz[:h] * s)
+            c += x_gates[2 * h:, packed]
+            c = cand[:, packed] = np.tanh(c)
+            cell = s + rz[h:] * (c - s)
+            if blend[t]:
+                cell = s + k[t, :width] * (cell - s)
+            if width == batch:
+                state = cell
+            else:
+                state[:, :width] = cell
         states[:, t] = state
 
     def backward(grad):
         g = grad.reshape(h, n, batch)
-        d_pre = np.empty((3 * h, n, batch))     # gate pre-activation gradients
+        d_pre = np.empty((3 * h, start[-1]))    # gate pre-activation gradients, packed
         carry = np.zeros((h, batch))
         for t in reversed(order):
-            d_state = g[:, t] + carry
-            d_cell = d_state if k is None else k[t] * d_state
-            r, z, c, s = gates[:h, t], gates[h:, t], cand[:, t], prev[:, t]
-            d_pre[2 * h:, t] = d_cand = d_cell * z * (1.0 - c * c)
+            carry += g[:, t]
+            width = live[t]
+            if not width:
+                continue
+            packed = slice(start[t], start[t + 1])
+            d_state = carry[:, :width]
+            d_cell = k[t, :width] * d_state if blend[t] else d_state
+            r, z, c, s = gates[:h, packed], gates[h:, packed], cand[:, packed], prev[:, packed]
+            d_pre[2 * h:, packed] = d_cand = d_cell * z * (1.0 - c * c)
             d_rs = u_c.T @ d_cand
-            d_pre[:h, t] = d_rs * s * r * (1.0 - r)
-            d_pre[h:2 * h, t] = d_cell * (c - s) * z * (1.0 - z)
-            carry = d_state - d_cell * z + d_rs * r + u_rz.T @ d_pre[:2 * h, t]
-        d_pre = d_pre.reshape(3 * h, n * batch)
+            d_pre[:h, packed] = d_rs * s * r * (1.0 - r)
+            d_pre[h:2 * h, packed] = d_cell * (c - s) * z * (1.0 - z)
+            d_prev = d_state - d_cell * z + d_rs * r + u_rz.T @ d_pre[:2 * h, packed]
+            if width == batch:
+                carry = d_prev
+            else:
+                carry[:, :width] = d_prev
         d_w = d_pre @ x.T                                                  # [3h x in]
-        d_u = np.concatenate([d_pre[:2 * h] @ prev.reshape(h, -1).T,
-                              d_pre[2 * h:] @ (gates[:h] * prev).reshape(h, -1).T])  # [3h x h]
+        d_u = np.concatenate([d_pre[:2 * h] @ prev.T,
+                              d_pre[2 * h:] @ (gates[:h] * prev).T])       # [3h x h]
         d_b = d_pre.sum(axis=1, keepdims=True)                             # [3h x 1]
         for i, tensor in enumerate(weights):
             if tensor.requires_grad:
@@ -218,7 +259,7 @@ def gru_sequence(columns: list, p: GruParams, keep: list | None = None,
             d_x = w.T @ d_pre
             for t, col in enumerate(columns):
                 if col.requires_grad:
-                    col.grad += d_x[:, t * batch:(t + 1) * batch]
+                    col.grad[:, :live[t]] += d_x[:, start[t]:start[t + 1]]
 
     return fused("gru_sequence", states.reshape(h, n * batch), (*columns, *weights), backward)
 

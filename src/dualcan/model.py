@@ -153,7 +153,7 @@ class FlatParams:
         sizes = [t.size for t in self._named.values()]
         self._spans = [(stop - size, stop) for size, stop in zip(sizes, np.cumsum(sizes).tolist())]
         self.values = np.concatenate([t.data.reshape(-1) for t in self._named.values()])
-        self.grads = np.zeros_like(self.values)
+        self.grads = np.zeros(self.values.size)
         for t, (start, stop) in zip(self._named.values(), self._spans):
             t.data = self.values[start:stop].reshape(t.shape)
             t.grad = self.grads[start:stop].reshape(t.shape)
@@ -193,10 +193,11 @@ class ModelParams(FlatParams):
     """Every learnable tensor of the network, enumerable by name.
 
     Word embeddings are deliberately not part of the parameter set: they are
-    frozen lookup tables owned by the data pipeline.
+    frozen lookup tables owned by the data pipeline. Without an ``rng`` the
+    weights are zeros, a layout to load values into.
     """
 
-    def __init__(self, hp: HyperParams, rng: np.random.Generator):
+    def __init__(self, hp: HyperParams, rng: np.random.Generator | None):
         h = hp.hidden_size
         d = hp.embedding_dim
         self.news_encoder = EncoderParams.create(d, h, rng)
@@ -280,27 +281,33 @@ def _word_encode_blocks(blocks: list, enc: EncoderParams, embeddings):
     """Word-level encode the real sentences of many (ids, word_mask, sent_mask)
     blocks in one batched recurrence.
 
-    All real sentences across all blocks, in block then slot order, become
-    the columns of one sequence batch, as long as the longest of them; the
-    recurrence and attention pooling run once. Returns (pooled [2h x K],
-    index [blocks x slots]), where index holds the pooled column of each real
-    slot and -1 at pad slots; with no real sentence, pooled is one zero column.
+    All real sentences across all blocks become the columns of one sequence
+    batch, as long as the longest of them, in descending order of length
+    (ties in block then slot order), so that each step of the recurrence
+    works on a prefix of the columns; the recurrence and attention pooling
+    run once. Returns (pooled [2h x K], index [blocks x slots]): the pooled
+    columns are in that length order, and index holds the pooled column of
+    each real slot and -1 at pad slots; with no real sentence, pooled is one
+    zero column.
     """
     sent_mask = np.stack([sent for _, _, sent in blocks])                # [B x S]
     index = np.full(sent_mask.shape, -1)
-    index[sent_mask] = np.arange(np.count_nonzero(sent_mask))
     if not sent_mask.any():
         return Tensor(np.zeros((2 * enc.fwd.hidden_size, 1))), index
     word_mask = np.stack([words for _, words, _ in blocks])[sent_mask]   # [K x M]
+    # a sentence's length runs to its last real word
+    length = np.where(word_mask.any(axis=1),
+                      word_mask.shape[1] - np.argmax(word_mask[:, ::-1], axis=1), 0)
+    order = np.argsort(-length, kind="stable")
+    index[sent_mask] = np.argsort(order)
     # the time axis ends at the last real word of any gathered sentence: the
     # steps cut off are padding in every column and would not move a state;
     # at least one step stays, so a sentence without words still fails in
     # word_attention
-    real_steps = np.flatnonzero(word_mask.any(axis=0))
-    m = int(real_steps[-1]) + 1 if real_steps.size else 1
-    word_mask = word_mask[:, :m]
-    ids = np.stack([ids for ids, _, _ in blocks])[sent_mask][:, :m]
-    inputs = [Tensor(embeddings.lookup(ids[:, t]).T) for t in range(m)]
+    m = max(int(length.max()), 1)
+    word_mask = word_mask[order, :m]
+    ids = np.stack([ids for ids, _, _ in blocks])[sent_mask][order, :m]
+    inputs = [Tensor(step.T) for step in embeddings.lookup(ids.T)]      # m of [d x K]
     states = layers.bigru(inputs, enc.fwd, enc.bwd, _keep_rows(word_mask))
     pooled, _ = layers.word_attention(states, word_mask, enc.attention)   # [2h x K]
     return pooled, index
@@ -308,7 +315,8 @@ def _word_encode_blocks(blocks: list, enc: EncoderParams, embeddings):
 
 def _keep_rows(mask: np.ndarray) -> list:
     """[B x T] boolean mask -> the T [1 x B] keep rows of a recurrence."""
-    return [Tensor(mask[:, t:t + 1].T.astype(np.float64)) for t in range(mask.shape[1])]
+    keep = mask.T.astype(np.float64)
+    return [Tensor(keep[t:t + 1]) for t in range(keep.shape[0])]
 
 
 def encode_samples(samples: list, params: ModelParams, embeddings,
@@ -697,6 +705,6 @@ def _parse_checkpoint(raw: bytes):
 
 
 def restore_params(hp: HyperParams, values: dict) -> ModelParams:
-    params = ModelParams.create(hp)
+    params = ModelParams(hp, None)
     params.load_values(values)
     return params

@@ -211,6 +211,43 @@ def test_gru_sequence_gradients_match_tape_reference(rng, reverse):
     npt.assert_array_equal(grads[0][len(p.named()) + 4][:, 2], 0.0)
 
 
+# keep [B x T] per case; the live prefix of a step ends at its last moving column
+PACKED_KEEPS = {
+    # sorted, with a middle step where no column moves (live prefix 0)
+    "idle-middle-step": [[1, 1, 0, 1, 1],
+                         [1, 1, 0, 1, 0],
+                         [1, 0, 0, 0, 0]],
+    # unsorted: column 1 stops after step 1 and moves again at step 2, and
+    # column 0 stops inside the live prefix of steps 3 and 4
+    "stop-and-restart": [[1, 1, 1, 0, 0],
+                         [1, 0, 1, 1, 0],
+                         [1, 1, 0, 1, 1]],
+    # fractional keep values blend the cell into the carried state
+    "fractional-keep": [[1, 0.5, 1, 1, 0.25],
+                        [1, 1, 0.75, 0, 0],
+                        [0.5, 1, 0, 0, 0]],
+}
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("case", PACKED_KEEPS)
+def test_gru_sequence_packed_prefixes_match_tape_reference(rng, case, reverse):
+    p = make_gru(3, 4, seed=66)
+    keep_array = np.array(PACKED_KEEPS[case], dtype=float)
+    keep = [ad.Tensor(keep_array[:, t].reshape(1, -1)) for t in range(5)]
+    columns = [ad.Tensor(rng.uniform(-1, 1, (3, 3)), requires_grad=True) for _ in range(5)]
+    weights = np.hstack([rng.uniform(-1, 1, (4, 3)) for _ in range(5)])
+    npt.assert_allclose(layers.gru_sequence(columns, p, keep, reverse=reverse).data,
+                        gru_sequence_reference(columns, p, keep, reverse=reverse).data,
+                        rtol=0, atol=1e-12)
+    tensors = list(p.named().values()) + columns
+    grads = _tape_gradients(
+        (layers.gru_sequence, gru_sequence_reference), tensors,
+        lambda run: _weighted_sum(run(columns, p, keep, reverse=reverse), weights))
+    for fused_grad, reference_grad in zip(*grads):
+        npt.assert_allclose(fused_grad, reference_grad, rtol=0, atol=1e-10)
+
+
 @pytest.mark.parametrize("reverse", [False, True])
 def test_gru_sequence_grad_check_with_input_columns(rng, reverse):
     p = make_gru(3, 2, seed=65)

@@ -199,6 +199,97 @@ def test_encode_samples_runs_one_recurrence_per_level(tiny_setup, monkeypatch, s
     assert calls == {"gru_sequence": 8, "bigru": 4}
 
 
+def _lengths_document(doc_id, news, comments, entities, vocab):
+    """A document whose sentences have the given word counts, in order."""
+    tokens = vocab.tokens()[2:]
+
+    def sentences(lengths, shift):
+        return [[tokens[(shift + i + j) % len(tokens)] for j in range(n)]
+                for i, n in enumerate(lengths)]
+
+    return data.Document(doc_id, sentences(news, 0), sentences(comments, 3),
+                         [("acme", sentences(entities, 6))] if entities else [], len(news) % 2)
+
+
+# per sample: word counts of its (news, comment, entity) sentences
+PACKED_BATCHES = {
+    "one-sample": [([3, 1, 2], [2, 4], [1, 3])],
+    "one-word-sentences": [([1, 1], [1], [1, 1]), ([1], [1, 1, 1], [1])],
+    "one-sample-one-word": [([1], [1], [1])],
+    "full-length-sentence": [([4, 2], [6, 1], [4]), ([1, 4], [3], [2, 5])],
+    "tied-lengths": [([2, 2], [2, 2], [2]), ([2], [2], [2, 2])],
+    "already-sorted": [([4, 3], [3, 2], [2, 2]), ([2, 1], [1], [1])],
+    "reverse-sorted": [([1, 2], [1], [1, 1]), ([2, 3], [2, 3], [3, 4])],
+    "no-entity-side": [([2, 3], [1, 2], []), ([3], [4], [])],
+    "no-comment-side": [([3, 1], [], [2]), ([2], [], [4, 1])],
+}
+
+
+def _packed_batch(tiny_setup, case):
+    hp, params, vocab, emb, _ = tiny_setup
+    hp = dataclasses.replace(hp, max_words=4, max_news_sentences=3,
+                             max_entity_sentences=3, max_comment_sentences=3)
+    docs = [_lengths_document(f"s{i}", *lengths, vocab)
+            for i, lengths in enumerate(PACKED_BATCHES[case])]
+    return hp, params, emb, [data.encode_document(d, vocab, hp) for d in docs]
+
+
+@pytest.mark.parametrize("case", PACKED_BATCHES)
+def test_length_sorted_word_recurrence_matches_oracle(tiny_setup, case):
+    hp, params, emb, samples = _packed_batch(tiny_setup, case)
+    if case == "full-length-sentence":   # 6 and 5 words are cut to max_words
+        assert samples[0].comment_word_mask[0].all() and samples[1].entity_word_mask[1].all()
+    logits, _ = model.forward(model.encode_samples(samples, params, emb, hp), params)
+    for b, sample in enumerate(samples):
+        expected, _ = model_forward_loops(sample, params, emb, hp)
+        npt.assert_allclose(logits.data[:, b], expected, rtol=0, atol=1e-12)
+
+
+class _CandidateColumns:
+    """Stands in for ``numpy`` inside ``layers``: while a recurrence runs, it
+    adds up the columns of every ``tanh``, which a GRU step calls once, on
+    the candidates of the columns it computes."""
+
+    def __init__(self):
+        self.per_call = []
+        self.active = False
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def tanh(self, x, *args, **kwargs):
+        if self.active:
+            self.per_call[-1] += x.shape[1]
+        return np.tanh(x, *args, **kwargs)
+
+
+def test_word_recurrence_computes_only_real_column_steps(tiny_setup, monkeypatch):
+    # padded word steps cost nothing: each direction of a word-level BiGRU
+    # computes as many column-steps as its source has real words
+    hp, params, emb, samples = _packed_batch(tiny_setup, "reverse-sorted")
+    counter = _CandidateColumns()
+    recurrence = layers.gru_sequence
+
+    def counted(*args, **kwargs):
+        counter.per_call.append(0)
+        counter.active = True
+        try:
+            return recurrence(*args, **kwargs)
+        finally:
+            counter.active = False
+
+    monkeypatch.setattr(layers, "np", counter)
+    monkeypatch.setattr(layers, "gru_sequence", counted)
+    model.encode_samples(samples, params, emb, hp)
+    real_words = [sum(int(words[sents].sum()) for words, sents in side) for side in (
+        [(s.news_word_mask, s.news_sent_mask) for s in samples],
+        [(s.entity_word_mask, s.entity_sent_mask) for s in samples],
+        [(s.comment_word_mask, s.comment_sent_mask) for s in samples])]
+    assert real_words == [8, 9, 6]     # of 12, 16 and 9 column-steps on the trimmed axis
+    assert len(counter.per_call) == 8
+    assert counter.per_call[:6] == [n for n in real_words for _ in ("fwd", "bwd")]
+
+
 def test_sentence_without_words_fails_after_time_trimming(tiny_setup):
     # a real sentence slot whose words are all padding cannot be pooled: it
     # raises DegenerateMaskError (exit 2 on the command line), also when no
@@ -851,6 +942,26 @@ def test_checkpoint_round_trip_bit_exact(tiny_setup, tmp_path):
     restored = model.restore_params(hp_back, values)
     for name, tensor in restored.named().items():
         npt.assert_array_equal(tensor.data, named[name].data)
+
+
+def test_restore_params_loads_without_drawing_an_initialisation(tiny_setup, monkeypatch):
+    hp, _, _, _, _ = tiny_setup
+    values = model.ModelParams.create(hp, seed=9).copy_values()
+    first = np.random.default_rng(hp.seed)
+    bound = 1.0 / math.sqrt(hp.embedding_dim)
+    npt.assert_array_equal(model.ModelParams.create(hp).named()["news.word.fwd.reset.w"].data,
+                           first.uniform(-bound, bound, (hp.hidden_size, hp.embedding_dim)))
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("restore_params drew an initialisation")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    restored = model.restore_params(hp, values)
+    assert_flat_views(restored)
+    assert list(restored.named()) == list(values)
+    for name, tensor in restored.named().items():
+        assert tensor.data.tobytes() == values[name].tobytes(), name
+        assert not np.shares_memory(tensor.data, values[name]), name
 
 
 def test_checkpoint_rejects_garbage(tmp_path):
