@@ -2,7 +2,11 @@
 
 The graph is a tape: every differentiable operation appends one node to the
 active :class:`Graph`, and ``backward`` walks the tape in exact reverse
-append order, accumulating gradients additively into ``Tensor.grad``.
+append order, accumulating gradients additively into ``Tensor.grad``. A
+grad is allocated when its first contribution arrives, and a node whose
+output received no gradient is skipped. Each node's backward function, and
+with it every array the node saved for the backward pass, is released as
+soon as it has run, so a graph runs backward once.
 
 Operations run fine without an active graph (plain forward evaluation); a
 graph is only needed when gradients are wanted:
@@ -119,6 +123,7 @@ class Graph:
     def __init__(self):
         self._nodes: list[_Node] = []
         self._index: dict[int, int] = {}
+        self._spent = False
 
     def __enter__(self) -> "Graph":
         stack = getattr(_state, "stack", None)
@@ -145,23 +150,39 @@ class Graph:
         """Populate ``grad`` on every requires_grad tensor reachable from ``loss``.
 
         Gradients accumulate additively across fan-out; recorded tensors not
-        on the path to ``loss`` end up with all-zero grad.
+        on the path to ``loss`` end up with all-zero grad. A grad that is
+        still None is allocated when the first contribution to it arrives, a
+        node whose output received no gradient is skipped, and each node's
+        backward function is dropped as soon as it has run, which releases
+        the activations it saved while the pass goes on. So a graph runs
+        backward once: a second call raises :class:`GraphError`.
         """
+        if self._spent:
+            raise GraphError("backward already ran on this graph and released its saved "
+                             "activations; record the forward pass again on a new Graph")
         if loss.data.size != 1:
             raise GraphError(f"backward needs a scalar loss, got shape {loss.data.shape}")
         pos = self._index.get(id(loss))
         if pos is None:
             raise GraphError("loss tensor was not produced under this graph")
-        nodes = self._nodes[: pos + 1]
-        for node in nodes:
+        self._spent = True
+        if loss.grad is None:
+            loss.grad = np.zeros_like(loss.data)
+        loss.grad += 1.0
+        skipped = []
+        for node in reversed(self._nodes[: pos + 1]):
             if node.out.grad is None:
-                node.out.grad = np.zeros_like(node.out.data)
+                skipped.append(node)
+                continue
             for p in node.parents:
                 if p.requires_grad and p.grad is None:
                     p.grad = np.zeros_like(p.data)
-        loss.grad += 1.0
-        for node in reversed(nodes):
             node.backward_fn(node.out.grad)
+            node.backward_fn = None
+        for node in skipped:
+            for t in (node.out, *node.parents):
+                if t.requires_grad and t.grad is None:
+                    t.grad = np.zeros_like(t.data)
 
 
 def backward(loss: Tensor) -> None:

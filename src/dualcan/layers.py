@@ -27,9 +27,10 @@ from .autodiff import (
 
 def uniform_init(rows: int, cols: int, rng: np.random.Generator | None) -> Tensor:
     """Weight matrix drawn from U(-1/sqrt(fan_in), 1/sqrt(fan_in)); with no
-    ``rng``, zeros that only lay out a tensor whose values are loaded later."""
+    ``rng``, a read-only zero view that allocates nothing and only lays out a
+    tensor whose values are loaded later (``model.restore_params``)."""
     if rng is None:
-        return zeros_init(rows, cols)
+        return Tensor(np.broadcast_to(0.0, (rows, cols)), requires_grad=True)
     bound = 1.0 / np.sqrt(cols)
     return Tensor(rng.uniform(-bound, bound, size=(rows, cols)), requires_grad=True)
 
@@ -170,6 +171,12 @@ def gru_sequence(columns: list, p: GruParams, keep: list | None = None,
     of the live prefixes, so the weight and input gradients are one matmul
     each over live column-steps only. A step whose prefix keeps every column
     at exactly 1 takes the cell as its state without the keep blend.
+
+    The node saves only the gates, the candidates and its own output.
+    Backpropagation rebuilds the packed input, the stacked weights and the
+    state before each live column-step from the parents and the output, and
+    computes the step-independent factors of the gate gradients once over
+    all live column-steps, so each BPTT step is a few products.
     """
     if not columns:
         raise ShapeError("gru_sequence over an empty sequence")
@@ -181,9 +188,6 @@ def gru_sequence(columns: list, p: GruParams, keep: list | None = None,
     if keep is not None and (len(keep) != n or any(k.shape != (1, batch) for k in keep)):
         raise ShapeError(f"gru_sequence keep needs {n} rows of shape (1, {batch})")
     weights = tuple(p.named().values())   # reset, update, cand: w, u, b each
-    w = np.concatenate([p.w_reset.data, p.w_update.data, p.w_cand.data])   # [3h x in]
-    u_rz = np.concatenate([p.u_reset.data, p.u_update.data])              # [2h x h]
-    u_c = p.u_cand.data
     if keep is None:
         k, live, blend = None, [batch] * n, [False] * n
     else:
@@ -196,24 +200,33 @@ def gru_sequence(columns: list, p: GruParams, keep: list | None = None,
         live, blend = live.tolist(), (first_partial < live).tolist()
     # the live column-steps of step t are packed columns start[t] .. start[t + 1] - 1
     start = [0, *accumulate(live)]
-    x = np.concatenate([col.data[:, :width] for col, width in zip(columns, live)], axis=1)
-    x_gates = w @ x                                                       # [3h x R]
-    x_gates += np.concatenate([p.b_reset.data, p.b_update.data, p.b_cand.data])
+
+    # backward rebuilds these from the parents instead of keeping them
+    def stacked(*tensors):
+        return np.concatenate([t.data for t in tensors])
+
+    def packed_x():
+        return np.concatenate([col.data[:, :width] for col, width in zip(columns, live)],
+                              axis=1)                                     # [in x R]
+
+    x_gates = stacked(p.w_reset, p.w_update, p.w_cand) @ packed_x()       # [3h x R]
+    x_gates += stacked(p.b_reset, p.b_update, p.b_cand)
+    u_rz = stacked(p.u_reset, p.u_update)                                 # [2h x h]
     order = range(n - 1, -1, -1) if reverse else range(n)
-    # per live column-step: the carried state before it, both gates, the
-    # candidate; and per step the state of every column after it
-    prev, gates, cand = (np.empty((rows, start[-1])) for rows in (h, 2 * h, h))
+    # stored per live column-step: both gates and the candidate; and per
+    # step the state of every column after it, which is the output
+    gates, cand = np.empty((2 * h, start[-1])), np.empty((h, start[-1]))
     states = np.empty((h, n, batch))
     state = np.zeros((h, batch))
     for t in order:
         width = live[t]
         if width:
             packed = slice(start[t], start[t + 1])
-            s = prev[:, packed] = state[:, :width]
+            s = state[:, :width]
             a = u_rz @ s
             a += x_gates[:2 * h, packed]
             rz = gates[:, packed] = 1.0 / (1.0 + np.exp(-a))
-            c = u_c @ (rz[:h] * s)
+            c = p.u_cand.data @ (rz[:h] * s)
             c += x_gates[2 * h:, packed]
             c = cand[:, packed] = np.tanh(c)
             cell = s + rz[h:] * (c - s)
@@ -226,6 +239,16 @@ def gru_sequence(columns: list, p: GruParams, keep: list | None = None,
         states[:, t] = state
 
     def backward(grad):
+        # the carried state before each live column-step, packed like gates
+        zero, back = np.zeros((h, batch)), 1 if reverse else -1
+        prev = np.concatenate([(zero if t == order[0] else states[:, t + back])[:, :width]
+                               for t, width in enumerate(live)], axis=1)  # [h x R]
+        r, z = gates[:h], gates[h:]
+        # the step-independent factors of the three gate pre-activation gradients
+        f_cand = z * (1.0 - cand * cand)
+        f_reset = prev * r * (1.0 - r)
+        f_update = (cand - prev) * z * (1.0 - z)
+        u_rz_t, u_c_t = stacked(p.u_reset, p.u_update).T, p.u_cand.data.T
         g = grad.reshape(h, n, batch)
         d_pre = np.empty((3 * h, start[-1]))    # gate pre-activation gradients, packed
         carry = np.zeros((h, batch))
@@ -237,26 +260,27 @@ def gru_sequence(columns: list, p: GruParams, keep: list | None = None,
             packed = slice(start[t], start[t + 1])
             d_state = carry[:, :width]
             d_cell = k[t, :width] * d_state if blend[t] else d_state
-            r, z, c, s = gates[:h, packed], gates[h:, packed], cand[:, packed], prev[:, packed]
-            d_pre[2 * h:, packed] = d_cand = d_cell * z * (1.0 - c * c)
-            d_rs = u_c.T @ d_cand
-            d_pre[:h, packed] = d_rs * s * r * (1.0 - r)
-            d_pre[h:2 * h, packed] = d_cell * (c - s) * z * (1.0 - z)
-            d_prev = d_state - d_cell * z + d_rs * r + u_rz.T @ d_pre[:2 * h, packed]
+            d_cand = np.multiply(d_cell, f_cand[:, packed], out=d_pre[2 * h:, packed])
+            d_rs = u_c_t @ d_cand
+            np.multiply(d_rs, f_reset[:, packed], out=d_pre[:h, packed])
+            np.multiply(d_cell, f_update[:, packed], out=d_pre[h:2 * h, packed])
+            d_prev = d_state - d_cell * z[:, packed] + d_rs * r[:, packed] \
+                + u_rz_t @ d_pre[:2 * h, packed]
             if width == batch:
                 carry = d_prev
             else:
                 carry[:, :width] = d_prev
-        d_w = d_pre @ x.T                                                  # [3h x in]
+        del f_cand, f_reset, f_update   # before the products below allocate theirs
+        d_w = d_pre @ packed_x().T                                         # [3h x in]
         d_u = np.concatenate([d_pre[:2 * h] @ prev.T,
-                              d_pre[2 * h:] @ (gates[:h] * prev).T])       # [3h x h]
+                              d_pre[2 * h:] @ (r * prev).T])               # [3h x h]
         d_b = d_pre.sum(axis=1, keepdims=True)                             # [3h x 1]
         for i, tensor in enumerate(weights):
             if tensor.requires_grad:
                 gate = slice(i // 3 * h, (i // 3 + 1) * h)
                 tensor.grad += (d_w, d_u, d_b)[i % 3][gate]
         if any(col.requires_grad for col in columns):
-            d_x = w.T @ d_pre
+            d_x = stacked(p.w_reset, p.w_update, p.w_cand).T @ d_pre
             for t, col in enumerate(columns):
                 if col.requires_grad:
                     col.grad[:, :live[t]] += d_x[:, start[t]:start[t + 1]]

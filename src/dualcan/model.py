@@ -13,6 +13,7 @@ co-attention inputs, so perturbing padded content cannot change the logits.
 
 from __future__ import annotations
 
+import ctypes
 import io
 import math
 from dataclasses import dataclass, field, fields
@@ -50,6 +51,33 @@ class DivergenceError(RuntimeError):
 MODES = ("N+E", "N+C", "N+C+E")
 
 _CHECKPOINT_MAGIC = "DUALCAN-CKPT v1"
+
+# mallopt parameter numbers from glibc's <malloc.h>
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+
+
+def _keep_heap() -> None:
+    """Keep freed memory on glibc's heap instead of handing it back to the OS.
+
+    A training step frees most of what it allocated when its graph goes. By
+    default glibc adjusts its trim and mmap thresholds as large blocks are
+    freed and hands the free top of the heap back to the OS past the trim
+    threshold, so the next step faults the same pages in again. Setting
+    either threshold turns off the adjustment of both, so both are set:
+    never trim, and mmap blocks of 32 MiB and more, the ceiling glibc's own
+    adjustment reaches on 64-bit. Without glibc this does nothing.
+    """
+    try:
+        mallopt = ctypes.CDLL("libc.so.6").mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_TRIM_THRESHOLD, -1)
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+
+
+_keep_heap()
 
 
 @dataclass
@@ -578,7 +606,7 @@ def train(train_samples: list, val_samples: list, hp: HyperParams,
     state = AdamState.create(params)
     shuffle_rng = np.random.default_rng(np.random.SeedSequence([hp.seed, 7]))
     history: list[EpochLog] = []
-    best_values = params.copy_values()
+    best_values = None
     # best checkpoint: highest val macro-F1, ties broken by lower train loss;
     # patience counts epochs since the F1 itself last improved
     best_key = (-1.0, 0.0)
@@ -610,6 +638,7 @@ def train(train_samples: list, val_samples: list, hp: HyperParams,
             improved_f1 = val_report["f1_macro"] > best_key[0]
             best_key = key
             best_epoch = epoch
+            best_values = None   # release the old snapshot before copying the new one
             best_values = params.copy_values()
             if improved_f1:
                 since_best = 0
@@ -617,7 +646,8 @@ def train(train_samples: list, val_samples: list, hp: HyperParams,
         since_best += 1
         if since_best >= hp.patience:
             break
-    params.load_values(best_values)
+    if best_values is not None:   # None only when max_epochs < 1
+        params.load_values(best_values)
     return TrainResult(params, history, best_epoch, best_key[0])
 
 

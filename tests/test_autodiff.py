@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -311,6 +313,42 @@ def test_backward_off_path_gets_zero_grad():
     g.backward(loss)
     assert x.grad[0, 0] == 1.0
     npt.assert_array_equal(y.grad, [[0.0]])
+
+
+def test_second_backward_on_one_graph_raises_and_keeps_first_grads():
+    x = ad.Tensor([[2.0]], requires_grad=True)
+    g = ad.Graph()
+    with g:
+        t = ad.tanh(x)
+        loss = ad.sum_all(ad.mul(t, t))
+    g.backward(loss)
+    first = x.grad.copy()
+    npt.assert_allclose(first, 2.0 * np.tanh(2.0) * (1.0 - np.tanh(2.0) ** 2), rtol=1e-15)
+    with pytest.raises(ad.GraphError, match="already ran on this graph"):
+        g.backward(loss)
+    npt.assert_array_equal(x.grad, first)
+
+
+def test_backward_releases_what_a_node_saved():
+    x = ad.Tensor([[0.5, -1.0]], requires_grad=True)
+
+    def scaled(x):
+        saved = np.array([[3.0, 4.0]])
+
+        def backward(g):
+            x.grad += g * saved
+
+        return ad.fused("scaled", x.data * saved, (x,), backward), weakref.ref(saved)
+
+    g = ad.Graph()
+    with g:
+        y, saved = scaled(x)
+        loss = ad.sum_all(y)
+    assert saved() is not None
+    g.backward(loss)
+    # the graph is still referenced, but the node's backward has run
+    assert len(g) == 2 and saved() is None
+    npt.assert_array_equal(x.grad, [[3.0, 4.0]])
 
 
 def test_backward_rejects_non_scalar():

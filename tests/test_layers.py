@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -172,6 +174,30 @@ def test_gru_sequence_records_one_node(rng):
         out = layers.gru_sequence(columns_of(rng.uniform(-1, 1, (2, 5))), p)
     assert [node.op for node in g._nodes] == ["gru_sequence"]
     assert out.shape == (3, 5)
+
+
+def test_gru_sequence_node_holds_only_gates_candidates_and_states(rng):
+    h, d, batch, steps = 32, 24, 12, 20
+    p = make_gru(d, h, seed=67)
+    lengths = np.sort(rng.integers(1, steps + 1, batch))[::-1]
+    mask = np.arange(steps) < lengths[:, None]                # [B x T], length-sorted
+    columns = [ad.Tensor(rng.uniform(-1, 1, (d, batch)), requires_grad=True)
+               for _ in range(steps)]
+    keep = keep_rows(mask)
+    g = ad.Graph()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        with g:
+            out = layers.gru_sequence(columns, p, keep)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    live = int(mask.sum())   # each step's live prefix is exactly its real columns
+    # the output states [h x T*B], gates [2h x R] and candidates [h x R]; the
+    # packed input, previous states and stacked weights would add over 80 KB
+    stored = out.data.nbytes + 3 * h * live * 8
+    assert stored <= held <= stored + 16_384, (held, stored)
 
 
 def _weighted_sum(out, weights):

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -899,6 +900,52 @@ def test_train_logs_largest_pre_clip_gradient_norm(tiny_setup, monkeypatch):
     assert [h.grad_norm for h in result.history] == [max(norms[:per_epoch]),
                                                      max(norms[per_epoch:])]
     assert all(n > 0 for n in norms)
+
+
+def test_train_snapshots_once_per_improving_epoch(tiny_setup, monkeypatch):
+    hp, params, vocab, emb, _ = tiny_setup
+    hp2 = dataclasses.replace(hp, max_epochs=3, patience=3, learning_rate=0.02)
+    samples = _toy_split(hp2, vocab, emb, n=8)
+    evaluations, copies = [], []
+    evaluate, copy_values = model.evaluate, model.FlatParams.copy_values
+
+    def counted_evaluate(*args, **kwargs):
+        evaluations.append(None)
+        return evaluate(*args, **kwargs)
+
+    def recorded_copy(self):
+        values = copy_values(self)
+        copies.append((len(evaluations), values))   # the epoch it followed
+        return values
+
+    monkeypatch.setattr(model, "evaluate", counted_evaluate)
+    monkeypatch.setattr(model.FlatParams, "copy_values", recorded_copy)
+    result = model.train(samples[:5], samples, hp2, params, emb)
+    best, improving = (-1.0, 0.0), []
+    for log in result.history:
+        key = (log.val["f1_macro"], -log.train_loss)
+        if key > best:
+            best, improving = key, improving + [log.epoch]
+    # two snapshots, and the last epoch is not the best, so the restore matters
+    assert len(improving) >= 2 and result.best_epoch == improving[-1] < len(result.history)
+    assert [epoch for epoch, _ in copies] == improving
+    for name, tensor in result.params.named().items():
+        npt.assert_array_equal(tensor.data, copies[-1][1][name])
+
+
+def test_restore_params_peaks_at_about_two_flat_vectors():
+    hp = dataclasses.replace(model.HyperParams(), embedding_dim=48, hidden_size=48)
+    values = model.ModelParams.create(hp, seed=9).copy_values()
+    flat = sum(v.nbytes for v in values.values())
+    tracemalloc.start()
+    try:
+        restored = model.restore_params(hp, values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the values and the grads vector; no zero layout concatenated and dropped
+    assert peak <= 2.1 * flat, peak / flat
+    assert restored.values.nbytes == flat
 
 
 def test_train_rejects_empty_split(tiny_setup):
