@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import re
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -127,35 +128,92 @@ class EmbeddingTable:
         return self.matrix[ids]
 
 
-def load_embeddings(path, vocab: Vocabulary) -> EmbeddingTable:
-    """Read a text embedding file (token then d floats per line).
+# kept rows parsed per np.loadtxt call: bounds the value text held at once
+_EMBEDDING_BLOCK = 1 << 12
 
-    Vocabulary tokens absent from the file keep zero vectors; lines whose
-    width disagrees with the first line raise a format error naming the line.
+
+def load_embeddings(path, vocab: Vocabulary) -> EmbeddingTable:
+    """Read a text embedding file: a token, then its values, one line each.
+
+    Values are separated by single spaces. Line 1 sets the width d, and every
+    line must have d values. Only the rows of vocabulary tokens are parsed;
+    their values must be finite decimals (``nan``, ``inf`` and underscores as
+    in ``1_0`` fail). When a token appears twice, the later line wins. There
+    is no header line, so a word2vec ``count dim`` first line fails at line 2.
+    Each of these errors is a DatasetFormatError naming ``path:line``, and the
+    first bad line in file order is the one reported. Vocabulary tokens
+    absent from the file keep zero vectors.
+
+    The file is streamed. Each line is split once at its first space, and
+    the value text of vocabulary rows is parsed in blocks of
+    ``_EMBEDDING_BLOCK`` rows.
     """
     dim = None
     matrix = None
+    block = []  # (line number, vocabulary id, value text) not parsed yet
+    id_of = vocab.id_of
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
-            parts = line.rstrip("\n").split(" ")
-            if len(parts) < 2:
-                raise DatasetFormatError(f"{path}:{line_no}: embedding line has no values")
-            token, values = parts[0], parts[1:]
-            if dim is None:
-                dim = len(values)
+            token, sep, values = line.partition(" ")  # loadtxt takes the "\n"
+            width = values.count(" ") + 1
+            if dim is None and sep:
+                dim = width
                 matrix = np.zeros((len(vocab), dim))
-            elif len(values) != dim:
-                raise DatasetFormatError(
-                    f"{path}:{line_no}: expected {dim} values, found {len(values)}")
-            tid = vocab.id_of(token)
+            if not sep or width != dim:
+                _parse_block(path, block, matrix, vocab)  # an earlier bad line reports first
+                problem = (f"expected {dim} values, found {width}" if sep
+                           else "embedding line has no values")
+                raise DatasetFormatError(f"{path}:{line_no}: {problem}")
+            tid = id_of(token)
             if tid > OOV_ID:
-                try:
-                    matrix[tid] = [float(v) for v in values]
-                except ValueError as e:
-                    raise DatasetFormatError(f"{path}:{line_no}: non-numeric value") from e
+                block.append((line_no, tid, values))
+                if len(block) == _EMBEDDING_BLOCK:
+                    _parse_block(path, block, matrix, vocab)
+                    block = []
     if dim is None:
         raise DatasetFormatError(f"{path}: empty embedding file")
+    _parse_block(path, block, matrix, vocab)
     return EmbeddingTable(matrix, dim)
+
+
+def _parse_rows(texts: list, dim: int) -> np.ndarray:
+    """[len(texts) x dim] float64 values; ValueError on any malformed text."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # loadtxt warns when every text is blank
+        rows = np.loadtxt(texts, dtype=np.float64, delimiter=" ", ndmin=2, comments=None)
+    if rows.shape != (len(texts), dim):
+        raise ValueError("loadtxt skips a blank text")
+    return rows
+
+
+def _parse_block(path, block: list, matrix: np.ndarray, vocab: Vocabulary) -> None:
+    """Parse kept rows into ``matrix`` by id; of two lines of one token the
+    later wins."""
+    if not block:
+        return
+    try:
+        rows = _parse_rows([text for _, _, text in block], matrix.shape[1])
+        good = bool(np.isfinite(rows).all())
+    except ValueError:
+        good = False
+    if not good:
+        raise _first_bad_row(path, block, matrix.shape[1], vocab)
+    # a repeated index in one fancy assignment has no defined winner
+    latest = {tid: i for i, (_, tid, _) in enumerate(block)}
+    matrix[list(latest)] = rows[list(latest.values())]
+
+
+def _first_bad_row(path, block: list, dim: int, vocab: Vocabulary) -> DatasetFormatError:
+    """The error naming the first row of a failed block that fails on its own."""
+    for line_no, tid, text in block:
+        try:
+            row = _parse_rows([text], dim)
+        except ValueError:
+            return DatasetFormatError(f"{path}:{line_no}: non-numeric value")
+        if not np.isfinite(row).all():
+            return DatasetFormatError(
+                f"{path}:{line_no}: non-finite value for token {vocab.token_of(tid)!r}")
+    return DatasetFormatError(f"{path}:{block[0][0]}-{block[-1][0]}: rows fail to parse together")
 
 
 def _normalize_name(name: str) -> str:

@@ -671,7 +671,7 @@ def save_checkpoint(path, hp: HyperParams, params: ModelParams) -> None:
     with open(path, "wb") as fh:
         fh.write(header.getvalue().encode("utf-8"))
         # the tensors lie back to back in header order in the flat vector
-        fh.write(params.values.astype("<f8").tobytes())
+        fh.write(memoryview(params.values.astype("<f8", copy=False)))
 
 
 def load_checkpoint(path):

@@ -239,6 +239,37 @@ def test_eval_empty_dataset_errors(trained_dir, tmp_path):
                    "--config", str(cfg)) == 2
 
 
+def _config_with_nan_embedding(synth_dir, tmp_path):
+    """The synthetic config pointed at a copy of its embeddings whose ``a``
+    line starts with nan; returns (config path, embeddings path, line)."""
+    lines = (synth_dir / "embeddings.txt").read_text().splitlines(keepends=True)
+    line_no = next(i for i, line in enumerate(lines, start=1) if line.startswith("a "))
+    values = lines[line_no - 1].split(" ")
+    lines[line_no - 1] = " ".join(["a", "nan"] + values[2:])
+    emb = tmp_path / "nan_emb.txt"
+    emb.write_text("".join(lines))
+    cfg = tmp_path / "cfg.cfg"
+    cfg.write_text(re.sub(r"embeddings = .*", f"embeddings = {emb}",
+                          (synth_dir / "config.cfg").read_text()))
+    return cfg, emb, line_no
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_non_finite_embedding_is_data_error_before_training(synth_dir, trained_dir, tmp_path,
+                                                            capsys, command):
+    cfg, emb, line_no = _config_with_nan_embedding(synth_dir, tmp_path)
+    out = tmp_path / "out"
+    argv = ["--config", str(cfg), "--out", str(out / "metrics.json" if command == "eval" else out)]
+    if command == "eval":
+        argv += ["--checkpoint", str(trained_dir / "checkpoint.bin")]
+    else:
+        argv += ["--set", "hp.max_epochs=1"]
+    assert run_cli(command, *argv) == 2
+    err = capsys.readouterr().err
+    assert f"data error: {emb}:{line_no}: non-finite value for token 'a'" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag", [("--profile", "gossipcop"), ("--seed", "3"),
                                   ("--set", "hp.batch_size=1"), ("--set", "hp.hidden_size=999")])
 @pytest.mark.parametrize("command", ["eval", "explain"])

@@ -146,6 +146,155 @@ def test_load_embeddings_checksums_against_alternate_parser(tmp_path, rng):
         assert table.matrix[vocab.id_of(token)].sum() == pytest.approx(checksum, abs=1e-12)
 
 
+@pytest.fixture(params=["one block", "blocks of 3"])
+def embedding_block(request, monkeypatch):
+    # the loader parses kept rows in blocks; small blocks must give the same
+    # matrix and the same error lines (raising=False keeps these tests
+    # meaningful for a loader without blocks)
+    if request.param == "blocks of 3":
+        monkeypatch.setattr(data, "_EMBEDDING_BLOCK", 3, raising=False)
+
+
+def _float_parse(path, vocab: data.Vocabulary) -> np.ndarray:
+    """Reference reader: every vocabulary row through float(), the last line
+    of a token winning."""
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    matrix = np.zeros((len(vocab), len(lines[0].split(" ")) - 1))
+    for line in lines:
+        token, *values = line.split(" ")
+        tid = vocab.id_of(token)
+        if tid > data.OOV_ID:
+            matrix[tid] = [float(v) for v in values]
+    return matrix
+
+
+def _write_lines(path, lines, newline="\n"):
+    path.write_bytes("".join(line + newline for line in lines).encode("utf-8"))
+
+
+def _vocab_of(tokens) -> data.Vocabulary:
+    vocab = data.Vocabulary()
+    for token in tokens:
+        vocab.add(token)
+    return vocab
+
+
+def _full_precision_lines(rng, tokens, dim):
+    # repr round-trips every bit; exponents reach +-300
+    values = rng.standard_normal((len(tokens), dim)) * 10.0 ** rng.integers(-300, 301,
+                                                                              (len(tokens), dim))
+    return [token + " " + " ".join(repr(float(v)) for v in row)
+            for token, row in zip(tokens, values)]
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+def test_load_embeddings_matches_float_parse(tmp_path, rng, embedding_block, newline):
+    # vocabulary rows among rows the corpus never uses, and one token twice
+    tokens = [f"{'v' if i % 3 else 'x'}{i}" for i in range(20)] + ["v1"]
+    vocab = _vocab_of([t for t in tokens if t[0] == "v"] + ["absent"])
+    path = tmp_path / "emb.txt"
+    _write_lines(path, _full_precision_lines(rng, tokens, 6), newline)
+    table = data.load_embeddings(path, vocab)
+    assert table.dim == 6
+    expected = _float_parse(path, vocab)
+    npt.assert_array_equal(table.matrix, expected)
+    later = [float(v) for v in path.read_text().splitlines()[-1].split(" ")[1:]]
+    npt.assert_array_equal(table.matrix[vocab.id_of("v1")], later)
+    npt.assert_array_equal(table.matrix[vocab.id_of("absent")], np.zeros(6))
+
+
+@pytest.mark.parametrize("n_rows, dim", [(1, 5), (7, 1)], ids=["one-row", "d=1"])
+def test_load_embeddings_matches_float_parse_small_shapes(tmp_path, rng, embedding_block,
+                                                          n_rows, dim):
+    tokens = [f"t{i}" for i in range(n_rows)]
+    vocab = _vocab_of(tokens[::2])
+    path = tmp_path / "emb.txt"
+    _write_lines(path, _full_precision_lines(rng, tokens, dim))
+    table = data.load_embeddings(path, vocab)
+    assert table.dim == dim
+    npt.assert_array_equal(table.matrix, _float_parse(path, vocab))
+
+
+def test_load_embeddings_later_duplicate_line_wins(tmp_path, embedding_block):
+    path = tmp_path / "emb.txt"
+    _write_lines(path, ["a 1 2", "b 3 4", "a 5 6", "c 7 8", "a 9 10", "b 11 12"])
+    vocab = _vocab_of(["a", "b", "c"])
+    matrix = data.load_embeddings(path, vocab).matrix
+    npt.assert_array_equal(matrix[2:], [[9, 10], [11, 12], [7, 8]])
+
+
+def test_load_embeddings_bad_value_on_earlier_duplicate_still_raises(tmp_path,
+                                                                      embedding_block):
+    path = tmp_path / "emb.txt"
+    _write_lines(path, ["a 1 2", "b 3 oops", "c 5 6", "b 7 8"])
+    with pytest.raises(data.DatasetFormatError, match=r"emb\.txt:2: non-numeric value"):
+        data.load_embeddings(path, _vocab_of(["a", "b"]))
+
+
+def test_load_embeddings_ignores_non_numeric_row_outside_vocabulary(tmp_path,
+                                                                     embedding_block):
+    path = tmp_path / "emb.txt"
+    _write_lines(path, ["a 1 2", "zz oops 0x1", "b 3 4"])
+    matrix = data.load_embeddings(path, _vocab_of(["a", "b"])).matrix
+    npt.assert_array_equal(matrix[2:], [[1, 2], [3, 4]])
+
+
+def test_load_embeddings_width_mismatch_outside_vocabulary_names_line(tmp_path,
+                                                                      embedding_block):
+    path = tmp_path / "emb.txt"
+    _write_lines(path, ["a 1 2", "b 3 4", "zz 1 2 3", "c 5 6"])
+    with pytest.raises(data.DatasetFormatError,
+                       match=r"emb\.txt:3: expected 2 values, found 3"):
+        data.load_embeddings(path, _vocab_of(["a", "b", "c"]))
+
+
+def test_load_embeddings_names_the_bad_line_not_the_first_kept_row(tmp_path,
+                                                                   embedding_block):
+    lines = [f"t{i} {i}.5 -{i}e-3" for i in range(1, 11)]
+    lines[6] = "t7 1.0 1..0"
+    path = tmp_path / "emb.txt"
+    _write_lines(path, lines)
+    with pytest.raises(data.DatasetFormatError, match=r"emb\.txt:7: non-numeric value$"):
+        data.load_embeddings(path, _vocab_of(f"t{i}" for i in range(1, 11)))
+
+
+@pytest.mark.parametrize("lines, message", [
+    (["a 1 2", "b 3 x", "c 5 6", "d 7 8", "e 9"], "non-numeric value"),  # before a width error
+    (["a 1 2", "b nan 2", "c x 2"], "non-finite value"),  # before a non-numeric value
+], ids=["numeric-then-width", "finite-then-numeric"])
+def test_load_embeddings_reports_the_first_bad_line_in_file_order(tmp_path, embedding_block,
+                                                                  lines, message):
+    path = tmp_path / "emb.txt"
+    _write_lines(path, lines)
+    with pytest.raises(data.DatasetFormatError, match=rf"emb\.txt:2: {message}"):
+        data.load_embeddings(path, _vocab_of("abcde"))
+
+
+@pytest.mark.parametrize("value", ["1_0", "0x10", "", "1,5"])
+def test_load_embeddings_rejects_non_decimal_values(tmp_path, embedding_block, value):
+    # underscores, hex, empty fields and commas are not decimals
+    path = tmp_path / "emb.txt"
+    _write_lines(path, ["a 1", "b 2", f"c {value}"])
+    with pytest.raises(data.DatasetFormatError, match=r"emb\.txt:3: non-numeric value"):
+        data.load_embeddings(path, _vocab_of("abc"))
+
+
+@pytest.mark.parametrize("value", ["nan", "-inf", "INF", "1e999"])
+def test_load_embeddings_rejects_non_finite_values(tmp_path, embedding_block, value):
+    path = tmp_path / "emb.txt"
+    _write_lines(path, ["a 1 2", "zz nan 0", "b 3 4", f"c 5 {value}", "d 6 7"])
+    with pytest.raises(data.DatasetFormatError,
+                       match=r"emb\.txt:4: non-finite value for token 'c'"):
+        data.load_embeddings(path, _vocab_of("abcd"))
+
+
+def test_load_embeddings_word2vec_header_fails_at_line_2(tmp_path):
+    path = tmp_path / "emb.txt"
+    _write_lines(path, ["2 3", "a 1 2 3", "b 4 5 6"])
+    with pytest.raises(data.DatasetFormatError, match=r"emb\.txt:2: expected 1 values"):
+        data.load_embeddings(path, _vocab_of("ab"))
+
+
 # ---------------------------------------------------------------------------
 # entity resolution
 # ---------------------------------------------------------------------------
