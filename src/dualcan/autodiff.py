@@ -14,7 +14,7 @@ graph is only needed when gradients are wanted:
     g = Graph()
     with g:
         loss = sum_all(mul(x, x))
-    backward(loss)          # x.grad now holds 2*x
+    g.backward(loss)        # x.grad now holds 2*x
 
 A graph and the tensors recorded on it belong to one thread (the active
 graph is thread-local); independent graphs may run concurrently in other
@@ -193,7 +193,10 @@ def backward(loss: Tensor) -> None:
     g.backward(loss)
 
 
-def _result(op: str, data: np.ndarray, parents: tuple, backward_fn) -> Tensor:
+def fused(op: str, data: np.ndarray, parents: tuple, backward_fn) -> Tensor:
+    """Record ``data``, computed from ``parents``, as one tape node named
+    ``op``. ``backward_fn(g)`` receives the output gradient and must add into
+    ``grad`` of every parent that requires grad."""
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
@@ -205,13 +208,6 @@ def _result(op: str, data: np.ndarray, parents: tuple, backward_fn) -> Tensor:
         out.requires_grad = True
         g._record(out, parents, backward_fn, op)
     return out
-
-
-def fused(op: str, data: np.ndarray, parents: tuple, backward_fn) -> Tensor:
-    """Record ``data``, computed outside this module from ``parents``, as one
-    tape node named ``op``. ``backward_fn(g)`` receives the output gradient
-    and must add into ``grad`` of every parent that requires grad."""
-    return _result(op, data, parents, backward_fn)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -243,7 +239,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         if b.requires_grad:
             b.grad += a.data.T @ g
 
-    return _result("matmul", data, (a, b), bwd)
+    return fused("matmul", data, (a, b), bwd)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -259,7 +255,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         if b.requires_grad:
             b.grad += _unbroadcast(g, b.data.shape)
 
-    return _result("add", data, (a, b), bwd)
+    return fused("add", data, (a, b), bwd)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
@@ -274,7 +270,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
         if b.requires_grad:
             b.grad -= _unbroadcast(g, b.data.shape)
 
-    return _result("sub", data, (a, b), bwd)
+    return fused("sub", data, (a, b), bwd)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -290,7 +286,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         if b.requires_grad:
             b.grad += _unbroadcast(g * a.data, b.data.shape)
 
-    return _result("mul", data, (a, b), bwd)
+    return fused("mul", data, (a, b), bwd)
 
 
 def scale(x: Tensor, c: float) -> Tensor:
@@ -302,7 +298,7 @@ def scale(x: Tensor, c: float) -> Tensor:
         if x.requires_grad:
             x.grad += g * c
 
-    return _result("scale", data, (x,), bwd)
+    return fused("scale", data, (x,), bwd)
 
 
 def tanh(x: Tensor) -> Tensor:
@@ -312,7 +308,7 @@ def tanh(x: Tensor) -> Tensor:
         if x.requires_grad:
             x.grad += (1.0 - data * data) * g
 
-    return _result("tanh", data, (x,), bwd)
+    return fused("tanh", data, (x,), bwd)
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -322,7 +318,7 @@ def sigmoid(x: Tensor) -> Tensor:
         if x.requires_grad:
             x.grad += data * (1.0 - data) * g
 
-    return _result("sigmoid", data, (x,), bwd)
+    return fused("sigmoid", data, (x,), bwd)
 
 
 def log(x: Tensor, floor: float = 0.0) -> Tensor:
@@ -341,7 +337,7 @@ def log(x: Tensor, floor: float = 0.0) -> Tensor:
             else:
                 x.grad += g / x.data
 
-    return _result("log", data, (x,), bwd)
+    return fused("log", data, (x,), bwd)
 
 
 def sum_all(x: Tensor) -> Tensor:
@@ -352,7 +348,7 @@ def sum_all(x: Tensor) -> Tensor:
         if x.requires_grad:
             x.grad += g[0, 0]
 
-    return _result("sum", data, (x,), bwd)
+    return fused("sum", data, (x,), bwd)
 
 
 def mean_all(x: Tensor) -> Tensor:
@@ -368,7 +364,7 @@ def transpose(x: Tensor) -> Tensor:
         if x.requires_grad:
             x.grad += g.T
 
-    return _result("transpose", data, (x,), bwd)
+    return fused("transpose", data, (x,), bwd)
 
 
 def concat(tensors: list, axis: int) -> Tensor:
@@ -389,7 +385,7 @@ def concat(tensors: list, axis: int) -> Tensor:
                 else:
                     t.grad += g[:, lo:hi]
 
-    return _result("concat", data, tuple(tensors), bwd)
+    return fused("concat", data, tuple(tensors), bwd)
 
 
 def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:
@@ -403,7 +399,7 @@ def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:
         if x.requires_grad:
             x.grad[start:stop, :] += g
 
-    return _result("slice_rows", data, (x,), bwd)
+    return fused("slice_rows", data, (x,), bwd)
 
 
 def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
@@ -417,7 +413,7 @@ def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
         if x.requires_grad:
             x.grad[:, start:stop] += g
 
-    return _result("slice_cols", data, (x,), bwd)
+    return fused("slice_cols", data, (x,), bwd)
 
 
 def gather_cols(x: Tensor, index) -> Tensor:
@@ -437,7 +433,7 @@ def gather_cols(x: Tensor, index) -> Tensor:
         if x.requires_grad:
             np.add.at(x.grad, (slice(None), index[live]), g[:, live])
 
-    return _result("gather_cols", data, (x,), bwd)
+    return fused("gather_cols", data, (x,), bwd)
 
 
 def softmax_rows(x: Tensor, mask=None) -> Tensor:
@@ -460,7 +456,7 @@ def softmax_rows(x: Tensor, mask=None) -> Tensor:
         if x.requires_grad:
             x.grad += softmax_backward(data, g)
 
-    return _result("softmax_rows", data, (x,), bwd)
+    return fused("softmax_rows", data, (x,), bwd)
 
 
 def masked_softmax(x: np.ndarray, mask=None) -> np.ndarray:

@@ -13,6 +13,7 @@ import argparse
 import csv
 import json
 import sys
+from collections import Counter
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -46,10 +47,9 @@ class RunConfig:
     split_seed: int = 0
     hp: HyperParams = None
 
-    def validate_paths(self, need_dataset: bool = True) -> None:
-        if need_dataset:
-            if self.dataset is None and not (self.train and self.val and self.test):
-                raise UsageError("config needs either 'dataset' or all of train/val/test")
+    def validate_paths(self) -> None:
+        if self.dataset is None and not (self.train and self.val and self.test):
+            raise UsageError("config needs either 'dataset' or all of train/val/test")
         if self.embeddings is None:
             raise UsageError("config needs an 'embeddings' path")
         for key in ("dataset", "train", "val", "test", "embeddings", "entities"):
@@ -58,6 +58,8 @@ class RunConfig:
                 raise DatasetFormatError(f"configured {key} path does not exist: {value}")
         if self.mode not in model.MODES:
             raise UsageError(f"mode must be one of {model.MODES}, got '{self.mode}'")
+        if self.split_seed < 0:
+            raise UsageError(f"split_seed must be non-negative, got {self.split_seed}")
 
 
 def _key_value(text: str, where: str) -> tuple:
@@ -107,7 +109,10 @@ def build_run_config(args) -> RunConfig:
         hp_values["seed"] = args.seed
     hp = HyperParams.profile(args.profile) if getattr(args, "profile", None) else HyperParams()
     config = RunConfig(**run_values, hp=replace(hp, **hp_values))
-    config.hp.validate()
+    try:
+        config.hp.validate()
+    except ValueError as e:
+        raise UsageError(str(e)) from e
     return config
 
 
@@ -133,11 +138,16 @@ def prepare_data(config: RunConfig, hp: HyperParams) -> PreparedData:
         return data_mod.resolve_documents(docs, resolver)
 
     if config.dataset:
-        docs = read(config.dataset)
-        train_docs, val_docs, test_docs = data_mod.split_dataset(docs, config.split_seed)
+        train_docs, val_docs, test_docs = data_mod.split_dataset(read(config.dataset),
+                                                                 config.split_seed)
     else:
         train_docs, val_docs, test_docs = read(config.train), read(config.val), read(config.test)
-    vocab = data_mod.Vocabulary.build(train_docs + val_docs + test_docs)
+    docs = train_docs + val_docs + test_docs
+    # ids key the samples of explain and its attention report
+    repeated = [i for i, n in Counter(doc.doc_id for doc in docs).items() if n > 1]
+    if repeated:
+        raise DatasetFormatError(f"document id {repeated[0]!r} appears more than once")
+    vocab = data_mod.Vocabulary.build(docs)
     table = data_mod.load_embeddings(config.embeddings, vocab)
     if table.dim != hp.embedding_dim:
         raise DatasetFormatError(
@@ -236,13 +246,10 @@ def _load_for_eval(args):
 
 
 def _pick_split(prepared: PreparedData, split: str) -> list:
-    if split == "train":
-        return prepared.train
-    if split == "val":
-        return prepared.val
-    if split == "test":
-        return prepared.test
-    return prepared.train + prepared.val + prepared.test
+    """Samples of ``split``: train, val, test or full (all three in that order)."""
+    if split == "full":
+        return prepared.train + prepared.val + prepared.test
+    return getattr(prepared, split)
 
 
 def cmd_eval(args) -> int:
@@ -260,19 +267,15 @@ def cmd_eval(args) -> int:
 
 def cmd_explain(args) -> int:
     hp, params, config, prepared = _load_for_eval(args)
-    samples = _pick_split(prepared, args.split)
-    by_id = {s.doc_id: s for s in samples}
-    wanted = [i.strip() for i in args.ids.split(",") if i.strip()] if args.ids else list(by_id)
-    entries, skipped = [], []
-    for doc_id in wanted:
-        sample = by_id.get(doc_id)
-        if sample is None:
-            skipped.append(doc_id)
-            continue
-        logits, attn = model.run_sample(model.ablate(sample, config.mode), params,
-                                        prepared.embeddings, hp)
-        probs = model.predict_probs(logits)
-        entries.append(interpret.report_entry(sample.doc_id, sample.label, probs, attn))
+    samples, skipped = _pick_split(prepared, args.split), []
+    if args.ids:
+        by_id = {s.doc_id: s for s in samples}
+        wanted = [i.strip() for i in args.ids.split(",") if i.strip()]
+        skipped = [i for i in wanted if i not in by_id]
+        samples = [by_id[i] for i in wanted if i in by_id]
+    predictions = model.predict(samples, params, prepared.embeddings, hp, config.mode)
+    entries = [interpret.report_entry(s.doc_id, s.label, probs, attn)
+               for s, (probs, attn) in zip(samples, predictions)]
     if not entries:
         raise DatasetFormatError("no requested sample ids were found")
     out = Path(args.out or config.out)
@@ -373,16 +376,12 @@ def main(argv=None) -> int:
         print(f"usage error: {e}", file=sys.stderr)
         return 1
     except (DatasetFormatError, DegenerateInputError, CheckpointError, MetricError,
-            DegenerateMaskError, ShapeError, FileNotFoundError) as e:
+            DegenerateMaskError, ShapeError, FileNotFoundError, UnicodeDecodeError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return 2
     except (NonFiniteError, DivergenceError) as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return 3
-    except ValueError as e:
-        # remaining ValueErrors come from configuration validation
-        print(f"usage error: {e}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

@@ -444,17 +444,15 @@ def encode_document(doc: Document, vocab: Vocabulary, hp) -> SampleArrays:
     )
 
 
-def split_dataset(docs: list, seed: int, ratios=(0.7, 0.1, 0.2)):
-    """Stratified train/val/test split, deterministic under the seed."""
-    if abs(sum(ratios) - 1.0) > 1e-9:
-        raise ValueError(f"split ratios must sum to 1, got {ratios}")
+def split_dataset(docs: list, seed: int):
+    """Stratified 70/10/20 train/val/test split, deterministic under the seed."""
     rng = np.random.default_rng(seed)
     train, val, test = [], [], []
     for label in (0, 1):
         group = [d for d in docs if d.label == label]
         order = rng.permutation(len(group))
-        n_train = int(round(ratios[0] * len(group)))
-        n_val = int(round(ratios[1] * len(group)))
+        n_train = int(round(0.7 * len(group)))
+        n_val = int(round(0.1 * len(group)))
         for rank, idx in enumerate(order):
             if rank < n_train:
                 train.append(group[idx])
@@ -516,6 +514,8 @@ class SyntheticSpec:
     def validate(self):
         if self.size <= 0:
             raise ValueError("size must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         if not 0.0 <= self.balance <= 1.0:
             raise ValueError("balance must be in [0, 1]")
         unknown = set(self.signal) - {"news", "comments", "entities"}

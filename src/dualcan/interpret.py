@@ -9,8 +9,11 @@ from __future__ import annotations
 
 import json
 from html import escape
+from pathlib import Path
 
 import numpy as np
+
+from .model import predicted_label
 
 CELL = 18
 LEFT_MARGIN = 34
@@ -23,7 +26,7 @@ def report_entry(doc_id: str, label: int, probs, attn) -> dict:
     return {
         "id": doc_id,
         "label": int(label),
-        "prediction": 1 if probs[1] > probs[0] else 0,
+        "prediction": predicted_label(probs),
         "probabilities": {"real": probs[0], "fake": probs[1]},
         "attention": {
             "news_entity": [float(x) for x in attn.news_entity],
@@ -91,8 +94,6 @@ def render_heatmap_svg(path, weights: np.ndarray, sample_ids: list, title: str) 
 
 def export_heatmaps(out_dir, entries: list) -> list:
     """One SVG per attention family, columns = samples in report order."""
-    from pathlib import Path
-
     out = Path(out_dir)
     families = [
         ("news_entity", "news sentences (entity block)"),

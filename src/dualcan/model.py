@@ -446,9 +446,8 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
 
 
 def predict_probs(logits: Tensor) -> np.ndarray:
-    z = logits.data.reshape(-1)
-    e = np.exp(z - z.max())
-    return e / e.sum()
+    """Class probabilities [2] of one sample's logits [2 x 1]."""
+    return masked_softmax(logits.data.reshape(-1))
 
 
 def predicted_label(probs: np.ndarray) -> int:
@@ -461,6 +460,18 @@ def run_sample(sample: SampleArrays, params: ModelParams, embeddings, hp: HyperP
     [2 x 1], AttentionReport)."""
     logits, reports = forward(encode_samples([sample], params, embeddings, hp), params)
     return logits, reports[0]
+
+
+def predict(samples: list, params: ModelParams, embeddings, hp: HyperParams, mode: str):
+    """Yield (class probabilities [2], AttentionReport) per sample, in input
+    order, running the forward pass in chunks of ``hp.batch_size`` under the
+    input ablation ``mode``."""
+    for start in range(0, len(samples), hp.batch_size):
+        chunk = samples[start:start + hp.batch_size]
+        if mode != "N+C+E":
+            chunk = [ablate(s, mode) for s in chunk]
+        logits, reports = forward(encode_samples(chunk, params, embeddings, hp), params)
+        yield from zip(masked_softmax(logits.data.T), reports)
 
 
 # ---------------------------------------------------------------------------
@@ -577,18 +588,9 @@ class TrainResult:
 def evaluate(samples: list, params: ModelParams, embeddings, hp: HyperParams,
              mode: str = "N+C+E") -> dict:
     """Metrics report over a sample list (no gradients recorded)."""
-    preds, labels, scores = [], [], []
-    for start in range(0, len(samples), hp.batch_size):
-        chunk = samples[start:start + hp.batch_size]
-        encoded = encode_samples([ablate(s, mode) for s in chunk],
-                                 params, embeddings, hp)
-        logits, _ = forward(encoded, params)
-        for b, label in enumerate(encoded.labels):
-            probs = predict_probs(Tensor(logits.data[:, b:b + 1]))
-            preds.append(predicted_label(probs))
-            labels.append(int(label))
-            scores.append(float(probs[1]))
-    return metrics_report(preds, labels, scores)
+    probs = [p for p, _ in predict(samples, params, embeddings, hp, mode)]
+    return metrics_report([predicted_label(p) for p in probs],
+                          [int(s.label) for s in samples], [float(p[1]) for p in probs])
 
 
 def train(train_samples: list, val_samples: list, hp: HyperParams,

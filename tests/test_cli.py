@@ -131,6 +131,40 @@ def test_train_missing_dataset_path(tmp_path):
     assert run_cli("train", "--config", str(cfg)) == 2
 
 
+def test_train_refuses_duplicate_ids_before_training(synth_dir, tmp_path, capsys):
+    lines = (synth_dir / "dataset.jsonl").read_text().splitlines(keepends=True)
+    first, second = json.loads(lines[0]), json.loads(lines[1])
+    lines[1] = json.dumps(dict(second, id=first["id"])) + "\n"
+    dataset = tmp_path / "dataset.jsonl"
+    dataset.write_text("".join(lines))
+    cfg = tmp_path / "cfg.cfg"
+    cfg.write_text(re.sub(r"dataset = .*", f"dataset = {dataset}",
+                          (synth_dir / "config.cfg").read_text()))
+    out = tmp_path / "run"
+    assert run_cli("train", "--config", str(cfg), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert f"data error: document id {first['id']!r} appears more than once" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("target", ["dataset", "embeddings", "config"])
+def test_non_utf8_input_is_data_error(synth_dir, tmp_path, capsys, target):
+    # one 0xFF byte, which no UTF-8 text holds, appended to a line of its own
+    cfg_text = (synth_dir / "config.cfg").read_text()
+    if target != "config":
+        copy = tmp_path / f"{target}.copy"
+        copy.write_bytes(Path(re.search(rf"{target} = (.*)", cfg_text).group(1)).read_bytes()
+                         + b"\xff\n")
+        cfg_text = re.sub(rf"{target} = .*", f"{target} = {copy}", cfg_text)
+    cfg = tmp_path / "cfg.cfg"
+    cfg.write_bytes(cfg_text.encode() + (b"# \xff\n" if target == "config" else b""))
+    out = tmp_path / "run"
+    assert run_cli("train", "--config", str(cfg), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and "can't decode byte 0xff" in err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # eval
 # ---------------------------------------------------------------------------
@@ -342,6 +376,48 @@ def test_explain_skips_unknown_ids(synth_dir, trained_dir, tmp_path, capsys):
     assert report["skipped"] == ["ghost-id"]
 
 
+def _explain_report(synth_dir, trained_dir, out, *extra):
+    code = run_cli("explain", "--checkpoint", str(trained_dir / "checkpoint.bin"),
+                   "--config", str(synth_dir / "config.cfg"), "--out", str(out), *extra)
+    assert code == 0
+    return json.loads((out / "attention_report.json").read_text())
+
+
+@pytest.mark.parametrize("mode", ["N+C+E", "N+E"])
+def test_explain_batches_match_batch_one_path(synth_dir, trained_dir, tmp_path, mode):
+    report = _explain_report(synth_dir, trained_dir, tmp_path / "explain",
+                             "--split", "full", "--mode", mode)
+    args = cli.build_parser().parse_args(
+        ["explain", "--checkpoint", str(trained_dir / "checkpoint.bin"),
+         "--config", str(synth_dir / "config.cfg"), "--mode", mode])
+    hp, params, _, prepared = cli._load_for_eval(args)
+    samples = prepared.train + prepared.val + prepared.test
+    assert len(samples) > hp.batch_size
+    assert [e["id"] for e in report["samples"]] == [s.doc_id for s in samples]
+    assert report["skipped"] == []
+    for entry, sample in zip(report["samples"], samples):
+        logits, attn = model.run_sample(model.ablate(sample, mode), params,
+                                        prepared.embeddings, hp)
+        probs = model.predict_probs(logits)
+        assert entry["prediction"] == model.predicted_label(probs)
+        np.testing.assert_allclose([entry["probabilities"]["real"],
+                                    entry["probabilities"]["fake"]], probs, rtol=0, atol=1e-12)
+        for family in ("news_entity", "entity", "news_comment", "comment"):
+            np.testing.assert_allclose(entry["attention"][family], getattr(attn, family),
+                                       rtol=0, atol=1e-12)
+        for side in ("news", "entity", "comment"):
+            assert entry["masks"][side] == getattr(attn, f"{side}_mask").tolist()
+
+
+def test_explain_keeps_requested_id_order(synth_dir, trained_dir, tmp_path):
+    docs, _ = data.read_dataset(synth_dir / "dataset.jsonl")
+    wanted = [docs[5].doc_id, "ghost-id", docs[0].doc_id, docs[3].doc_id]
+    report = _explain_report(synth_dir, trained_dir, tmp_path / "explain",
+                             "--split", "full", "--ids", ",".join(wanted))
+    assert [e["id"] for e in report["samples"]] == [wanted[0], wanted[2], wanted[3]]
+    assert report["skipped"] == ["ghost-id"]
+
+
 def test_explain_all_unknown_ids_is_error(synth_dir, trained_dir, tmp_path):
     code = run_cli("explain", "--checkpoint", str(trained_dir / "checkpoint.bin"),
                    "--config", str(synth_dir / "config.cfg"),
@@ -435,6 +511,16 @@ def test_bad_hyperparameter_overrides_exit_1(synth_dir, capsys):
                    "--set", "hp.hidden_size=abc") == 1
     err = capsys.readouterr().err
     assert "usage error" in err
+
+
+def test_negative_seeds_exit_1(synth_dir, tmp_path, capsys):
+    # numpy refuses a negative seed; both are refused before anything is written
+    out = tmp_path / "out"
+    assert run_cli("train", "--config", str(synth_dir / "config.cfg"), "--out", str(out),
+                   "--set", "split_seed=-1") == 1
+    assert run_cli("synth", "--out", str(out), "--seed", "-1", "--size", "10") == 1
+    assert capsys.readouterr().err.count("usage error: ") == 2
+    assert not out.exists()
 
 
 def test_parse_config_roundtrip(tmp_path):

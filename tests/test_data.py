@@ -572,11 +572,6 @@ def test_split_dataset_stratified_and_deterministic():
     assert not overlap
 
 
-def test_split_dataset_bad_ratios():
-    with pytest.raises(ValueError):
-        data.split_dataset([], seed=0, ratios=(0.5, 0.2, 0.2))
-
-
 # ---------------------------------------------------------------------------
 # synthetic generation
 # ---------------------------------------------------------------------------

@@ -482,6 +482,39 @@ def test_predicted_label_tie_goes_to_real():
     assert model.predicted_label(np.array([0.6, 0.4])) == 0
 
 
+def test_predict_matches_batch_one_path_in_input_order(tiny_setup):
+    hp, params, vocab, emb, _ = tiny_setup
+    hp = dataclasses.replace(hp, batch_size=4)
+    samples = _toy_split(hp, vocab, emb, n=6)   # a full chunk, then a part
+    for mode in model.MODES:
+        predicted = list(model.predict(samples, params, emb, hp, mode))
+        assert len(predicted) == len(samples)
+        for sample, (probs, report) in zip(samples, predicted):
+            logits, expected = model.run_sample(model.ablate(sample, mode), params, emb, hp)
+            npt.assert_allclose(probs, model.predict_probs(logits), rtol=0, atol=1e-12)
+            for name in ("news_entity", "entity", "news_comment", "comment"):
+                npt.assert_allclose(getattr(report, name), getattr(expected, name),
+                                    rtol=0, atol=1e-12)
+            for name in ("news_mask", "entity_mask", "comment_mask"):
+                npt.assert_array_equal(getattr(report, name), getattr(expected, name))
+
+
+def test_predict_ablates_only_outside_full_mode(tiny_setup, monkeypatch):
+    hp, params, _, emb, samples = tiny_setup
+    ablated = []
+    ablate = model.ablate
+
+    def counted_ablate(sample, mode):
+        ablated.append(mode)
+        return ablate(sample, mode)
+
+    monkeypatch.setattr(model, "ablate", counted_ablate)
+    model.evaluate(samples, params, emb, hp)
+    assert ablated == []
+    model.evaluate(samples, params, emb, hp, "N+C")
+    assert ablated == ["N+C"] * len(samples)
+
+
 # ---------------------------------------------------------------------------
 # adam
 # ---------------------------------------------------------------------------
