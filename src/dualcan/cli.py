@@ -54,12 +54,26 @@ class RunConfig:
             raise UsageError("config needs an 'embeddings' path")
         for key in ("dataset", "train", "val", "test", "embeddings", "entities"):
             value = getattr(self, key)
-            if value is not None and not Path(value).exists():
-                raise DatasetFormatError(f"configured {key} path does not exist: {value}")
+            if value is not None:
+                _require_file(value, f"configured {key}")
         if self.mode not in model.MODES:
             raise UsageError(f"mode must be one of {model.MODES}, got '{self.mode}'")
         if self.split_seed < 0:
             raise UsageError(f"split_seed must be non-negative, got {self.split_seed}")
+
+
+def _require_file(path, what: str) -> None:
+    if not Path(path).is_file():
+        problem = "is not a file" if Path(path).exists() else "does not exist"
+        raise DatasetFormatError(f"{what} path {problem}: {path}")
+
+
+def _check_out_dir(config: RunConfig) -> None:
+    """Refuse an ``out`` that exists as anything but a directory, so no data
+    is read for a run that could not write its results."""
+    out = Path(config.out)
+    if out.exists() and not out.is_dir():
+        raise UsageError(f"out path exists and is not a directory: {out}")
 
 
 def _key_value(text: str, where: str) -> tuple:
@@ -73,12 +87,11 @@ def parse_config_file(path) -> dict:
     """``key = value`` lines as stripped strings; a line whose first
     non-blank character is ``#`` is a comment."""
     entries = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if stripped and not stripped.startswith("#"):
-                key, value = _key_value(stripped, f"{path}:{line_no}")
-                entries[key] = value
+    for line_no, line in data_mod.read_lines(path):
+        stripped = line.strip()
+        if stripped and not stripped.startswith("#"):
+            key, value = _key_value(stripped, f"{path}:{line_no}")
+            entries[key] = value
     return entries
 
 
@@ -88,8 +101,7 @@ def build_run_config(args) -> RunConfig:
     RunConfig), over the ``--profile`` hyperparameters."""
     entries = {}
     if getattr(args, "config", None):
-        if not Path(args.config).exists():
-            raise DatasetFormatError(f"config file does not exist: {args.config}")
+        _require_file(args.config, "config")
         entries.update(parse_config_file(args.config))
     entries.update(_key_value(text, "--set") for text in getattr(args, "set", None) or [])
 
@@ -132,8 +144,8 @@ def prepare_data(config: RunConfig, hp: HyperParams) -> PreparedData:
     warnings = []
 
     def read(path):
-        docs, warns = data_mod.read_dataset(path, strict=False,
-                                            max_sentences_per_comment=hp.max_sentences_per_comment)
+        docs, warns = data_mod.read_dataset(
+            path, max_sentences_per_comment=hp.max_sentences_per_comment)
         warnings.extend(warns)
         return data_mod.resolve_documents(docs, resolver)
 
@@ -198,6 +210,7 @@ def _warn_missing_classes(splits: dict) -> None:
 
 def cmd_train(args) -> int:
     config = build_run_config(args)
+    _check_out_dir(config)
     config.validate_paths()
     hp = config.hp
     prepared = prepare_data(config, hp)
@@ -229,16 +242,18 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _load_for_eval(args):
+def _load_for_eval(args, writes_out_dir: bool = False):
     # the checkpoint fixes the hyperparameters; hp.* lines of a --config file
     # (the training config) are read and then replaced
     for text in args.set or []:
         if text.partition("=")[0].strip().startswith("hp."):
             raise UsageError(f"--set {text}: {args.command} uses the hyperparameters "
                              f"stored in the checkpoint")
+    config = build_run_config(args)
+    if writes_out_dir:
+        _check_out_dir(config)
     hp, values = model.load_checkpoint(args.checkpoint)
     params = model.restore_params(hp, values)
-    config = build_run_config(args)
     config.hp = hp
     config.validate_paths()
     prepared = prepare_data(config, hp)
@@ -266,7 +281,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_explain(args) -> int:
-    hp, params, config, prepared = _load_for_eval(args)
+    hp, params, config, prepared = _load_for_eval(args, writes_out_dir=True)
     samples, skipped = _pick_split(prepared, args.split), []
     if args.ids:
         by_id = {s.doc_id: s for s in samples}
@@ -278,7 +293,7 @@ def cmd_explain(args) -> int:
                for s, (probs, attn) in zip(samples, predictions)]
     if not entries:
         raise DatasetFormatError("no requested sample ids were found")
-    out = Path(args.out or config.out)
+    out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
     interpret.write_report(out / "attention_report.json", entries, skipped)
     written = interpret.export_heatmaps(out, entries)
@@ -376,7 +391,7 @@ def main(argv=None) -> int:
         print(f"usage error: {e}", file=sys.stderr)
         return 1
     except (DatasetFormatError, DegenerateInputError, CheckpointError, MetricError,
-            DegenerateMaskError, ShapeError, FileNotFoundError, UnicodeDecodeError) as e:
+            DegenerateMaskError, ShapeError, FileNotFoundError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return 2
     except (NonFiniteError, DivergenceError) as e:

@@ -29,6 +29,27 @@ class DegenerateInputError(ValueError):
     """A document has no usable content where some is required."""
 
 
+def read_lines(path):
+    """Yield ``(line number, line)`` for each line of a UTF-8 text file.
+
+    The file is decoded in chunks with bad bytes escaped, and only a line
+    that is not ASCII is checked, so an ASCII line costs one flag test. A
+    byte that is not UTF-8 raises a DatasetFormatError naming ``path:line``,
+    and a bad byte on an earlier line is the one reported.
+    """
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if not line.isascii():
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError as e:
+                    byte = ord(line[e.start]) - 0xDC00  # surrogateescape's mapping
+                    raise DatasetFormatError(
+                        f"{path}:{line_no}: not UTF-8, can't decode byte 0x{byte:02x} "
+                        f"at column {e.start + 1}") from None
+            yield line_no, line
+
+
 PAD_ID = 0
 OOV_ID = 1
 PAD_TOKEN = "<pad>"
@@ -152,24 +173,23 @@ def load_embeddings(path, vocab: Vocabulary) -> EmbeddingTable:
     matrix = None
     block = []  # (line number, vocabulary id, value text) not parsed yet
     id_of = vocab.id_of
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            token, sep, values = line.partition(" ")  # loadtxt takes the "\n"
-            width = values.count(" ") + 1
-            if dim is None and sep:
-                dim = width
-                matrix = np.zeros((len(vocab), dim))
-            if not sep or width != dim:
-                _parse_block(path, block, matrix, vocab)  # an earlier bad line reports first
-                problem = (f"expected {dim} values, found {width}" if sep
-                           else "embedding line has no values")
-                raise DatasetFormatError(f"{path}:{line_no}: {problem}")
-            tid = id_of(token)
-            if tid > OOV_ID:
-                block.append((line_no, tid, values))
-                if len(block) == _EMBEDDING_BLOCK:
-                    _parse_block(path, block, matrix, vocab)
-                    block = []
+    for line_no, line in read_lines(path):
+        token, sep, values = line.partition(" ")  # loadtxt takes the "\n"
+        width = values.count(" ") + 1
+        if dim is None and sep:
+            dim = width
+            matrix = np.zeros((len(vocab), dim))
+        if not sep or width != dim:
+            _parse_block(path, block, matrix, vocab)  # an earlier bad line reports first
+            problem = (f"expected {dim} values, found {width}" if sep
+                       else "embedding line has no values")
+            raise DatasetFormatError(f"{path}:{line_no}: {problem}")
+        tid = id_of(token)
+        if tid > OOV_ID:
+            block.append((line_no, tid, values))
+            if len(block) == _EMBEDDING_BLOCK:
+                _parse_block(path, block, matrix, vocab)
+                block = []
     if dim is None:
         raise DatasetFormatError(f"{path}: empty embedding file")
     _parse_block(path, block, matrix, vocab)
@@ -227,22 +247,21 @@ class SnapshotResolver:
     def __init__(self, path):
         self._descriptions = {}
         self._names = []
-        with open(path, "r", encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError as e:
-                    raise DatasetFormatError(f"{path}:{line_no}: invalid JSON") from e
-                if "name" not in record or "description" not in record:
-                    raise DatasetFormatError(
-                        f"{path}:{line_no}: snapshot record needs name and description")
-                key = _normalize_name(str(record["name"]))
-                if key not in self._descriptions:
-                    self._names.append(str(record["name"]))
-                self._descriptions[key] = str(record["description"])
+        for line_no, line in read_lines(path):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as e:
+                raise DatasetFormatError(f"{path}:{line_no}: invalid JSON") from e
+            if "name" not in record or "description" not in record:
+                raise DatasetFormatError(
+                    f"{path}:{line_no}: snapshot record needs name and description")
+            key = _normalize_name(str(record["name"]))
+            if key not in self._descriptions:
+                self._names.append(str(record["name"]))
+            self._descriptions[key] = str(record["description"])
 
     def lookup(self, name: str) -> str:
         return self._descriptions.get(_normalize_name(name), "")
@@ -314,29 +333,22 @@ def parse_document(record: dict, line_no: int = 0,
     return Document(str(record["id"]), news, comments, entities, int(label))
 
 
-def read_dataset(path, strict: bool = False,
-                 max_sentences_per_comment: int = 2):
-    """Parse a JSONL dataset. Returns (documents, warnings).
-
-    In lenient mode malformed lines are skipped and reported as warnings; in
-    strict mode the first malformed line aborts the read.
-    """
+def read_dataset(path, max_sentences_per_comment: int = 2):
+    """Parse a JSONL dataset. Returns (documents, warnings): a malformed line
+    is skipped and reported as a warning."""
     docs = []
     warnings = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-                if not isinstance(record, dict):
-                    raise DatasetFormatError(f"line {line_no}: record is not an object")
-                docs.append(parse_document(record, line_no, max_sentences_per_comment))
-            except (DatasetFormatError, DegenerateInputError, json.JSONDecodeError) as e:
-                if strict:
-                    raise DatasetFormatError(f"{path}: {e}") from e
-                warnings.append(f"{path}:{line_no}: skipped ({e})")
+    for line_no, line in read_lines(path):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            record = json.loads(line)
+            if not isinstance(record, dict):
+                raise DatasetFormatError(f"line {line_no}: record is not an object")
+            docs.append(parse_document(record, line_no, max_sentences_per_comment))
+        except (DatasetFormatError, DegenerateInputError, json.JSONDecodeError) as e:
+            warnings.append(f"{path}:{line_no}: skipped ({e})")
     return docs, warnings
 
 

@@ -29,6 +29,7 @@ from oracles import (
     coattn_params_arrays,
     word_attention_loops,
 )
+from tape_ops import grad_check, mean_all
 
 
 def _report(criterion, detail):
@@ -91,9 +92,9 @@ def test_criterion_01_gradient_integrity(tiny):
     def f():
         losses = [model.cross_entropy(model.run_sample(s, params, emb, hp)[0], s.label)
                   for s in samples]
-        return ad.mean_all(ad.concat(losses, axis=1))
+        return mean_all(ad.concat(losses, axis=1))
 
-    report = ad.grad_check(f, params.named(), h=1e-5)
+    report = grad_check(f, params.named(), h=1e-5)
     elapsed = time.monotonic() - started
     assert report.passed(1e-4), report.summary()
     assert elapsed < 60.0

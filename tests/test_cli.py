@@ -147,22 +147,59 @@ def test_train_refuses_duplicate_ids_before_training(synth_dir, tmp_path, capsys
     assert not out.exists()
 
 
-@pytest.mark.parametrize("target", ["dataset", "embeddings", "config"])
+@pytest.mark.parametrize("target", ["dataset", "entities", "embeddings", "config"])
 def test_non_utf8_input_is_data_error(synth_dir, tmp_path, capsys, target):
     # one 0xFF byte, which no UTF-8 text holds, appended to a line of its own
     cfg_text = (synth_dir / "config.cfg").read_text()
-    if target != "config":
-        copy = tmp_path / f"{target}.copy"
-        copy.write_bytes(Path(re.search(rf"{target} = (.*)", cfg_text).group(1)).read_bytes()
-                         + b"\xff\n")
-        cfg_text = re.sub(rf"{target} = .*", f"{target} = {copy}", cfg_text)
     cfg = tmp_path / "cfg.cfg"
+    bad, line, column = cfg, len(cfg_text.splitlines()) + 1, 3
+    if target != "config":
+        bad = tmp_path / f"{target}.copy"
+        original = Path(re.search(rf"{target} = (.*)", cfg_text).group(1)).read_bytes()
+        bad.write_bytes(original + b"\xff\n")
+        cfg_text = re.sub(rf"{target} = .*", f"{target} = {bad}", cfg_text)
+        line, column = len(original.splitlines()) + 1, 1
     cfg.write_bytes(cfg_text.encode() + (b"# \xff\n" if target == "config" else b""))
     out = tmp_path / "run"
     assert run_cli("train", "--config", str(cfg), "--out", str(out)) == 2
     err = capsys.readouterr().err
     assert "data error" in err and "can't decode byte 0xff" in err
+    assert f"{bad}:{line}: not UTF-8, can't decode byte 0xff at column {column}" in err
     assert not out.exists()
+
+
+def _no_data_read(*args):
+    raise AssertionError("data was read")
+
+
+@pytest.mark.parametrize("command, key, code", [
+    ("train", "config", 2), ("train", "dataset", 2), ("eval", "embeddings", 2),
+    ("train", "out", 1), ("explain", "out", 1),
+])
+def test_path_of_the_wrong_kind_exits_before_reading_data(synth_dir, trained_dir, tmp_path,
+                                                          capsys, monkeypatch, command, key,
+                                                          code):
+    # a directory where a file is read, a file where a run directory is written
+    probe = tmp_path / "probe"
+    if key == "out":
+        probe.write_text("kept\n")
+        expected = f"usage error: out path exists and is not a directory: {probe}"
+    else:
+        probe.mkdir()
+        where = "config" if key == "config" else f"configured {key}"
+        expected = f"data error: {where} path is not a file: {probe}"
+    monkeypatch.setattr(cli, "prepare_data", _no_data_read)
+    argv = [command, "--config", str(probe if key == "config" else synth_dir / "config.cfg")]
+    if command != "train":
+        argv += ["--checkpoint", str(trained_dir / "checkpoint.bin")]
+    if key == "out":
+        argv += ["--out", str(probe)]
+    elif key != "config":
+        argv += ["--set", f"{key}={probe}"]
+    assert run_cli(*argv) == code
+    assert expected in capsys.readouterr().err
+    if key == "out":
+        assert probe.read_text() == "kept\n"
 
 
 # ---------------------------------------------------------------------------

@@ -442,14 +442,6 @@ def test_read_dataset_lenient_skips_malformed(tmp_path):
     assert len(warnings) == 1 and ":5:" in warnings[0]
 
 
-def test_read_dataset_strict_aborts(tmp_path):
-    lines = [json.dumps(good_record(0)), "not json"]
-    path = tmp_path / "data.jsonl"
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(data.DatasetFormatError):
-        data.read_dataset(path, strict=True)
-
-
 # ---------------------------------------------------------------------------
 # encoding
 # ---------------------------------------------------------------------------

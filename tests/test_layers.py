@@ -15,6 +15,8 @@ from oracles import (
     gru_params_arrays,
     word_attention_loops,
 )
+from tape_ops import (grad_check, mul, sigmoid, slice_rows, softmax_rows, sub, sum_all, tanh,
+                      transpose, zero_grad)
 
 
 def make_gru(input_size, hidden, seed=7):
@@ -35,19 +37,19 @@ def zero_gru(input_size, hidden):
 
 def gru_cell(x, h_prev, p):
     """Tape-composed reference for one step: h = (1 - z) * h_prev + z * h_cand."""
-    r = ad.sigmoid(ad.add(ad.add(ad.matmul(p.w_reset, x), ad.matmul(p.u_reset, h_prev)),
+    r = sigmoid(ad.add(ad.add(ad.matmul(p.w_reset, x), ad.matmul(p.u_reset, h_prev)),
                           p.b_reset))
-    z = ad.sigmoid(ad.add(ad.add(ad.matmul(p.w_update, x), ad.matmul(p.u_update, h_prev)),
+    z = sigmoid(ad.add(ad.add(ad.matmul(p.w_update, x), ad.matmul(p.u_update, h_prev)),
                           p.b_update))
-    cand = ad.tanh(ad.add(ad.add(ad.matmul(p.w_cand, x),
-                                 ad.matmul(p.u_cand, ad.mul(r, h_prev))), p.b_cand))
-    return ad.add(h_prev, ad.mul(z, ad.sub(cand, h_prev)))
+    cand = tanh(ad.add(ad.add(ad.matmul(p.w_cand, x),
+                                 ad.matmul(p.u_cand, mul(r, h_prev))), p.b_cand))
+    return ad.add(h_prev, mul(z, sub(cand, h_prev)))
 
 
 def masked_step(x, h, p, keep_t):
     """Reference step where keep_t = 0 columns carry the previous state."""
     cell = gru_cell(x, h, p)
-    return cell if keep_t is None else ad.add(h, ad.mul(keep_t, ad.sub(cell, h)))
+    return cell if keep_t is None else ad.add(h, mul(keep_t, sub(cell, h)))
 
 
 def gru_sequence_reference(columns, p, keep=None, reverse=False):
@@ -201,7 +203,7 @@ def test_gru_sequence_node_holds_only_gates_candidates_and_states(rng):
 
 
 def _weighted_sum(out, weights):
-    return ad.sum_all(ad.mul(out, ad.Tensor(weights)))
+    return sum_all(mul(out, ad.Tensor(weights)))
 
 
 def _tape_gradients(runs, tensors, loss_of):
@@ -209,7 +211,7 @@ def _tape_gradients(runs, tensors, loss_of):
     grads = []
     for run in runs:
         for t in tensors:
-            t.zero_grad()
+            zero_grad(t)
         g = ad.Graph()
         with g:
             loss = loss_of(run)
@@ -286,7 +288,7 @@ def test_gru_sequence_grad_check_with_input_columns(rng, reverse):
 
     params = dict(p.named())
     params.update((f"x{t}", c) for t, c in enumerate(columns))
-    report = ad.grad_check(f, params, h=1e-5)
+    report = grad_check(f, params, h=1e-5)
     assert report.passed(1e-4), report.summary()
 
 
@@ -361,14 +363,14 @@ def make_attn(hidden, seed=17):
 def word_attention_reference(states, mask, p):
     """Tape-composed reference over T word states [2h x B]: one score row and
     one weighted add per step."""
-    scores = ad.transpose(ad.concat([ad.matmul(p.context, ad.tanh(ad.add(ad.matmul(p.proj, s),
+    scores = transpose(ad.concat([ad.matmul(p.context, tanh(ad.add(ad.matmul(p.proj, s),
                                                                          p.bias)))
                                      for s in states], axis=0))
-    weights = ad.softmax_rows(scores, mask)
-    weights_t = ad.transpose(weights)
+    weights = softmax_rows(scores, mask)
+    weights_t = transpose(weights)
     pooled = None
     for t, s in enumerate(states):
-        term = ad.mul(s, ad.slice_rows(weights_t, t, t + 1))
+        term = mul(s, slice_rows(weights_t, t, t + 1))
         pooled = term if pooled is None else ad.add(pooled, term)
     return pooled, weights
 
@@ -472,7 +474,7 @@ def test_word_attention_grad_check(rng):
     weights = rng.uniform(-1, 1, (4, 2))
     params = {f"attn.{key}": t for key, t in p.named().items()}
     params["states"] = states
-    report = ad.grad_check(
+    report = grad_check(
         lambda: _weighted_sum(layers.word_attention(states, mask, p)[0], weights), params, h=1e-5)
     assert report.passed(1e-4), report.summary()
 
@@ -532,14 +534,14 @@ def make_coattn(hidden, seed=37):
 def co_attention_reference(s, d, mask_s, mask_d, p):
     """Tape-composed reference for one sample: S [2h x N] and D [2h x E] with
     1-D masks; returns the pooled vectors stacked as [4h x 1]."""
-    affinity = ad.tanh(ad.matmul(ad.matmul(ad.transpose(d), p.w_affinity), s))     # [E x N]
+    affinity = tanh(ad.matmul(ad.matmul(transpose(d), p.w_affinity), s))     # [E x N]
     proj_s = ad.matmul(p.w_primary, s)
     proj_d = ad.matmul(p.w_secondary, d)
-    inter_s = ad.tanh(ad.add(proj_s, ad.matmul(proj_d, affinity)))
-    inter_d = ad.tanh(ad.add(proj_d, ad.matmul(proj_s, ad.transpose(affinity))))
-    attn_s = ad.softmax_rows(ad.matmul(p.score_primary, inter_s), mask_s.reshape(1, -1))
-    attn_d = ad.softmax_rows(ad.matmul(p.score_secondary, inter_d), mask_d.reshape(1, -1))
-    return ad.concat([ad.matmul(s, ad.transpose(attn_s)), ad.matmul(d, ad.transpose(attn_d))],
+    inter_s = tanh(ad.add(proj_s, ad.matmul(proj_d, affinity)))
+    inter_d = tanh(ad.add(proj_d, ad.matmul(proj_s, transpose(affinity))))
+    attn_s = softmax_rows(ad.matmul(p.score_primary, inter_s), mask_s.reshape(1, -1))
+    attn_d = softmax_rows(ad.matmul(p.score_secondary, inter_d), mask_d.reshape(1, -1))
+    return ad.concat([ad.matmul(s, transpose(attn_s)), ad.matmul(d, transpose(attn_d))],
                      axis=0)
 
 
@@ -657,7 +659,7 @@ def test_co_attention_grad_check(rng):
     weights = rng.uniform(-1, 1, (8, 3))
     params = {f"co.{key}": t for key, t in p.named().items()}
     params.update(s=s, d=d)
-    report = ad.grad_check(
+    report = grad_check(
         lambda: _weighted_sum(layers.co_attention(s, d, mask_s, mask_d, p).pooled, weights),
         params, h=1e-5)
     assert report.passed(1e-4), report.summary()
@@ -745,7 +747,7 @@ def test_all_layer_gradients_pass_grad_check(rng):
         pooled, _ = layers.word_attention(states, one(mask_seq), attn)
         out = layers.co_attention(ad.concat([pooled, pooled, pooled, pooled], axis=1),
                                   d_side, one(mask_seq), one(mask_d), co)
-        return ad.sum_all(out.pooled)
+        return sum_all(out.pooled)
 
     params = {}
     for prefix, group in (("fwd", pf), ("bwd", pb)):
@@ -755,5 +757,5 @@ def test_all_layer_gradients_pass_grad_check(rng):
         params[f"attn.{key}"] = t
     for key, t in co.named().items():
         params[f"co.{key}"] = t
-    report = ad.grad_check(f, params, h=1e-5)
+    report = grad_check(f, params, h=1e-5)
     assert report.passed(1e-5), report.summary()

@@ -16,6 +16,7 @@ from dualcan import data, layers, model
 from conftest import (random_document, tiny_documents, tiny_embeddings, tiny_hyperparams,
                       tiny_vocab)
 from oracles import model_forward_loops
+from tape_ops import grad_check, log, mean_all, scale, softmax_rows, transpose
 
 LN2 = math.log(2.0)
 
@@ -432,10 +433,10 @@ def test_loss_hand_value():
 
 def cross_entropy_reference(logits, label):
     """Tape-composed loss of one [2 x 1] logit column."""
-    probs = ad.softmax_rows(ad.transpose(logits))            # [1 x 2]
+    probs = softmax_rows(transpose(logits))            # [1 x 2]
     p0, p1 = ad.slice_cols(probs, 0, 1), ad.slice_cols(probs, 1, 2)
-    return ad.add(ad.scale(ad.log(p1, floor=1e-12), -float(label)),
-                  ad.scale(ad.log(p0, floor=1e-12), -(1.0 - label)))
+    return ad.add(scale(log(p1, floor=1e-12), -float(label)),
+                  scale(log(p0, floor=1e-12), -(1.0 - label)))
 
 
 def test_loss_batch_is_mean_of_reference_columns(rng):
@@ -452,7 +453,7 @@ def test_loss_batch_is_mean_of_reference_columns(rng):
             if batched:
                 loss = model.cross_entropy(logits, labels)
             else:
-                loss = ad.mean_all(ad.concat(
+                loss = mean_all(ad.concat(
                     [cross_entropy_reference(ad.slice_cols(logits, b, b + 1), y)
                      for b, y in enumerate(labels)], axis=1))
         g.backward(loss)
@@ -715,7 +716,7 @@ def test_parameters_stay_views_of_the_flat_vectors(tiny_setup):
         return model.cross_entropy(model.forward(encoded, params)[0], encoded.labels)
 
     params.grads[:] = 1.0  # grad_check must zero this in place, not drop the views
-    report = ad.grad_check(f, params.named(), max_coords=32)
+    report = grad_check(f, params.named(), max_coords=32)
     assert report.passed(1e-4), report.summary()
     assert_flat_views(params)
     once = params.grads.copy()
@@ -989,19 +990,18 @@ def test_train_rejects_empty_split(tiny_setup):
 
 def test_training_step_clean_under_debug_checks(tiny_setup):
     hp, params, _, emb, samples = tiny_setup
-    ad.set_debug_checks(True)
-    try:
-        state = model.AdamState.create(params)
-        params.zero_grads()
-        g = ad.Graph()
-        with g:
-            encoded = model.encode_samples(samples, params, emb, hp)
-            loss = model.cross_entropy(model.forward(encoded, params)[0], encoded.labels)
-        g.backward(loss)
-        model.clip_gradients(params, model.GRAD_CLIP_NORM)
-        model.adam_step(params, state, hp.learning_rate)
-    finally:
-        ad.set_debug_checks(False)
+    state = model.AdamState.create(params)
+    params.zero_grads()
+    g = ad.Graph()
+    with g:
+        encoded = model.encode_samples(samples, params, emb, hp)
+        loss = model.cross_entropy(model.forward(encoded, params)[0], encoded.labels)
+    # every node recorded on the tape produced only finite values
+    for node in g._nodes:
+        assert np.isfinite(node.out.data).all(), node.op
+    g.backward(loss)
+    model.clip_gradients(params, model.GRAD_CLIP_NORM)
+    model.adam_step(params, state, hp.learning_rate)
 
 
 # ---------------------------------------------------------------------------
