@@ -134,13 +134,14 @@ class Graph:
     def backward(self, loss: Tensor) -> None:
         """Populate ``grad`` on every requires_grad tensor reachable from ``loss``.
 
-        Gradients accumulate additively across fan-out; recorded tensors not
-        on the path to ``loss`` end up with all-zero grad. A grad that is
-        still None is allocated when the first contribution to it arrives, a
-        node whose output received no gradient is skipped, and each node's
-        backward function is dropped as soon as it has run, which releases
-        the activations it saved while the pass goes on. So a graph runs
-        backward once: a second call raises :class:`GraphError`.
+        Gradients accumulate additively across fan-out. A grad that is still
+        None is allocated when the first contribution to it arrives, so a
+        tensor off the path to ``loss`` keeps the grad it had (None if it
+        never had one). A node whose output received no gradient is
+        skipped, and each node's backward function is dropped as soon as it
+        has run, which releases the activations it saved while the pass goes
+        on. So a graph runs backward once: a second call raises
+        :class:`GraphError`.
         """
         if self._spent:
             raise GraphError("backward already ran on this graph and released its saved "
@@ -154,20 +155,14 @@ class Graph:
         if loss.grad is None:
             loss.grad = np.zeros_like(loss.data)
         loss.grad += 1.0
-        skipped = []
         for node in reversed(self._nodes[: pos + 1]):
             if node.out.grad is None:
-                skipped.append(node)
                 continue
             for p in node.parents:
                 if p.requires_grad and p.grad is None:
                     p.grad = np.zeros_like(p.data)
             node.backward_fn(node.out.grad)
             node.backward_fn = None
-        for node in skipped:
-            for t in (node.out, *node.parents):
-                if t.requires_grad and t.grad is None:
-                    t.grad = np.zeros_like(t.data)
 
 
 def fused(op: str, data: np.ndarray, parents: tuple, backward_fn) -> Tensor:

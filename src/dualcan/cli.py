@@ -135,18 +135,18 @@ class PreparedData:
     test: list
     vocab: data_mod.Vocabulary
     embeddings: data_mod.EmbeddingTable
-    warnings: list
 
 
 def prepare_data(config: RunConfig, hp: HyperParams) -> PreparedData:
-    """Read, resolve, split and pad the corpus into model-ready samples."""
+    """Read, resolve, split and pad the corpus into model-ready samples,
+    printing a stderr warning for each dataset line skipped."""
     resolver = SnapshotResolver(config.entities) if config.entities else None
-    warnings = []
 
     def read(path):
-        docs, warns = data_mod.read_dataset(
+        docs, warnings = data_mod.read_dataset(
             path, max_sentences_per_comment=hp.max_sentences_per_comment)
-        warnings.extend(warns)
+        for warning in warnings:
+            print(f"warning: {warning}", file=sys.stderr)
         return data_mod.resolve_documents(docs, resolver)
 
     if config.dataset:
@@ -167,16 +167,9 @@ def prepare_data(config: RunConfig, hp: HyperParams) -> PreparedData:
             f"expects {hp.embedding_dim}")
 
     def encode(docs):
-        samples = []
-        for doc in docs:
-            try:
-                samples.append(data_mod.encode_document(doc, vocab, hp))
-            except DegenerateInputError as e:
-                warnings.append(f"skipped {doc.doc_id}: {e}")
-        return samples
+        return [data_mod.encode_document(doc, vocab, hp) for doc in docs]
 
-    return PreparedData(encode(train_docs), encode(val_docs), encode(test_docs),
-                        vocab, table, warnings)
+    return PreparedData(encode(train_docs), encode(val_docs), encode(test_docs), vocab, table)
 
 
 def _write_metrics(path, report: dict) -> None:
@@ -187,14 +180,12 @@ def _write_metrics(path, report: dict) -> None:
 
 def _write_epoch_csv(path, history) -> None:
     # a metric without a value (pr_auc with no positive label) is an empty field
-    columns = ["epoch", "train_loss", "grad_norm", "val_accuracy", "val_precision_pos",
-               "val_recall_pos", "val_f1_pos", "val_precision_macro",
-               "val_recall_macro", "val_f1_macro", "val_pr_auc"]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(columns)
+        writer.writerow(["epoch", "train_loss", "grad_norm"]
+                        + [f"val_{name}" for name in history[0].val])
         for row in history:
-            values = [row.train_loss, row.grad_norm] + [row.val[c[4:]] for c in columns[3:]]
+            values = [row.train_loss, row.grad_norm, *row.val.values()]
             writer.writerow([row.epoch] + ["" if v is None else repr(v) for v in values])
 
 
@@ -214,12 +205,11 @@ def cmd_train(args) -> int:
     config.validate_paths()
     hp = config.hp
     prepared = prepare_data(config, hp)
-    for warning in prepared.warnings:
-        print(f"warning: {warning}", file=sys.stderr)
-    if not prepared.train or not prepared.val:
-        raise DatasetFormatError("train/validation splits are empty after encoding")
-    _warn_missing_classes({"train": prepared.train, "val": prepared.val,
-                           "test": prepared.test})
+    splits = {"train": prepared.train, "val": prepared.val, "test": prepared.test}
+    for split, samples in splits.items():
+        if not samples:
+            raise DatasetFormatError(f"{split} split is empty")
+    _warn_missing_classes(splits)
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
     params = ModelParams.create(hp)
@@ -242,7 +232,7 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _load_for_eval(args, writes_out_dir: bool = False):
+def _load_for_eval(args):
     # the checkpoint fixes the hyperparameters; hp.* lines of a --config file
     # (the training config) are read and then replaced
     for text in args.set or []:
@@ -250,14 +240,20 @@ def _load_for_eval(args, writes_out_dir: bool = False):
             raise UsageError(f"--set {text}: {args.command} uses the hyperparameters "
                              f"stored in the checkpoint")
     config = build_run_config(args)
-    if writes_out_dir:
+    if args.command == "explain":
         _check_out_dir(config)
+    elif args.out and Path(args.out).is_dir():
+        raise UsageError(f"out path is a directory: {args.out}")
+    _require_file(args.checkpoint, "checkpoint")
     hp, values = model.load_checkpoint(args.checkpoint)
     params = model.restore_params(hp, values)
     config.hp = hp
     config.validate_paths()
     prepared = prepare_data(config, hp)
     return hp, params, config, prepared
+
+
+_SPLITS = ("train", "val", "test", "full")
 
 
 def _pick_split(prepared: PreparedData, split: str) -> list:
@@ -281,7 +277,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_explain(args) -> int:
-    hp, params, config, prepared = _load_for_eval(args, writes_out_dir=True)
+    hp, params, config, prepared = _load_for_eval(args)
     samples, skipped = _pick_split(prepared, args.split), []
     if args.ids:
         by_id = {s.doc_id: s for s in samples}
@@ -347,19 +343,19 @@ def build_parser() -> _Parser:
     # train has the flags that set them
     p_train = sub.add_parser("train", help="train and write checkpoint + logs")
     common(p_train)
-    p_train.add_argument("--profile", choices=["gossipcop", "coaid", "synthetic"],
+    p_train.add_argument("--profile", choices=list(model.PROFILES),
                          help="hyperparameter profile")
     p_train.add_argument("--seed", type=int, help="override the run seed")
 
     p_eval = sub.add_parser("eval", help="score a checkpoint on a dataset split")
     p_eval.add_argument("--checkpoint", required=True)
-    p_eval.add_argument("--split", choices=["train", "val", "test", "full"], default="test")
+    p_eval.add_argument("--split", choices=_SPLITS, default="test")
     common(p_eval)
 
     p_explain = sub.add_parser("explain", help="export attention reports and heatmaps")
     p_explain.add_argument("--checkpoint", required=True)
     p_explain.add_argument("--ids", help="comma-separated sample ids (default: whole split)")
-    p_explain.add_argument("--split", choices=["train", "val", "test", "full"], default="test")
+    p_explain.add_argument("--split", choices=_SPLITS, default="test")
     common(p_explain)
 
     p_synth = sub.add_parser("synth", help="generate a synthetic corpus")
@@ -391,7 +387,7 @@ def main(argv=None) -> int:
         print(f"usage error: {e}", file=sys.stderr)
         return 1
     except (DatasetFormatError, DegenerateInputError, CheckpointError, MetricError,
-            DegenerateMaskError, ShapeError, FileNotFoundError) as e:
+            DegenerateMaskError, ShapeError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return 2
     except (NonFiniteError, DivergenceError) as e:

@@ -35,9 +35,14 @@ def read_lines(path):
     The file is decoded in chunks with bad bytes escaped, and only a line
     that is not ASCII is checked, so an ASCII line costs one flag test. A
     byte that is not UTF-8 raises a DatasetFormatError naming ``path:line``,
-    and a bad byte on an earlier line is the one reported.
+    and a bad byte on an earlier line is the one reported. A file that cannot
+    be opened raises a DatasetFormatError naming ``path``.
     """
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+    try:
+        fh = open(path, "r", encoding="utf-8", errors="surrogateescape")
+    except OSError as e:
+        raise DatasetFormatError(f"{path}: cannot read: {e.strerror or e}") from e
+    with fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.isascii():
                 try:
@@ -143,7 +148,10 @@ class EmbeddingTable:
     """Frozen word vectors; rows 0 (pad) and 1 (oov) are zero."""
 
     matrix: np.ndarray  # [|V| x d]
-    dim: int
+
+    @property
+    def dim(self) -> int:
+        return self.matrix.shape[1]
 
     def lookup(self, ids: np.ndarray) -> np.ndarray:
         return self.matrix[ids]
@@ -193,7 +201,7 @@ def load_embeddings(path, vocab: Vocabulary) -> EmbeddingTable:
     if dim is None:
         raise DatasetFormatError(f"{path}: empty embedding file")
     _parse_block(path, block, matrix, vocab)
-    return EmbeddingTable(matrix, dim)
+    return EmbeddingTable(matrix)
 
 
 def _parse_rows(texts: list, dim: int) -> np.ndarray:
@@ -440,8 +448,6 @@ def _pad_block(sentences: list, vocab: Vocabulary, slots: int, max_words: int):
 
 def encode_document(doc: Document, vocab: Vocabulary, hp) -> SampleArrays:
     """Truncate and pad one document to the hp dimensions."""
-    if not any(doc.news_sentences):
-        raise DegenerateInputError(f"document {doc.doc_id}: no news sentences to encode")
     news = _pad_block(doc.news_sentences, vocab, hp.max_news_sentences, hp.max_words)
     if not news[2].any():
         raise DegenerateInputError(f"document {doc.doc_id}: no news sentences to encode")
@@ -502,6 +508,7 @@ FAKE_ENTITY_CUE = "fabricated"
 REAL_ENTITY_CUE = "respected"
 
 _FILLER_ENTITY_NAMES = ["almanac", "gazette", "chronicle", "tribune"]
+_COMMENTS_PER_DOC = 8
 
 
 @dataclass
@@ -521,7 +528,6 @@ class SyntheticSpec:
     seed: int = 0
     embedding_dim: int = 16
     entity_slots: int = 8
-    comments_per_doc: int = 8
 
     def validate(self):
         if self.size <= 0:
@@ -588,10 +594,10 @@ def gen_synthetic(spec: SyntheticSpec, out_dir) -> dict:
             news_sents[pos] = f"sources describe a {cue} about the {_sentence(rng, 2, 3)}"
 
         comments = [_COMMENT_FILLER[int(rng.integers(0, len(_COMMENT_FILLER)))] + "."
-                    for _ in range(spec.comments_per_doc)]
+                    for _ in range(_COMMENTS_PER_DOC)]
         if "comments" in spec.signal:
             cue = FAKE_COMMENT_CUE if label == 1 else REAL_COMMENT_CUE
-            pos = max(1, int(round(0.7 * (spec.comments_per_doc - 1))))
+            pos = max(1, int(round(0.7 * (_COMMENTS_PER_DOC - 1))))
             comments[pos] = f"fyi this one is {cue} for sure."
 
         entities = []

@@ -19,6 +19,14 @@ CELL = 18
 LEFT_MARGIN = 34
 TOP_MARGIN = 46
 
+# attention families: field of model.AttentionReport (and report key), heatmap title
+FAMILIES = (
+    ("news_entity", "news sentences (entity block)"),
+    ("entity", "entity description sentences"),
+    ("news_comment", "news sentences (comment block)"),
+    ("comment", "comment sentences"),
+)
+
 
 def report_entry(doc_id: str, label: int, probs, attn) -> dict:
     """One sample's row of the attention report file."""
@@ -28,12 +36,7 @@ def report_entry(doc_id: str, label: int, probs, attn) -> dict:
         "label": int(label),
         "prediction": predicted_label(probs),
         "probabilities": {"real": probs[0], "fake": probs[1]},
-        "attention": {
-            "news_entity": [float(x) for x in attn.news_entity],
-            "entity": [float(x) for x in attn.entity],
-            "news_comment": [float(x) for x in attn.news_comment],
-            "comment": [float(x) for x in attn.comment],
-        },
+        "attention": {key: [float(x) for x in getattr(attn, key)] for key, _ in FAMILIES},
         "masks": {
             "news": [bool(b) for b in attn.news_mask],
             "entity": [bool(b) for b in attn.entity_mask],
@@ -95,15 +98,9 @@ def render_heatmap_svg(path, weights: np.ndarray, sample_ids: list, title: str) 
 def export_heatmaps(out_dir, entries: list) -> list:
     """One SVG per attention family, columns = samples in report order."""
     out = Path(out_dir)
-    families = [
-        ("news_entity", "news sentences (entity block)"),
-        ("entity", "entity description sentences"),
-        ("news_comment", "news sentences (comment block)"),
-        ("comment", "comment sentences"),
-    ]
     ids = [e["id"] for e in entries]
     written = []
-    for key, title in families:
+    for key, title in FAMILIES:
         matrix = np.array([e["attention"][key] for e in entries]).T  # [positions x samples]
         path = out / f"attention_{key}.svg"
         render_heatmap_svg(path, matrix, ids, title)

@@ -80,6 +80,18 @@ def _keep_heap() -> None:
 _keep_heap()
 
 
+# field overrides of the HyperParams defaults, by profile name
+PROFILES = {
+    "gossipcop": dict(embedding_dim=100, hidden_size=100, max_words=120, max_news_sentences=40,
+                      max_entity_sentences=100, max_comment_sentences=100, batch_size=16,
+                      learning_rate=0.001),
+    "coaid": dict(embedding_dim=300, hidden_size=300, max_words=120, max_news_sentences=4,
+                  max_entity_sentences=20, max_comment_sentences=20, batch_size=32,
+                  learning_rate=0.001),
+    "synthetic": {},
+}
+
+
 @dataclass
 class HyperParams:
     """Model and training dimensions; all sentence/word limits are global,
@@ -109,19 +121,10 @@ class HyperParams:
 
     @staticmethod
     def profile(name: str) -> "HyperParams":
-        if name == "gossipcop":
-            return HyperParams(embedding_dim=100, hidden_size=100, max_words=120,
-                               max_news_sentences=40, max_entity_sentences=100,
-                               max_comment_sentences=100, batch_size=16,
-                               learning_rate=0.001)
-        if name == "coaid":
-            return HyperParams(embedding_dim=300, hidden_size=300, max_words=120,
-                               max_news_sentences=4, max_entity_sentences=20,
-                               max_comment_sentences=20, batch_size=32,
-                               learning_rate=0.001)
-        if name == "synthetic":
-            return HyperParams()
-        raise ValueError(f"unknown profile '{name}' (expected gossipcop, coaid or synthetic)")
+        if name not in PROFILES:
+            *head, last = PROFILES
+            raise ValueError(f"unknown profile '{name}' (expected {', '.join(head)} or {last})")
+        return HyperParams(**PROFILES[name])
 
 
 # declared field types read as strings (postponed annotations)
@@ -252,9 +255,8 @@ class ModelParams(FlatParams):
         })
 
     @staticmethod
-    def create(hp: HyperParams, seed: int | None = None) -> "ModelParams":
-        rng = np.random.default_rng(hp.seed if seed is None else seed)
-        return ModelParams(hp, rng)
+    def create(hp: HyperParams) -> "ModelParams":
+        return ModelParams(hp, np.random.default_rng(hp.seed))
 
 
 @dataclass
@@ -505,6 +507,7 @@ def ablate(sample: SampleArrays, mode: str) -> SampleArrays:
 # scale allocate several 8 MB temporaries while the step's graph is still
 # alive, which costs both time and peak memory; a 256 KB block stays in cache
 _ADAM_BLOCK = 1 << 15
+_ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass
@@ -515,9 +518,6 @@ class AdamState:
     m: np.ndarray
     v: np.ndarray
     t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @staticmethod
     def create(params: FlatParams) -> "AdamState":
@@ -537,7 +537,7 @@ def adam_step(params: FlatParams, state: AdamState, lr: float) -> None:
         raise NonFiniteError(
             f"non-finite gradient for parameter {name} in Adam step {state.t + 1}")
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = _ADAM_BETA1, _ADAM_BETA2
     bias1 = 1.0 - b1 ** state.t
     bias2 = 1.0 - b2 ** state.t
     for start in range(0, grads.size, _ADAM_BLOCK):
@@ -549,7 +549,7 @@ def adam_step(params: FlatParams, state: AdamState, lr: float) -> None:
         v += (1.0 - b2) * g * g
         m_hat = m / bias1
         v_hat = v / bias2
-        x -= lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        x -= lr * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
 
 
 def clip_gradients(params: FlatParams, max_norm: float) -> float:
@@ -682,10 +682,14 @@ def load_checkpoint(path):
     The round trip is bit-exact: arrays compare equal to what was saved.
     Anything malformed raises CheckpointError: the tensors must have unique
     names and lie back to back from offset 0 in header order, filling the
-    payload exactly, and hold finite values only.
+    payload exactly, and hold finite values only. A file that cannot be read
+    raises CheckpointError too.
     """
-    with open(path, "rb") as fh:
-        raw = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as e:
+        raise CheckpointError(f"{path}: cannot read: {e.strerror or e}") from e
     try:
         return _parse_checkpoint(raw)
     except ValueError as e:

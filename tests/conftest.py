@@ -28,7 +28,7 @@ def tiny_embeddings(vocab, dim=4, seed=1):
     matrix = np.random.default_rng(seed).uniform(-0.5, 0.5, (len(vocab), dim))
     matrix[0] = 0.0
     matrix[1] = 0.0
-    return data.EmbeddingTable(matrix, dim)
+    return data.EmbeddingTable(matrix)
 
 
 def tiny_documents():

@@ -1,14 +1,19 @@
+import contextlib
 import csv
+import io
 import json
 import math
 import re
 import shlex
 import struct
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dualcan import cli, data, model
 
@@ -174,32 +179,137 @@ def _no_data_read(*args):
 
 @pytest.mark.parametrize("command, key, code", [
     ("train", "config", 2), ("train", "dataset", 2), ("eval", "embeddings", 2),
-    ("train", "out", 1), ("explain", "out", 1),
+    ("eval", "checkpoint", 2), ("train", "out", 1), ("explain", "out", 1), ("eval", "out", 1),
 ])
 def test_path_of_the_wrong_kind_exits_before_reading_data(synth_dir, trained_dir, tmp_path,
                                                           capsys, monkeypatch, command, key,
                                                           code):
-    # a directory where a file is read, a file where a run directory is written
+    # a directory where a file is read or written, a file where a run
+    # directory is written
     probe = tmp_path / "probe"
-    if key == "out":
+    if key == "out" and command != "eval":
         probe.write_text("kept\n")
         expected = f"usage error: out path exists and is not a directory: {probe}"
+    elif key == "out":
+        probe.mkdir()
+        expected = f"usage error: out path is a directory: {probe}"
     else:
         probe.mkdir()
-        where = "config" if key == "config" else f"configured {key}"
+        where = key if key in ("config", "checkpoint") else f"configured {key}"
         expected = f"data error: {where} path is not a file: {probe}"
     monkeypatch.setattr(cli, "prepare_data", _no_data_read)
     argv = [command, "--config", str(probe if key == "config" else synth_dir / "config.cfg")]
     if command != "train":
-        argv += ["--checkpoint", str(trained_dir / "checkpoint.bin")]
+        checkpoint = probe if key == "checkpoint" else trained_dir / "checkpoint.bin"
+        argv += ["--checkpoint", str(checkpoint)]
     if key == "out":
         argv += ["--out", str(probe)]
-    elif key != "config":
+    elif key not in ("config", "checkpoint"):
         argv += ["--set", f"{key}={probe}"]
     assert run_cli(*argv) == code
     assert expected in capsys.readouterr().err
-    if key == "out":
+    if probe.is_file():
         assert probe.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("command, key", [("train", "dataset"), ("eval", "embeddings"),
+                                          ("eval", "checkpoint")])
+def test_unreadable_input_exits_2_naming_path(synth_dir, trained_dir, tmp_path, capsys,
+                                              monkeypatch, command, key):
+    # mode bits do not stop root from reading, so open itself refuses the file
+    cfg_text = (synth_dir / "config.cfg").read_text()
+    target = (trained_dir / "checkpoint.bin" if key == "checkpoint"
+              else Path(re.search(rf"{key} = (.*)", cfg_text).group(1)))
+    real_open = open
+
+    def refusing_open(path, *args, **kwargs):
+        if str(path) == str(target):
+            raise PermissionError(13, "Permission denied", str(path))
+        return real_open(path, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", refusing_open)
+    out = tmp_path / "run"
+    argv = [command, "--config", str(synth_dir / "config.cfg")]
+    if command == "eval":
+        argv += ["--checkpoint", str(trained_dir / "checkpoint.bin")]
+    else:
+        argv += ["--out", str(out)]
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert f"data error: {target}: cannot read: Permission denied" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("empty", ["train", "val", "test"])
+def test_train_refuses_an_empty_split_before_training(synth_dir, tmp_path, capsys, empty):
+    lines = (synth_dir / "dataset.jsonl").read_text().splitlines(keepends=True)
+    parts = {"train": lines[:16], "val": lines[16:20], "test": lines[20:]}
+    parts[empty] = []
+    overrides = []
+    for split, part in parts.items():
+        (tmp_path / f"{split}.jsonl").write_text("".join(part))
+        overrides += ["--set", f"{split}={tmp_path / f'{split}.jsonl'}"]
+    cfg = tmp_path / "cfg.cfg"
+    cfg.write_text(re.sub(r"dataset = .*\n", "", (synth_dir / "config.cfg").read_text()))
+    out = tmp_path / "run"
+    assert run_cli("train", "--config", str(cfg), "--out", str(out), *overrides) == 2
+    assert f"data error: {empty} split is empty" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def small_corpus(tmp_path_factory):
+    out = tmp_path_factory.mktemp("small")
+    assert run_cli("synth", "--out", str(out), "--size", "20", "--seed", "2") == 0
+    return {name: (out / name).read_bytes()
+            for name in ("dataset.jsonl", "entities.jsonl", "embeddings.txt", "config.cfg")}
+
+
+# byte substitutions, deletions and truncations only, so no numeric setting
+# grows by more than a digit; positions are fractions of the file length
+_CORRUPTION = st.one_of(
+    st.tuples(st.just("substitute"), st.floats(0, 1, exclude_max=True), st.integers(0, 255)),
+    st.tuples(st.just("delete"), st.floats(0, 1, exclude_max=True), st.integers(1, 8)),
+    st.tuples(st.just("truncate"), st.floats(0, 1, exclude_max=True), st.just(0)),
+)
+
+
+def _corrupt(raw: bytes, edits) -> bytes:
+    for kind, where, arg in edits:
+        at = int(where * len(raw))
+        if kind == "substitute" and raw:
+            raw = raw[:at] + bytes([arg]) + raw[at + 1:]
+        elif kind == "delete":
+            raw = raw[:at] + raw[at + arg:]
+        elif kind == "truncate":
+            raw = raw[:at]
+    return raw
+
+
+@settings(max_examples=25, deadline=None)
+@given(target=st.sampled_from(["dataset.jsonl", "entities.jsonl", "embeddings.txt",
+                               "config.cfg"]),
+       edits=st.lists(_CORRUPTION, min_size=1, max_size=4))
+def test_corrupted_inputs_exit_with_a_documented_code(small_corpus, target, edits):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        files = dict(small_corpus)
+        config = files["config.cfg"].decode()
+        for key, name in (("dataset", "dataset.jsonl"), ("entities", "entities.jsonl"),
+                          ("embeddings", "embeddings.txt")):
+            config = re.sub(rf"{key} = .*", f"{key} = {tmp / name}", config)
+        files["config.cfg"] = config.encode()
+        files[target] = _corrupt(files[target], edits)
+        for name, raw in files.items():
+            (tmp / name).write_bytes(raw)
+        out, err = tmp / "run", io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = run_cli("train", "--config", str(tmp / "config.cfg"), "--out", str(out),
+                           "--set", "hp.max_epochs=1")
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in err.getvalue()
+        if code in (1, 2):
+            assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -224,6 +334,18 @@ def test_eval_prints_metrics(synth_dir, trained_dir, capsys):
     assert code == 0
     printed = json.loads(capsys.readouterr().out)
     assert "accuracy" in printed
+
+
+def test_eval_prints_data_warnings(synth_dir, trained_dir, tmp_path, capsys):
+    cfg_text = (synth_dir / "config.cfg").read_text()
+    dataset = tmp_path / "dataset.jsonl"
+    lines = (synth_dir / "dataset.jsonl").read_text().splitlines(keepends=True)
+    dataset.write_text("".join(lines) + "{not json\n")
+    cfg = tmp_path / "cfg.cfg"
+    cfg.write_text(re.sub(r"dataset = .*", f"dataset = {dataset}", cfg_text))
+    assert run_cli("eval", "--checkpoint", str(trained_dir / "checkpoint.bin"),
+                   "--config", str(cfg)) == 0
+    assert f"warning: {dataset}:{len(lines) + 1}: skipped (" in capsys.readouterr().err
 
 
 def test_eval_with_ablation_mode(synth_dir, trained_dir):

@@ -59,7 +59,7 @@ def test_encode_news_single_word_sentence(tiny_setup):
 def test_encode_news_zero_params_zero_embeddings(tiny_setup):
     hp, params, vocab, _, _ = tiny_setup
     zero_all(params)
-    emb = data.EmbeddingTable(np.zeros((len(vocab), hp.embedding_dim)), hp.embedding_dim)
+    emb = data.EmbeddingTable(np.zeros((len(vocab), hp.embedding_dim)))
     doc = data.Document("x", [["alpha", "beta"], ["gamma"]], [], [], 0)
     sample = data.encode_document(doc, vocab, hp)
     s = encode_one(sample, params, emb, hp).news
@@ -703,7 +703,7 @@ def test_parameters_stay_views_of_the_flat_vectors(tiny_setup):
     result = model.train(_toy_split(hp1, vocab, emb), samples, hp1, params, emb)
     assert result.params is params
     assert_flat_views(params)
-    values = model.ModelParams.create(hp, seed=9).copy_values()
+    values = model.ModelParams.create(dataclasses.replace(hp, seed=9)).copy_values()
     params.load_values(values)
     assert_flat_views(params)
     npt.assert_array_equal(params.values, _flat(values))
@@ -969,7 +969,7 @@ def test_train_snapshots_once_per_improving_epoch(tiny_setup, monkeypatch):
 
 def test_restore_params_peaks_at_about_two_flat_vectors():
     hp = dataclasses.replace(model.HyperParams(), embedding_dim=48, hidden_size=48)
-    values = model.ModelParams.create(hp, seed=9).copy_values()
+    values = model.ModelParams.create(dataclasses.replace(hp, seed=9)).copy_values()
     flat = sum(v.nbytes for v in values.values())
     tracemalloc.start()
     try:
@@ -1026,7 +1026,7 @@ def test_checkpoint_round_trip_bit_exact(tiny_setup, tmp_path):
 
 def test_restore_params_loads_without_drawing_an_initialisation(tiny_setup, monkeypatch):
     hp, _, _, _, _ = tiny_setup
-    values = model.ModelParams.create(hp, seed=9).copy_values()
+    values = model.ModelParams.create(dataclasses.replace(hp, seed=9)).copy_values()
     first = np.random.default_rng(hp.seed)
     bound = 1.0 / math.sqrt(hp.embedding_dim)
     npt.assert_array_equal(model.ModelParams.create(hp).named()["news.word.fwd.reset.w"].data,
@@ -1214,7 +1214,7 @@ def test_hyperparams_validate():
 def test_gossipcop_profile_forward_shapes():
     # one forward at the published dimensions: h=100 means 8h=800 head input
     hp = model.HyperParams.profile("gossipcop")
-    params = model.ModelParams.create(hp, seed=0)
+    params = model.ModelParams.create(dataclasses.replace(hp, seed=0))
     assert params.head_w1.shape == (200, 800)
     assert params.head_w2.shape == (2, 200)
     vocab = tiny_vocab()
