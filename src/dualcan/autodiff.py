@@ -6,7 +6,9 @@ append order, accumulating gradients additively into ``Tensor.grad``. A
 grad is allocated when its first contribution arrives, and a node whose
 output received no gradient is skipped. Each node's backward function, and
 with it every array the node saved for the backward pass, is released as
-soon as it has run, so a graph runs backward once.
+soon as it has run, and so is the grad of the node's output unless that
+output is the loss: only the leaves (tensors no node produced) and the loss
+keep their grads. So a graph runs backward once.
 
 The model's layers are each one hand-written node recorded with
 :func:`fused`; the few structural ops here (``matmul``, ``add``, ``concat``,
@@ -138,10 +140,11 @@ class Graph:
         None is allocated when the first contribution to it arrives, so a
         tensor off the path to ``loss`` keeps the grad it had (None if it
         never had one). A node whose output received no gradient is
-        skipped, and each node's backward function is dropped as soon as it
-        has run, which releases the activations it saved while the pass goes
-        on. So a graph runs backward once: a second call raises
-        :class:`GraphError`.
+        skipped. Each node's backward function is dropped as soon as it has
+        run, which releases the activations it saved while the pass goes on,
+        and so is its output's grad, which nothing reads again: after the
+        pass only the leaves and ``loss`` hold grads. So a graph runs
+        backward once: a second call raises :class:`GraphError`.
         """
         if self._spent:
             raise GraphError("backward already ran on this graph and released its saved "
@@ -163,6 +166,8 @@ class Graph:
                     p.grad = np.zeros_like(p.data)
             node.backward_fn(node.out.grad)
             node.backward_fn = None
+            if node.out is not loss:
+                node.out.grad = None
 
 
 def fused(op: str, data: np.ndarray, parents: tuple, backward_fn) -> Tensor:

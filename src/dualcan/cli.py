@@ -13,7 +13,6 @@ import argparse
 import csv
 import json
 import sys
-from collections import Counter
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -68,12 +67,20 @@ def _require_file(path, what: str) -> None:
         raise DatasetFormatError(f"{what} path {problem}: {path}")
 
 
-def _check_out_dir(config: RunConfig) -> None:
-    """Refuse an ``out`` that exists as anything but a directory, so no data
-    is read for a run that could not write its results."""
-    out = Path(config.out)
-    if out.exists() and not out.is_dir():
+def _check_out(path, is_dir: bool) -> None:
+    """Refuse an out path that could not be written: a directory (``is_dir``)
+    that exists as anything else, a file that exists as a directory, or
+    either under an existing file. So no data is read for a run that could
+    not write its results."""
+    out = Path(path)
+    if is_dir and out.exists() and not out.is_dir():
         raise UsageError(f"out path exists and is not a directory: {out}")
+    if not is_dir and out.is_dir():
+        raise UsageError(f"out path is a directory: {out}")
+    # the nearest existing ancestor is where the missing directories are made
+    parent = next((p for p in out.parents if p.exists()), None)
+    if parent is not None and not parent.is_dir():
+        raise UsageError(f"out path is under a file: {parent}")
 
 
 def _key_value(text: str, where: str) -> tuple:
@@ -141,12 +148,21 @@ def prepare_data(config: RunConfig, hp: HyperParams) -> PreparedData:
     """Read, resolve, split and pad the corpus into model-ready samples,
     printing a stderr warning for each dataset line skipped."""
     resolver = SnapshotResolver(config.entities) if config.entities else None
+    # ids key the samples of explain and its attention report: the first
+    # place each id was read, across every dataset file
+    seen = {}
 
     def read(path):
         docs, warnings = data_mod.read_dataset(
             path, max_sentences_per_comment=hp.max_sentences_per_comment)
         for warning in warnings:
             print(f"warning: {warning}", file=sys.stderr)
+        for doc in docs:
+            where = f"{path}:{doc.line}"
+            if doc.doc_id in seen:
+                raise DatasetFormatError(f"document id {doc.doc_id!r} appears more than once, "
+                                         f"at {seen[doc.doc_id]} and {where}")
+            seen[doc.doc_id] = where
         return data_mod.resolve_documents(docs, resolver)
 
     if config.dataset:
@@ -155,10 +171,6 @@ def prepare_data(config: RunConfig, hp: HyperParams) -> PreparedData:
     else:
         train_docs, val_docs, test_docs = read(config.train), read(config.val), read(config.test)
     docs = train_docs + val_docs + test_docs
-    # ids key the samples of explain and its attention report
-    repeated = [i for i, n in Counter(doc.doc_id for doc in docs).items() if n > 1]
-    if repeated:
-        raise DatasetFormatError(f"document id {repeated[0]!r} appears more than once")
     vocab = data_mod.Vocabulary.build(docs)
     table = data_mod.load_embeddings(config.embeddings, vocab)
     if table.dim != hp.embedding_dim:
@@ -201,7 +213,7 @@ def _warn_missing_classes(splits: dict) -> None:
 
 def cmd_train(args) -> int:
     config = build_run_config(args)
-    _check_out_dir(config)
+    _check_out(config.out, is_dir=True)
     config.validate_paths()
     hp = config.hp
     prepared = prepare_data(config, hp)
@@ -241,9 +253,9 @@ def _load_for_eval(args):
                              f"stored in the checkpoint")
     config = build_run_config(args)
     if args.command == "explain":
-        _check_out_dir(config)
-    elif args.out and Path(args.out).is_dir():
-        raise UsageError(f"out path is a directory: {args.out}")
+        _check_out(config.out, is_dir=True)
+    elif args.out:
+        _check_out(args.out, is_dir=False)
     _require_file(args.checkpoint, "checkpoint")
     hp, values = model.load_checkpoint(args.checkpoint)
     params = model.restore_params(hp, values)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import re
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -89,13 +89,15 @@ def sentences_to_tokens(text: str) -> list[list[str]]:
 
 @dataclass
 class Document:
-    """One labeled sample, already sentence-split and tokenized."""
+    """One labeled sample, already sentence-split and tokenized; ``line`` is
+    its line in the dataset file (0 when it was not read from one)."""
 
     doc_id: str
     news_sentences: list  # list of token lists
     comment_sentences: list  # list of token lists, chronological
     entity_descriptions: list  # list of (name, list of token lists)
     label: int
+    line: int = field(default=0, compare=False)
 
     def all_tokens(self):
         for sent in self.news_sentences:
@@ -338,7 +340,7 @@ def parse_document(record: dict, line_no: int = 0,
             raise DatasetFormatError(f"{where}: entity entries need a name")
         description = ent.get("description", "")
         entities.append((str(ent["name"]), sentences_to_tokens(str(description))))
-    return Document(str(record["id"]), news, comments, entities, int(label))
+    return Document(str(record["id"]), news, comments, entities, int(label), line_no)
 
 
 def read_dataset(path, max_sentences_per_comment: int = 2):

@@ -18,7 +18,6 @@ from .autodiff import (
     DegenerateMaskError,
     ShapeError,
     Tensor,
-    concat,
     fused,
     masked_softmax,
     softmax_backward,
@@ -149,7 +148,7 @@ class CoAttentionOutput:
 
 
 def gru_sequence(columns: list, p: GruParams, keep: list | None = None,
-                 reverse: bool = False) -> Tensor:
+                 reverse: bool = False, *, out: np.ndarray | None = None) -> Tensor:
     """Run a GRU over a list of T [in x B] columns from a zero initial state.
 
     Returns the states after every position as one [h x T*B] tensor, in
@@ -172,6 +171,10 @@ def gru_sequence(columns: list, p: GruParams, keep: list | None = None,
     each over live column-steps only. A step whose prefix keeps every column
     at exactly 1 takes the cell as its state without the keep blend.
 
+    ``out``, if given, is a C-contiguous [h x T*B] array that the states
+    are written into and that becomes the output's data (:func:`bigru`
+    passes each direction one half of its buffer).
+
     The node saves only the gates, the candidates and its own output.
     Backpropagation rebuilds the packed input, the stacked weights and the
     state before each live column-step from the parents and the output, and
@@ -187,6 +190,11 @@ def gru_sequence(columns: list, p: GruParams, keep: list | None = None,
                              f"{p.input_size} rows (params) and {batch} columns (batch)")
     if keep is not None and (len(keep) != n or any(k.shape != (1, batch) for k in keep)):
         raise ShapeError(f"gru_sequence keep needs {n} rows of shape (1, {batch})")
+    if out is None:
+        out = np.empty((h, n * batch))
+    elif out.shape != (h, n * batch) or not out.flags.c_contiguous:
+        raise ShapeError(f"gru_sequence out must be a C-contiguous ({h}, {n * batch}) array, "
+                         f"got shape {out.shape}")
     weights = tuple(p.named().values())   # reset, update, cand: w, u, b each
     if keep is None:
         k, live, blend = None, [batch] * n, [False] * n
@@ -216,7 +224,7 @@ def gru_sequence(columns: list, p: GruParams, keep: list | None = None,
     # stored per live column-step: both gates and the candidate; and per
     # step the state of every column after it, which is the output
     gates, cand = np.empty((2 * h, start[-1])), np.empty((h, start[-1]))
-    states = np.empty((h, n, batch))
+    states = out.reshape(h, n, batch)   # a view, as out is C-contiguous
     state = np.zeros((h, batch))
     for t in order:
         width = live[t]
@@ -285,7 +293,7 @@ def gru_sequence(columns: list, p: GruParams, keep: list | None = None,
                 if col.requires_grad:
                     col.grad[:, :live[t]] += d_x[:, start[t]:start[t + 1]]
 
-    return fused("gru_sequence", states.reshape(h, n * batch), (*columns, *weights), backward)
+    return fused("gru_sequence", out, (*columns, *weights), backward)
 
 
 def bigru(columns: list, p_fwd: GruParams, p_bwd: GruParams, keep: list | None = None) -> Tensor:
@@ -295,9 +303,25 @@ def bigru(columns: list, p_fwd: GruParams, p_bwd: GruParams, keep: list | None =
     its backward state after steps T..t; both directions start from zero.
     ``keep`` is passed to both recurrences, so where it is 0 a column neither
     advances them nor changes the carried states.
+
+    Each direction writes its states straight into its half of one
+    [2h x T*B] buffer, so the stacked output is no second copy of them; the
+    one ``concat`` node on top only splits the gradient between the halves.
     """
-    return concat([gru_sequence(columns, p_fwd, keep),
-                   gru_sequence(columns, p_bwd, keep, reverse=True)], axis=0)
+    if not columns:
+        raise ShapeError("bigru over an empty sequence")
+    h = p_fwd.hidden_size
+    states = np.empty((2 * h, len(columns) * columns[0].shape[1]))
+    fwd = gru_sequence(columns, p_fwd, keep, out=states[:h])
+    bwd = gru_sequence(columns, p_bwd, keep, reverse=True, out=states[h:])
+
+    def backward(g):
+        if fwd.requires_grad:
+            fwd.grad += g[:h]
+        if bwd.requires_grad:
+            bwd.grad += g[h:]
+
+    return fused("concat", states, (fwd, bwd), backward)
 
 
 def _columns(x: np.ndarray) -> np.ndarray:
@@ -330,13 +354,20 @@ def word_attention(states: Tensor, mask, p: WordAttentionParams):
         raise ShapeError(f"word_attention states of shape {states.shape}, expected "
                          f"({rows}, {n * batch}) for a [{batch} x {n}] mask")
     s = states.data
-    key = np.tanh(p.proj.data @ s + p.bias.data)                              # [h x T*B]
-    weights = masked_softmax((p.context.data @ key).reshape(n, batch).T, mask)  # [B x T]
+
+    def tanh_key():
+        key = p.proj.data @ s
+        key += p.bias.data
+        return np.tanh(key, out=key)                                          # [h x T*B]
+
+    weights = masked_softmax((p.context.data @ tanh_key()).reshape(n, batch).T, mask)  # [B x T]
     s3 = s.reshape(rows, n, batch)
-    pooled = (s3 * weights.T).sum(axis=1)                                     # [2h x B]
+    pooled = np.einsum("rtb,bt->rb", s3, weights)                             # [2h x B]
 
     def backward(g):
-        d_scores = softmax_backward(weights, (s3 * g[:, None, :]).sum(axis=0).T)
+        # the key is recomputed here rather than held from forward to backward
+        key = tanh_key()
+        d_scores = softmax_backward(weights, np.einsum("rtb,rb->bt", s3, g))
         d_scores = d_scores.T.reshape(1, n * batch)
         d_pre = (p.context.data.T @ d_scores) * (1.0 - key * key)             # [h x T*B]
         if states.requires_grad:

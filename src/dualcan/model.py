@@ -177,17 +177,21 @@ class FlatParams:
     """Named tensors laid out back to back, in ``named()`` order, in one
     contiguous float64 ``values`` vector and one ``grads`` vector. Each
     tensor's ``data`` and ``grad`` is a view into them: code that changes a
-    tensor writes into its views in place and never rebinds them."""
+    tensor writes into its views in place and never rebinds them.
+
+    The ``grads`` vector and the grad views are bound by the first
+    :meth:`zero_grads`, which training runs before every step; until then
+    ``grads`` is None and a model that only predicts holds one flat vector.
+    """
 
     def __init__(self, named: dict):
         self._named = dict(named)
         sizes = [t.size for t in self._named.values()]
         self._spans = [(stop - size, stop) for size, stop in zip(sizes, np.cumsum(sizes).tolist())]
         self.values = np.concatenate([t.data.reshape(-1) for t in self._named.values()])
-        self.grads = np.zeros(self.values.size)
+        self.grads = None
         for t, (start, stop) in zip(self._named.values(), self._spans):
             t.data = self.values[start:stop].reshape(t.shape)
-            t.grad = self.grads[start:stop].reshape(t.shape)
 
     def named(self) -> dict:
         return dict(self._named)
@@ -197,7 +201,21 @@ class FlatParams:
         return next(name for name, (_, stop) in zip(self._named, self._spans) if index < stop)
 
     def zero_grads(self) -> None:
-        self.grads.fill(0.0)
+        if self.grads is not None:
+            self.grads.fill(0.0)
+            return
+        self.grads = np.zeros(self.values.size)
+        for t, (start, stop) in zip(self._named.values(), self._spans):
+            t.grad = self.grads[start:stop].reshape(t.shape)
+
+    def bound_grads(self) -> np.ndarray:
+        """The ``grads`` vector. Raises RuntimeError if no ``zero_grads``
+        bound it: a backward pass before that left its gradients on the
+        tensors, not in the vector."""
+        if self.grads is None:
+            raise RuntimeError("gradients are not bound to the flat vector: call "
+                               "zero_grads() before the backward pass")
+        return self.grads
 
     def copy_values(self) -> dict:
         snapshot = self.values.copy()
@@ -530,7 +548,7 @@ def adam_step(params: FlatParams, state: AdamState, lr: float) -> None:
     A non-finite gradient anywhere raises NonFiniteError, naming the
     parameter, before any value, moment or the step count moves.
     """
-    grads = params.grads
+    grads = params.bound_grads()
     finite = np.isfinite(grads)
     if not finite.all():
         name = params.name_at(int(np.argmin(finite)))
@@ -555,7 +573,7 @@ def adam_step(params: FlatParams, state: AdamState, lr: float) -> None:
 def clip_gradients(params: FlatParams, max_norm: float) -> float:
     """Scale all gradients down to a global norm of ``max_norm``; returns the
     pre-clip norm."""
-    grads = params.grads
+    grads = params.bound_grads()
     norm = float(np.sqrt(grads @ grads))
     if norm > max_norm > 0:
         grads *= max_norm / norm
@@ -720,7 +738,9 @@ def _parse_checkpoint(raw: bytes):
         raise ValueError(f"header missing hyperparameters {sorted(missing)}")
     hp = HyperParams(**hp_kwargs)
     hp.validate()
-    payload = raw[end + len(b"\nend\n"):]
+    # each tensor is read in place from ``raw`` and copied once
+    base = end + len(b"\nend\n")
+    payload_size = len(raw) - base
     values = {}
     pos = 0
     for name, shape, offset in directory:
@@ -728,15 +748,16 @@ def _parse_checkpoint(raw: bytes):
             raise ValueError(f"tensor {name} listed twice")
         if offset != pos:
             raise ValueError(f"tensor {name} starts at byte {offset}, expected {pos}")
-        pos += 8 * math.prod(shape)
-        if pos > len(payload):
+        count = math.prod(shape)
+        pos += 8 * count
+        if pos > payload_size:
             raise ValueError(f"payload truncated for tensor {name}")
-        array = np.frombuffer(payload[offset:pos], dtype="<f8")
+        array = np.frombuffer(raw, dtype="<f8", count=count, offset=base + offset)
         if not np.isfinite(array).all():
             raise ValueError(f"tensor {name} holds non-finite values")
         values[name] = array.reshape(shape).copy()
-    if pos != len(payload):
-        raise ValueError(f"{len(payload) - pos} payload bytes after the last tensor")
+    if pos != payload_size:
+        raise ValueError(f"{payload_size - pos} payload bytes after the last tensor")
     return hp, values
 
 

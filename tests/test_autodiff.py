@@ -339,6 +339,23 @@ def test_backward_releases_what_a_node_saved():
     npt.assert_array_equal(x.grad, [[3.0, 4.0]])
 
 
+def test_backward_releases_intermediate_grads_and_keeps_leaf_and_loss_grads():
+    x = ad.Tensor([[0.5, -1.0]], requires_grad=True)
+    w = ad.Tensor([[2.0], [3.0]], requires_grad=True)
+    g = ad.Graph()
+    with g:
+        t = tanh(x)
+        y = ad.matmul(t, w)
+        loss = sum_all(mul(y, y))
+    g.backward(loss)
+    # every node output but the loss has dropped its grad once its node ran
+    assert [node.out.grad is None for node in g._nodes] == [True, True, True, False]
+    npt.assert_array_equal(loss.grad, [[1.0]])
+    d_y = 2.0 * (np.tanh(x.data) @ w.data)
+    npt.assert_allclose(w.grad, np.tanh(x.data).T @ d_y, rtol=1e-15)
+    npt.assert_allclose(x.grad, (d_y @ w.data.T) * (1.0 - np.tanh(x.data) ** 2), rtol=1e-15)
+
+
 def test_backward_rejects_non_scalar():
     x = ad.Tensor(np.ones((2, 2)), requires_grad=True)
     g = ad.Graph()

@@ -152,6 +152,37 @@ def test_train_refuses_duplicate_ids_before_training(synth_dir, tmp_path, capsys
     assert not out.exists()
 
 
+@pytest.mark.parametrize("layout", ["one-file", "split-files"])
+def test_repeated_document_id_names_both_lines(synth_dir, tmp_path, capsys, layout):
+    lines = (synth_dir / "dataset.jsonl").read_text().splitlines(keepends=True)
+    repeated = json.loads(lines[0])["id"]
+    cfg_text = (synth_dir / "config.cfg").read_text()
+    if layout == "one-file":
+        # line 5 repeats the id of line 1
+        files = {"dataset": lines}
+        lines[4] = json.dumps(dict(json.loads(lines[4]), id=repeated)) + "\n"
+        places = ("dataset", 1), ("dataset", 5)
+    else:
+        # line 3 of the test split repeats the id of line 1 of the train split
+        files = {"train": lines[:16], "val": lines[16:20], "test": lines[20:]}
+        files["test"][2] = json.dumps(dict(json.loads(lines[22]), id=repeated)) + "\n"
+        cfg_text = re.sub(r"dataset = .*\n", "", cfg_text)
+        places = ("train", 1), ("test", 3)
+    overrides = []
+    for key, part in files.items():
+        (tmp_path / f"{key}.jsonl").write_text("".join(part))
+        overrides += ["--set", f"{key}={tmp_path / f'{key}.jsonl'}"]
+    cfg = tmp_path / "cfg.cfg"
+    cfg.write_text(cfg_text)
+    out = tmp_path / "run"
+    assert run_cli("train", "--config", str(cfg), "--out", str(out), *overrides) == 2
+    (a, line_a), (b, line_b) = places
+    assert (f"data error: document id {repeated!r} appears more than once, at "
+            f"{tmp_path / f'{a}.jsonl'}:{line_a} and {tmp_path / f'{b}.jsonl'}:{line_b}"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("target", ["dataset", "entities", "embeddings", "config"])
 def test_non_utf8_input_is_data_error(synth_dir, tmp_path, capsys, target):
     # one 0xFF byte, which no UTF-8 text holds, appended to a line of its own
@@ -210,6 +241,23 @@ def test_path_of_the_wrong_kind_exits_before_reading_data(synth_dir, trained_dir
     assert expected in capsys.readouterr().err
     if probe.is_file():
         assert probe.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "explain"])
+def test_out_under_a_file_exits_before_reading_data(synth_dir, trained_dir, tmp_path, capsys,
+                                                    monkeypatch, command):
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n")
+    # eval writes a metrics file, train and explain a run directory
+    out = afile / "sub" / "metrics.json" if command == "eval" else afile / "run"
+    monkeypatch.setattr(cli, "prepare_data", _no_data_read)
+    monkeypatch.setattr(model, "load_checkpoint", _no_data_read)
+    argv = [command, "--config", str(synth_dir / "config.cfg"), "--out", str(out)]
+    if command != "train":
+        argv += ["--checkpoint", str(trained_dir / "checkpoint.bin")]
+    assert run_cli(*argv) == 1
+    assert f"usage error: out path is under a file: {afile}" in capsys.readouterr().err
+    assert afile.read_text() == "kept\n"
 
 
 @pytest.mark.parametrize("command, key", [("train", "dataset"), ("eval", "embeddings"),

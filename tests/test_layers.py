@@ -336,10 +336,51 @@ def test_bigru_masked_matches_loop_oracle(rng):
         npt.assert_allclose(got[j], bigru_loops(seqs[j], pf, pb, list(masks[j])), atol=1e-12)
 
 
-def test_bigru_empty_sequence_errors():
+def test_bigru_empty_sequence_errors(monkeypatch):
     pf, pb = make_gru(2, 2), make_gru(2, 2)
-    with pytest.raises(ad.ShapeError):
+
+    def no_buffer(*args, **kwargs):
+        raise AssertionError("bigru allocated its buffer")
+
+    monkeypatch.setattr(layers.np, "empty", no_buffer)
+    with pytest.raises(ad.ShapeError, match="bigru over an empty sequence"):
         layers.bigru([], pf, pb)
+
+
+def test_bigru_writes_both_recurrences_into_its_output(rng):
+    pf, pb = make_gru(3, 4, seed=12), make_gru(3, 4, seed=13)
+    columns = [ad.Tensor(rng.uniform(-1, 1, (3, 3)), requires_grad=True) for _ in range(5)]
+    keep = keep_rows(np.array([[True, True, True, True, False],
+                               [True, True, False, False, False],
+                               [True, False, False, False, False]]))
+    weights = rng.uniform(-1, 1, (8, 15))
+
+    def stacked(columns, pf, pb, keep):
+        # the two recurrences and a concat node, as bigru ran before its buffer
+        return ad.concat([layers.gru_sequence(columns, pf, keep),
+                          layers.gru_sequence(columns, pb, keep, reverse=True)], axis=0)
+
+    g = ad.Graph()
+    with g:
+        out = layers.bigru(columns, pf, pb, keep)
+    assert [node.op for node in g._nodes] == ["gru_sequence", "gru_sequence", "concat"]
+    fwd, bwd = (node.out for node in g._nodes[:2])
+    assert np.shares_memory(out.data, fwd.data) and np.shares_memory(out.data, bwd.data)
+    assert out.data.flags.c_contiguous and out.data.shape == (8, 15)
+    npt.assert_array_equal(out.data, stacked(columns, pf, pb, keep).data)
+    tensors = list(pf.named().values()) + list(pb.named().values()) + columns
+    grads = _tape_gradients((layers.bigru, stacked), tensors,
+                            lambda run: _weighted_sum(run(columns, pf, pb, keep), weights))
+    for buffered, concatenated in zip(*grads):
+        npt.assert_array_equal(buffered, concatenated)
+
+
+def test_gru_sequence_rejects_an_out_of_the_wrong_shape(rng):
+    p = make_gru(2, 3)
+    columns = columns_of(rng.uniform(-1, 1, (2, 4)))
+    for out in (np.empty((3, 5)), np.empty((4, 3)).T):
+        with pytest.raises(ad.ShapeError, match="out must be a C-contiguous"):
+            layers.gru_sequence(columns, p, out=out)
 
 
 def test_gru_hidden_stays_in_unit_interval(rng):
@@ -432,6 +473,26 @@ def test_word_attention_mixed_batch_matches_loop_oracle(rng, batch, steps):
             v[j], list(mask[j]), p.proj.data, p.bias.data.reshape(-1), p.context.data)
         npt.assert_allclose(weights[j], exp_alpha, rtol=0, atol=1e-12)
         npt.assert_allclose(pooled.data[:, j], exp_pooled, rtol=0, atol=1e-12)
+
+
+def test_word_attention_node_holds_no_key(rng):
+    h, batch, steps = 32, 12, 20
+    p = make_attn(h, seed=27)
+    states = ad.Tensor(rng.uniform(-1, 1, (2 * h, steps * batch)), requires_grad=True)
+    mask = mixed_mask(rng, batch, steps)
+    g = ad.Graph()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        with g:
+            pooled, weights = layers.word_attention(states, mask, p)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    # pooled [2h x B] and weights [B x T]; the tanh key [h x T*B] alone
+    # would add 61,440 bytes
+    stored = pooled.data.nbytes + weights.nbytes
+    assert stored <= held <= stored + 16_384, (held, stored)
 
 
 def test_word_attention_records_one_node(rng):

@@ -524,6 +524,7 @@ def test_predict_ablates_only_outside_full_mode(tiny_setup, monkeypatch):
 def test_adam_first_step_magnitude():
     x = ad.Tensor([[2.0, -3.0]], requires_grad=True)
     params = model.FlatParams({"x": x})
+    params.zero_grads()
     x.grad[...] = [[1.0, -0.5]]
     state = model.AdamState.create(params)
     before = x.data.copy()
@@ -537,6 +538,7 @@ def test_adam_first_step_magnitude():
 def test_adam_zero_gradient_no_movement():
     x = ad.Tensor([[1.0, 2.0]], requires_grad=True)
     params = model.FlatParams({"x": x})
+    params.zero_grads()
     x.grad[...] = np.zeros((1, 2))
     state = model.AdamState.create(params)
     before = x.data.copy()
@@ -548,6 +550,7 @@ def test_adam_zero_gradient_no_movement():
 def test_adam_three_steps_match_hand_run():
     x = ad.Tensor([[1.0]], requires_grad=True)
     params = model.FlatParams({"x": x})
+    params.zero_grads()
     state = model.AdamState.create(params)
     # hand-run the update equations for f(x) = x^2
     xe, m, v = 1.0, 0.0, 0.0
@@ -569,6 +572,7 @@ def test_adam_three_steps_match_hand_run():
 def test_adam_non_finite_gradient_fails_fast():
     x = ad.Tensor([[1.0]], requires_grad=True)
     params = model.FlatParams({"x": x})
+    params.zero_grads()
     x.grad[...] = np.array([[np.nan]])
     state = model.AdamState.create(params)
     with pytest.raises(ad.NonFiniteError):
@@ -579,6 +583,7 @@ def test_clip_gradients_scales_to_max_norm():
     x = ad.Tensor([[3.0]], requires_grad=True)
     y = ad.Tensor([[4.0]], requires_grad=True)
     params = model.FlatParams({"x": x, "y": y})
+    params.zero_grads()
     x.grad[...] = np.array([[3.0]])
     y.grad[...] = np.array([[4.0]])
     norm = model.clip_gradients(params, 1.0)
@@ -634,6 +639,7 @@ def _multi_block_params():
 ], ids=["synthetic-profile", "multi-block"])
 def test_flat_optimizer_matches_per_tensor_reference(make, blocks):
     params = make()
+    params.zero_grads()
     size = params.values.size
     assert -(-size // model._ADAM_BLOCK) == blocks and size % model._ADAM_BLOCK
     named = params.named()
@@ -667,6 +673,7 @@ def test_flat_optimizer_matches_per_tensor_reference(make, blocks):
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_adam_non_finite_gradient_moves_nothing_and_names_parameter(where, bad):
     params = model.ModelParams.create(tiny_hyperparams())
+    params.zero_grads()
     named = params.named()
     state = model.AdamState.create(params)
     rng = np.random.default_rng(2)
@@ -685,15 +692,22 @@ def test_adam_non_finite_gradient_moves_nothing_and_names_parameter(where, bad):
 
 
 def assert_flat_views(params) -> None:
-    """Every tensor's data and grad is the C-contiguous slice of the flat
-    vectors at its offset in named() order."""
+    """Every tensor's data, and its grad once ``zero_grads`` has bound the
+    grads vector, is the C-contiguous slice of the flat vectors at its
+    offset in named() order; before that every grad is None."""
     offset = 0
     for name, t in params.named().items():
-        for view, flat in ((t.data, params.values), (t.grad, params.grads)):
+        views = [(t.data, params.values)]
+        if params.grads is None:
+            assert t.grad is None, name
+        else:
+            views.append((t.grad, params.grads))
+        for view, flat in views:
             assert np.shares_memory(view, flat) and view.flags.c_contiguous, name
             assert view.ctypes.data == flat.ctypes.data + 8 * offset, name
         offset += t.size
-    assert offset == params.values.size == params.grads.size
+    assert offset == params.values.size
+    assert params.grads is None or params.grads.size == offset
 
 
 def test_parameters_stay_views_of_the_flat_vectors(tiny_setup):
@@ -708,6 +722,8 @@ def test_parameters_stay_views_of_the_flat_vectors(tiny_setup):
     assert_flat_views(params)
     npt.assert_array_equal(params.values, _flat(values))
     restored = model.restore_params(hp, values)
+    assert_flat_views(restored)
+    restored.zero_grads()
     assert_flat_views(restored)
     npt.assert_array_equal(restored.values, params.values)
 
@@ -977,9 +993,93 @@ def test_restore_params_peaks_at_about_two_flat_vectors():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the values and the grads vector; no zero layout concatenated and dropped
+    # no zero layout concatenated and dropped (the tighter bound is below)
     assert peak <= 2.1 * flat, peak / flat
     assert restored.values.nbytes == flat
+
+
+def test_restore_params_peaks_at_about_one_flat_vector():
+    hp = dataclasses.replace(model.HyperParams(), embedding_dim=48, hidden_size=48)
+    values = model.ModelParams.create(dataclasses.replace(hp, seed=9)).copy_values()
+    flat = sum(v.nbytes for v in values.values())
+    tracemalloc.start()
+    try:
+        restored = model.restore_params(hp, values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the values only: a model that only predicts never binds a grads vector
+    assert peak <= 1.1 * flat, peak / flat
+    assert restored.grads is None
+
+
+def test_updates_refuse_grads_that_were_never_bound(tiny_setup):
+    hp, params, _, emb, samples = tiny_setup
+    restored = model.restore_params(hp, params.copy_values())
+    g = ad.Graph()
+    with g:
+        encoded = model.encode_samples(samples, restored, emb, hp)
+        loss = model.cross_entropy(model.forward(encoded, restored)[0], encoded.labels)
+    # without zero_grads the grads land on the tensors, outside the flat vector
+    g.backward(loss)
+    assert restored.grads is None and restored.head_b2.grad is not None
+    values, state = restored.values.copy(), model.AdamState.create(restored)
+    with pytest.raises(RuntimeError, match=r"call zero_grads\(\) before the backward pass"):
+        model.clip_gradients(restored, model.GRAD_CLIP_NORM)
+    with pytest.raises(RuntimeError, match=r"call zero_grads\(\) before the backward pass"):
+        model.adam_step(restored, state, hp.learning_rate)
+    assert state.t == 0
+    npt.assert_array_equal(restored.values, values)
+
+
+def test_training_a_restored_model_matches_training_a_created_one(tiny_setup):
+    hp, params, vocab, emb, samples = tiny_setup
+    hp3 = dataclasses.replace(hp, max_epochs=3)
+    train = _toy_split(hp3, vocab, emb)
+    restored = model.restore_params(hp3, params.copy_values())
+    created = model.train(train, samples, hp3, params, emb)
+    again = model.train(train, samples, hp3, restored, emb)
+    assert again.history == created.history and again.best_epoch == created.best_epoch
+    assert again.params.values.tobytes() == created.params.values.tobytes()
+    assert again.params.grads.tobytes() == created.params.grads.tobytes()
+
+
+def _gossipcop_like_batch():
+    """A small batch shaped like the gossipcop profile: long sentences, many
+    sentence slots per side, most of them padding."""
+    hp = model.HyperParams(embedding_dim=24, hidden_size=24, max_words=30, max_news_sentences=10,
+                           max_entity_sentences=20, max_comment_sentences=20, batch_size=4,
+                           seed=5)
+    rng = np.random.default_rng(21)
+    tokens = [f"w{i}" for i in range(60)]
+    vocab = data.Vocabulary()
+    for tok in tokens:
+        vocab.add(tok)
+    docs = [random_document(rng, f"d{i}", tokens, max_news=10, max_entity=20, max_comment=20,
+                            max_words=30) for i in range(hp.batch_size)]
+    return hp, tiny_embeddings(vocab, hp.embedding_dim), [
+        data.encode_document(d, vocab, hp) for d in docs]
+
+
+def test_training_step_holds_no_second_copy_of_the_word_states():
+    hp, emb, samples = _gossipcop_like_batch()
+    params = model.ModelParams.create(hp)
+    params.zero_grads()
+    g = ad.Graph()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        with g:
+            encoded = model.encode_samples(samples, params, emb, hp)
+            loss = model.cross_entropy(model.forward(encoded, params)[0], encoded.labels)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    # 3.03 MB with each BiGRU writing into one buffer and word_attention
+    # recomputing its key in backward; 4.26 MB with a concatenated copy of
+    # the states and the key held
+    assert held <= 3_500_000, held
+    g.backward(loss)
 
 
 def test_train_rejects_empty_split(tiny_setup):
@@ -1042,6 +1142,24 @@ def test_restore_params_loads_without_drawing_an_initialisation(tiny_setup, monk
     for name, tensor in restored.named().items():
         assert tensor.data.tobytes() == values[name].tobytes(), name
         assert not np.shares_memory(tensor.data, values[name]), name
+
+
+def test_load_checkpoint_peaks_at_about_two_payloads(tmp_path):
+    hp = dataclasses.replace(model.HyperParams(), embedding_dim=48, hidden_size=48)
+    params = model.ModelParams.create(hp)
+    path = tmp_path / "model.bin"
+    model.save_checkpoint(path, hp, params)
+    tracemalloc.start()
+    try:
+        _, values = model.load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the bytes of the file and one copy of each tensor; no payload slice
+    # and no per-tensor slice of it
+    assert peak <= 2.1 * params.values.nbytes, peak / params.values.nbytes
+    for name, tensor in params.named().items():
+        assert values[name].tobytes() == tensor.data.tobytes(), name
 
 
 def test_checkpoint_rejects_garbage(tmp_path):
