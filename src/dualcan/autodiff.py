@@ -12,7 +12,7 @@ keep their grads. So a graph runs backward once.
 
 The model's layers are each one hand-written node recorded with
 :func:`fused`; the few structural ops here (``matmul``, ``add``, ``concat``,
-``slice_cols``, ``gather_cols``) join them. Operations run fine without an
+``gather_cols``) join them. Operations run fine without an
 active graph (plain forward evaluation); a graph is only needed when
 gradients are wanted:
 
@@ -252,20 +252,6 @@ def concat(tensors: list, axis: int) -> Tensor:
                     t.grad += g[:, lo:hi]
 
     return fused("concat", data, tuple(tensors), bwd)
-
-
-def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
-    if x.data.ndim != 2:
-        raise ShapeError(f"slice_cols needs a 2-D tensor, got shape {x.data.shape}")
-    if not (0 <= start < stop <= x.data.shape[1]):
-        raise ShapeError(f"column slice [{start}:{stop}] out of range for shape {x.data.shape}")
-    data = x.data[:, start:stop].copy()
-
-    def bwd(g):
-        if x.requires_grad:
-            x.grad[:, start:stop] += g
-
-    return fused("slice_cols", data, (x,), bwd)
 
 
 def gather_cols(x: Tensor, index) -> Tensor:

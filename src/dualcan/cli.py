@@ -145,7 +145,7 @@ class PreparedData:
 
 
 def prepare_data(config: RunConfig, hp: HyperParams) -> PreparedData:
-    """Read, resolve, split and pad the corpus into model-ready samples,
+    """Read, resolve, split and encode the corpus into model-ready samples,
     printing a stderr warning for each dataset line skipped."""
     resolver = SnapshotResolver(config.entities) if config.entities else None
     # ids key the samples of explain and its attention report: the first
@@ -184,15 +184,9 @@ def prepare_data(config: RunConfig, hp: HyperParams) -> PreparedData:
     return PreparedData(encode(train_docs), encode(val_docs), encode(test_docs), vocab, table)
 
 
-def _write_metrics(path, report: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _write_epoch_csv(path, history) -> None:
     # a metric without a value (pr_auc with no positive label) is an empty field
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with data_mod.atomic_write(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["epoch", "train_loss", "grad_norm"]
                         + [f"val_{name}" for name in history[0].val])
@@ -237,7 +231,7 @@ def cmd_train(args) -> int:
     saved_params = model.restore_params(saved_hp, values)
     test_report = model.evaluate(prepared.test, saved_params, prepared.embeddings,
                                  saved_hp, config.mode)
-    _write_metrics(out / "metrics.json", test_report)
+    data_mod.write_json(out / "metrics.json", test_report)
     print(f"best epoch {result.best_epoch} (val macro-F1 {result.best_val_f1:.4f})")
     print(f"test metrics: {json.dumps(test_report, sort_keys=True)}")
     print(f"artifacts written to {out}")
@@ -284,7 +278,7 @@ def cmd_eval(args) -> int:
     print(json.dumps(report, indent=2, sort_keys=True))
     if args.out:
         Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-        _write_metrics(args.out, report)
+        data_mod.write_json(args.out, report)
     return 0
 
 
@@ -303,7 +297,7 @@ def cmd_explain(args) -> int:
         raise DatasetFormatError("no requested sample ids were found")
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
-    interpret.write_report(out / "attention_report.json", entries, skipped)
+    data_mod.write_json(out / "attention_report.json", {"samples": entries, "skipped": skipped})
     written = interpret.export_heatmaps(out, entries)
     print(f"report for {len(entries)} samples "
           f"({len(skipped)} skipped) in {out}")

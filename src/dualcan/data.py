@@ -9,14 +9,21 @@ The on-disk dataset is line-delimited JSON, one document per line:
 Empty descriptions are filled from an entity snapshot file (same JSONL
 shape, ``{"name": ..., "description": ...}``) through a resolver. Label 1
 marks fake.
+
+:func:`encode_document` stores the int32 ids of a document's real tokens and
+one int32 length per sentence slot; the model pads per batch. Run artifacts
+are written through :func:`atomic_write`.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import re
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
+from itertools import repeat
 
 import numpy as np
 
@@ -53,6 +60,28 @@ def read_lines(path):
                         f"{path}:{line_no}: not UTF-8, can't decode byte 0x{byte:02x} "
                         f"at column {e.start + 1}") from None
             yield line_no, line
+
+
+@contextmanager
+def atomic_write(path, mode: str = "w", **kwargs):
+    """Write a temporary file beside ``path`` that replaces it when the block
+    ends; if the block raises, it is removed and ``path`` is left as it was."""
+    temporary = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    fh = open(temporary, mode, **kwargs)
+    try:
+        with fh:
+            yield fh
+        os.replace(temporary, path)
+    except BaseException:
+        os.remove(temporary)
+        raise
+
+
+def write_json(path, payload) -> None:
+    """``payload`` as JSON indented by 2 with sorted keys, written atomically."""
+    with atomic_write(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 PAD_ID = 0
@@ -129,6 +158,9 @@ class Vocabulary:
 
     def id_of(self, token: str) -> int:
         return self._token_to_id.get(token, OOV_ID)
+
+    def ids_of(self, tokens: list) -> np.ndarray:
+        return np.fromiter(map(self._token_to_id.get, tokens, repeat(OOV_ID)), np.int32)
 
     def token_of(self, tid: int) -> str:
         return self._id_to_token[tid]
@@ -401,67 +433,78 @@ def resolve_entities(doc: Document, hp) -> list:
     return combined[:hp.max_entity_sentences]
 
 
-@dataclass
-class SampleArrays:
-    """One document padded to the fixed model dimensions.
+_NO_IDS, _ZERO = np.zeros(0, np.int32), np.zeros((), np.int32)
 
-    ``*_ids`` are int arrays [slots x max_words]; word masks mark real token
-    positions, sentence masks mark real sentence rows. Pad cells are id 0.
-    """
+
+@dataclass(slots=True)
+class Source:
+    """One input source of a sample, ragged: ``ids`` holds the int32 ids of
+    its real tokens, sentence after sentence in slot order, and ``lengths``
+    the int32 word count of each sentence slot. A slot without words holds
+    no sentence: a hole keeps its slot."""
+
+    ids: np.ndarray
+    lengths: np.ndarray
+    max_words: int
+
+    @property
+    def real(self) -> np.ndarray:
+        """The slots that hold a sentence."""
+        return self.lengths > 0
+
+    def dropped(self) -> "Source":
+        """The same slots with no sentence in any; allocates no array."""
+        return Source(_NO_IDS, np.broadcast_to(_ZERO, self.lengths.shape), self.max_words)
+
+    def padded(self) -> tuple:
+        """(ids int64, word mask) [slots x max_words], id 0 in pad cells."""
+        word_mask = np.arange(self.max_words) < self.lengths[:, None]
+        ids = np.zeros(word_mask.shape, np.int64)
+        ids[word_mask] = self.ids
+        return ids, word_mask
+
+
+@dataclass(slots=True)
+class SampleArrays:
+    """One document's three sources, whose arrays are views of one id array
+    and one length array. The padded ``*_ids``, ``*_word_mask`` and
+    ``*_sent_mask`` of each source are built on each read."""
 
     doc_id: str
     label: int
-    news_ids: np.ndarray
-    news_word_mask: np.ndarray
-    news_sent_mask: np.ndarray
-    entity_ids: np.ndarray
-    entity_word_mask: np.ndarray
-    entity_sent_mask: np.ndarray
-    comment_ids: np.ndarray
-    comment_word_mask: np.ndarray
-    comment_sent_mask: np.ndarray
+    news: Source
+    entities: Source
+    comments: Source
 
-    def copy(self) -> "SampleArrays":
-        return replace(
-            self,
-            news_ids=self.news_ids.copy(),
-            news_word_mask=self.news_word_mask.copy(),
-            news_sent_mask=self.news_sent_mask.copy(),
-            entity_ids=self.entity_ids.copy(),
-            entity_word_mask=self.entity_word_mask.copy(),
-            entity_sent_mask=self.entity_sent_mask.copy(),
-            comment_ids=self.comment_ids.copy(),
-            comment_word_mask=self.comment_word_mask.copy(),
-            comment_sent_mask=self.comment_sent_mask.copy(),
-        )
-
-
-def _pad_block(sentences: list, vocab: Vocabulary, slots: int, max_words: int):
-    ids = np.zeros((slots, max_words), dtype=np.int64)
-    word_mask = np.zeros((slots, max_words), dtype=bool)
-    sent_mask = np.zeros(slots, dtype=bool)
-    for i, sent in enumerate(sentences[:slots]):
-        toks = sent[:max_words]
-        ids[i, :len(toks)] = [vocab.id_of(t) for t in toks]
-        word_mask[i, :len(toks)] = True
-        sent_mask[i] = len(toks) > 0
-    return ids, word_mask, sent_mask
+    news_ids = property(lambda self: self.news.padded()[0])
+    news_word_mask = property(lambda self: self.news.padded()[1])
+    news_sent_mask = property(lambda self: self.news.real)
+    entity_ids = property(lambda self: self.entities.padded()[0])
+    entity_word_mask = property(lambda self: self.entities.padded()[1])
+    entity_sent_mask = property(lambda self: self.entities.real)
+    comment_ids = property(lambda self: self.comments.padded()[0])
+    comment_word_mask = property(lambda self: self.comments.padded()[1])
+    comment_sent_mask = property(lambda self: self.comments.real)
 
 
 def encode_document(doc: Document, vocab: Vocabulary, hp) -> SampleArrays:
-    """Truncate and pad one document to the hp dimensions."""
-    news = _pad_block(doc.news_sentences, vocab, hp.max_news_sentences, hp.max_words)
-    if not news[2].any():
+    """Truncate one document to the hp dimensions: per source, the first
+    ``slots`` sentences and the first ``hp.max_words`` words of each."""
+    tokens, lengths, bounds = [], [], [(0, 0)]
+    for sentences, slots in ((doc.news_sentences, hp.max_news_sentences),
+                             (resolve_entities(doc, hp), hp.max_entity_sentences),
+                             (doc.comment_sentences, hp.max_comment_sentences)):
+        kept = [sent[:hp.max_words] for sent in sentences[:slots]]
+        for sent in kept:
+            tokens += sent
+        lengths += [len(sent) for sent in kept] + [0] * (slots - len(kept))
+        bounds.append((len(tokens), len(lengths)))
+    ids, lengths = vocab.ids_of(tokens), np.array(lengths, np.int32)
+    if not lengths[:hp.max_news_sentences].any():
         raise DegenerateInputError(f"document {doc.doc_id}: no news sentences to encode")
-    entity_sents = resolve_entities(doc, hp)
-    entities = _pad_block(entity_sents, vocab, hp.max_entity_sentences, hp.max_words)
-    comments = _pad_block(doc.comment_sentences, vocab, hp.max_comment_sentences, hp.max_words)
-    return SampleArrays(
-        doc.doc_id, doc.label,
-        news[0], news[1], news[2],
-        entities[0], entities[1], entities[2],
-        comments[0], comments[1], comments[2],
-    )
+    return SampleArrays(doc.doc_id, doc.label, *(
+        Source(ids[w0:w1], lengths[s0:s1], hp.max_words)
+        for (w0, s0), (w1, s1) in zip(bounds, bounds[1:])))
 
 
 def split_dataset(docs: list, seed: int):

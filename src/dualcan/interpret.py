@@ -7,7 +7,6 @@ weights, shading normalized per column.
 
 from __future__ import annotations
 
-import json
 from html import escape
 from pathlib import Path
 
@@ -43,13 +42,6 @@ def report_entry(doc_id: str, label: int, probs, attn) -> dict:
             "comment": [bool(b) for b in attn.comment_mask],
         },
     }
-
-
-def write_report(path, entries: list, skipped: list) -> None:
-    payload = {"samples": entries, "skipped": list(skipped)}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def _shade(weight: float, col_max: float) -> str:

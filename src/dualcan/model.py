@@ -16,7 +16,7 @@ from __future__ import annotations
 import ctypes
 import io
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -32,10 +32,9 @@ from .autodiff import (
     gather_cols,
     masked_softmax,
     matmul,
-    slice_cols,
     softmax_backward,
 )
-from .data import SampleArrays
+from .data import SampleArrays, atomic_write
 from .layers import CoAttentionParams, GruParams, WordAttentionParams
 from .metrics import metrics_report
 
@@ -303,8 +302,7 @@ class EncodedBatch:
             raise IndexError(f"sample {i} of a batch of {len(self)}")
 
         def one(cols: Tensor, mask: np.ndarray) -> Tensor:
-            slots = mask.shape[1]
-            return slice_cols(cols, i * slots, (i + 1) * slots)
+            return gather_cols(cols, i * mask.shape[1] + np.arange(mask.shape[1]))
 
         return EncodedBatch(one(self.news, self.news_mask), self.news_mask[i:i + 1],
                             one(self.entities, self.entity_mask), self.entity_mask[i:i + 1],
@@ -325,36 +323,31 @@ class AttentionReport:
     comment_mask: np.ndarray
 
 
-def _word_encode_blocks(blocks: list, enc: EncoderParams, embeddings):
-    """Word-level encode the real sentences of many (ids, word_mask, sent_mask)
-    blocks in one batched recurrence.
-
-    All real sentences across all blocks become the columns of one sequence
-    batch, as long as the longest of them, in descending order of length
-    (ties in block then slot order), so that each step of the recurrence
-    works on a prefix of the columns; the recurrence and attention pooling
-    run once. Returns (pooled [2h x K], index [blocks x slots]): the pooled
-    columns are in that length order, and index holds the pooled column of
-    each real slot and -1 at pad slots; with no real sentence, pooled is one
-    zero column.
-    """
-    sent_mask = np.stack([sent for _, _, sent in blocks])                # [B x S]
-    index = np.full(sent_mask.shape, -1)
-    if not sent_mask.any():
-        return Tensor(np.zeros((2 * enc.fwd.hidden_size, 1))), index
-    word_mask = np.stack([words for _, words, _ in blocks])[sent_mask]   # [K x M]
-    # a sentence's length runs to its last real word
-    length = np.where(word_mask.any(axis=1),
-                      word_mask.shape[1] - np.argmax(word_mask[:, ::-1], axis=1), 0)
+def _pack_sentences(sources: list):
+    """The real sentences of many ``data.Source`` as the rows of one padded
+    batch: (ids [K x m], word_mask [K x m], index [sources x slots]), id 0 in
+    pad cells. Rows run in descending order of length, ties in source then
+    slot order, so each step of a recurrence works on a prefix of the rows.
+    m is at least 1, so a real slot without words fails in word_attention.
+    index holds each real slot's row, else -1."""
+    real = np.concatenate([s.real for s in sources])                    # [B*S]
+    length = np.concatenate([s.lengths for s in sources])[real]         # [K]
     order = np.argsort(-length, kind="stable")
-    index[sent_mask] = np.argsort(order)
-    # the time axis ends at the last real word of any gathered sentence: the
-    # steps cut off are padding in every column and would not move a state;
-    # at least one step stays, so a sentence without words still fails in
-    # word_attention
-    m = max(int(length.max()), 1)
-    word_mask = word_mask[order, :m]
-    ids = np.stack([ids for ids, _, _ in blocks])[sent_mask][order, :m]
+    index = np.full(real.size, -1)
+    index[np.flatnonzero(real)[order]] = np.arange(order.size)
+    word_mask = np.arange(max(int(length.max(initial=0)), 1)) < length[:, None]
+    ids = np.zeros(word_mask.shape, np.int32)
+    ids[word_mask] = np.concatenate([s.ids for s in sources])
+    return ids[order], word_mask[order], index.reshape(len(sources), -1)
+
+
+def _word_encode_blocks(sources: list, enc: EncoderParams, embeddings):
+    """Word-level encode the rows of :func:`_pack_sentences` in one
+    recurrence and one attention pooling. Returns (pooled [2h x K] in row
+    order, index); with no real sentence, pooled is one zero column."""
+    ids, word_mask, index = _pack_sentences(sources)
+    if not len(ids):
+        return Tensor(np.zeros((2 * enc.fwd.hidden_size, 1))), index
     inputs = [Tensor(step.T) for step in embeddings.lookup(ids.T)]      # m of [d x K]
     states = layers.bigru(inputs, enc.fwd, enc.bwd, _keep_rows(word_mask))
     pooled, _ = layers.word_attention(states, word_mask, enc.attention)   # [2h x K]
@@ -369,21 +362,18 @@ def _keep_rows(mask: np.ndarray) -> list:
 
 def encode_samples(samples: list, params: ModelParams, embeddings,
                    hp: HyperParams) -> EncodedBatch:
-    """Encode many padded samples, sharing one word-level recurrence per
-    source and one news sentence-level recurrence across the whole list."""
+    """Encode many samples, sharing one word-level recurrence per source and
+    one news sentence-level recurrence across the whole list."""
     for sample in samples:
-        if not sample.news_sent_mask.any():
+        if not sample.news.real.any():
             raise layers.DegenerateMaskError(
                 f"sample {sample.doc_id}: news side has no real sentences")
     news_pooled, news_index = _word_encode_blocks(
-        [(s.news_ids, s.news_word_mask, s.news_sent_mask) for s in samples],
-        params.news_encoder, embeddings)
+        [s.news for s in samples], params.news_encoder, embeddings)
     entity_pooled, entity_index = _word_encode_blocks(
-        [(s.entity_ids, s.entity_word_mask, s.entity_sent_mask) for s in samples],
-        params.entity_encoder, embeddings)
+        [s.entities for s in samples], params.entity_encoder, embeddings)
     comment_pooled, comment_index = _word_encode_blocks(
-        [(s.comment_ids, s.comment_word_mask, s.comment_sent_mask) for s in samples],
-        params.comment_encoder, embeddings)
+        [s.comments for s in samples], params.comment_encoder, embeddings)
     # sentence-level BiGRU over the whole batch: step n holds sentence slot n
     # of every sample (a zero column at pad slots), so in its states column
     # n*B + b is slot n of sample b; one gather reorders them sample by
@@ -476,7 +466,7 @@ def predicted_label(probs: np.ndarray) -> int:
 
 
 def run_sample(sample: SampleArrays, params: ModelParams, embeddings, hp: HyperParams):
-    """Encode one padded sample and run the forward pass; returns (logits
+    """Encode one sample and run the forward pass; returns (logits
     [2 x 1], AttentionReport)."""
     logits, reports = forward(encode_samples([sample], params, embeddings, hp), params)
     return logits, reports[0]
@@ -500,20 +490,15 @@ def predict(samples: list, params: ModelParams, embeddings, hp: HyperParams, mod
 
 
 def ablate(sample: SampleArrays, mode: str) -> SampleArrays:
-    """Input-mode ablation: the dropped source keeps its slots but every
-    token becomes the padding id and its masks go all-pad."""
+    """Input-mode ablation: a dropped source keeps its slots but holds no
+    sentence (``Source.dropped``); the kept sources are the sample's own,
+    so nothing is copied."""
     if mode not in MODES:
         raise ValueError(f"unknown mode '{mode}' (expected one of {MODES})")
-    out = sample.copy()
-    if "E" not in mode.split("+"):
-        out.entity_ids[:] = 0
-        out.entity_word_mask[:] = False
-        out.entity_sent_mask[:] = False
-    if "C" not in mode.split("+"):
-        out.comment_ids[:] = 0
-        out.comment_word_mask[:] = False
-        out.comment_sent_mask[:] = False
-    return out
+    kept = mode.split("+")
+    return replace(sample,
+                   entities=sample.entities if "E" in kept else sample.entities.dropped(),
+                   comments=sample.comments if "C" in kept else sample.comments.dropped())
 
 
 # ---------------------------------------------------------------------------
@@ -688,7 +673,7 @@ def save_checkpoint(path, hp: HyperParams, params: ModelParams) -> None:
         header.write(f"tensor {name} {shape} {offset}\n")
         offset += 8 * tensor.size
     header.write("end\n")
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(header.getvalue().encode("utf-8"))
         # the tensors lie back to back in header order in the flat vector
         fh.write(memoryview(params.values.astype("<f8", copy=False)))

@@ -75,3 +75,60 @@ def random_document(rng, doc_id, vocab_tokens, max_news=2, max_entity=2,
         entity_descriptions=[("acme", [sentence() for _ in range(n_ent)])] if n_ent else [],
         label=int(rng.integers(0, 2)),
     )
+
+
+class PadNoiseEmbeddings:
+    """An embedding table whose lookup returns random finite noise at every
+    PAD_ID cell of the id matrix it is given, and the table's own rows
+    elsewhere. ``noised`` counts the cells replaced so far."""
+
+    def __init__(self, table, rng):
+        self.table = table
+        self.rng = rng
+        self.noised = 0
+
+    @property
+    def dim(self):
+        return self.table.dim
+
+    def lookup(self, ids):
+        out = self.table.lookup(ids)
+        pad = ids == data.PAD_ID
+        out[pad] = self.rng.uniform(-3.0, 3.0, size=(int(pad.sum()), out.shape[-1]))
+        self.noised += int(pad.sum())
+        return out
+
+
+def pad_block(sentences, vocab, slots, max_words):
+    """The padded layout samples were once stored in: int64 ids and a word
+    mask [slots x max_words] and a sentence mask [slots], id 0 and False in
+    pad cells. The reference the padded fields of ``SampleArrays`` must equal."""
+    ids = np.zeros((slots, max_words), dtype=np.int64)
+    word_mask = np.zeros((slots, max_words), dtype=bool)
+    sent_mask = np.zeros(slots, dtype=bool)
+    for i, sent in enumerate(sentences[:slots]):
+        toks = sent[:max_words]
+        ids[i, :len(toks)] = [vocab.id_of(t) for t in toks]
+        word_mask[i, :len(toks)] = True
+        sent_mask[i] = len(toks) > 0
+    return ids, word_mask, sent_mask
+
+
+def paper_vocab(size=2000):
+    vocab = data.Vocabulary()
+    for i in range(size):
+        vocab.add(f"w{i}")
+    return vocab
+
+
+def paper_document(rng, doc_id, vocab_tokens, sentences=20, entities=5, words=25):
+    """A document of gossipcop shape: ``sentences`` news and comment
+    sentences, ``entities`` descriptions of 4 sentences, sentence lengths
+    within 40% of ``words``."""
+    def block(n):
+        return [[vocab_tokens[int(i)] for i in rng.integers(
+            2, len(vocab_tokens), size=int(rng.integers(words * 0.6, words * 1.4 + 1)))]
+            for _ in range(n)]
+
+    return data.Document(doc_id, block(sentences), block(sentences),
+                         [(f"e{k}", block(4)) for k in range(entities)], int(rng.integers(0, 2)))

@@ -142,6 +142,20 @@ def transpose(x: Tensor) -> Tensor:
     return fused("transpose", data, (x,), bwd)
 
 
+def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
+    if x.data.ndim != 2:
+        raise ShapeError(f"slice_cols needs a 2-D tensor, got shape {x.data.shape}")
+    if not (0 <= start < stop <= x.data.shape[1]):
+        raise ShapeError(f"column slice [{start}:{stop}] out of range for shape {x.data.shape}")
+    data = x.data[:, start:stop].copy()
+
+    def bwd(g):
+        if x.requires_grad:
+            x.grad[:, start:stop] += g
+
+    return fused("slice_cols", data, (x,), bwd)
+
+
 def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:
     if x.data.ndim != 2:
         raise ShapeError(f"slice_rows needs a 2-D tensor, got shape {x.data.shape}")

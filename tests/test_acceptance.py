@@ -17,6 +17,7 @@ from dualcan import autodiff as ad
 from dualcan import cli, data, layers, metrics, model
 
 from conftest import (
+    PadNoiseEmbeddings,
     random_document,
     tiny_documents,
     tiny_embeddings,
@@ -197,20 +198,18 @@ def test_criterion_03_attention_normalization(tiny):
 def test_criterion_04_padding_inertness(tiny):
     hp, params, vocab, emb, _ = tiny
     rng = np.random.default_rng(44)
+    noisy = PadNoiseEmbeddings(emb, rng)
     tokens = vocab.tokens()
     for i in range(100):
         doc = random_document(rng, f"p{i}", tokens)
         sample = data.encode_document(doc, vocab, hp)
         base, _ = model.run_sample(sample, params, emb, hp)
-        noisy = sample.copy()
-        for ids, word_mask in ((noisy.news_ids, noisy.news_word_mask),
-                               (noisy.entity_ids, noisy.entity_word_mask),
-                               (noisy.comment_ids, noisy.comment_word_mask)):
-            pad_cells = ~word_mask
-            ids[pad_cells] = rng.integers(2, len(vocab), size=int(pad_cells.sum()))
-        out, _ = model.run_sample(noisy, params, emb, hp)
+        # samples store no pad cells; the batch id matrix has them
+        out, _ = model.run_sample(sample, params, noisy, hp)
         npt.assert_array_equal(out.data, base.data)
-    _report(4, "100 random samples, masked-position perturbation changes logits by exactly 0")
+    assert noisy.noised > 0
+    _report(4, f"100 random samples, noise at {noisy.noised} padded word cells changes "
+               f"logits by exactly 0")
 
 
 # ---------------------------------------------------------------------------

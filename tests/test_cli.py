@@ -3,12 +3,14 @@ import csv
 import io
 import json
 import math
+import os
 import re
 import shlex
 import struct
 import tempfile
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -76,6 +78,65 @@ def test_train_writes_artifacts(trained_dir):
     report = json.loads((trained_dir / "metrics.json").read_text())
     assert set(report) == {"accuracy", "precision_pos", "recall_pos", "f1_pos",
                            "precision_macro", "recall_macro", "f1_macro", "pr_auc"}
+
+
+def test_run_directories_hold_no_temporary_files(trained_dir, synth_dir, tmp_path):
+    assert sorted(p.name for p in trained_dir.iterdir()) == [
+        "checkpoint.bin", "epochs.csv", "metrics.json"]
+    out = tmp_path / "explain"
+    assert run_cli("explain", "--config", str(synth_dir / "config.cfg"), "--checkpoint",
+                   str(trained_dir / "checkpoint.bin"), "--out", str(out)) == 0
+    assert not [p.name for p in out.iterdir() if p.suffix == ".tmp"]
+
+
+class _Unprintable:
+    def __repr__(self):
+        raise RuntimeError("no repr")
+
+
+class _PayloadFails:
+    def astype(self, *args, **kwargs):
+        raise RuntimeError("payload fails")
+
+
+def _checkpoint_failing_after_its_header(path):
+    hp = model.HyperParams()
+    named = model.ModelParams.create(hp).named
+    model.save_checkpoint(path, hp, SimpleNamespace(named=named, values=_PayloadFails()))
+
+
+# each artifact writer, given an input that raises once part of the file is written
+FAILING_WRITES = {
+    "checkpoint.bin": _checkpoint_failing_after_its_header,
+    "epochs.csv": lambda path: cli._write_epoch_csv(
+        path, [model.EpochLog(1, 0.5, 1.0, {"accuracy": 1.0, "f1_macro": _Unprintable()})]),
+    "metrics.json": lambda path: data.write_json(path, {"accuracy": 1.0, "f1_macro": object()}),
+    "attention_report.json": lambda path: data.write_json(
+        path, {"samples": [{"id": "d0", "label": object()}], "skipped": []}),
+}
+
+
+@pytest.mark.parametrize("earlier", [False, True], ids=["new", "over-an-earlier-file"])
+@pytest.mark.parametrize("name", FAILING_WRITES)
+def test_a_write_that_raises_partway_leaves_no_file_and_no_temporary(tmp_path, monkeypatch,
+                                                                     name, earlier):
+    path = tmp_path / name
+    if earlier:
+        path.write_bytes(b"an earlier run")
+    removed = []
+    remove = os.remove
+
+    def sized_remove(p):
+        removed.append(os.path.getsize(p))
+        remove(p)
+
+    monkeypatch.setattr(os, "remove", sized_remove)
+    with pytest.raises((RuntimeError, TypeError)):
+        FAILING_WRITES[name](path)
+    assert len(removed) == 1 and removed[0] > 0      # it did fail partway
+    assert [p.name for p in tmp_path.iterdir()] == ([name] if earlier else [])
+    if earlier:
+        assert path.read_bytes() == b"an earlier run"
 
 
 def test_train_epoch_csv_structure(trained_dir):

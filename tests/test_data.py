@@ -1,5 +1,7 @@
 import json
+import tracemalloc
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +10,8 @@ import pytest
 
 from dualcan import data, model
 
-from conftest import random_document, tiny_hyperparams, tiny_vocab
+from conftest import (pad_block, paper_document, paper_vocab, random_document, tiny_documents,
+                      tiny_hyperparams, tiny_vocab)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -669,3 +672,75 @@ def test_gen_synthetic_comment_cue_is_late(tmp_path):
             hits = [i for i, c in enumerate(record["comments"]) if cue in c.split()]
             assert hits, record["id"]
             assert hits[0] >= len(record["comments"]) // 2
+
+
+# ---------------------------------------------------------------------------
+# ragged samples
+# ---------------------------------------------------------------------------
+
+
+PADDED_CASES = {
+    # news, comments, entity descriptions (one entity), as token lists
+    "hole-in-the-middle": ([["alpha", "beta"], [], ["gamma"]],
+                           [["delta"], [], ["eps", "zeta"]], [["eta"], [], ["theta"]]),
+    "cut-at-max-words": ([["alpha", "beta", "gamma", "delta", "eps"], ["zeta"]],
+                         [["eta", "theta", "iota", "kappa"]], [["alpha"] * 7]),
+    "empty-sources": ([["alpha"]], [], []),
+    "more-sentences-than-slots": ([["alpha"], ["beta"], ["gamma"], ["delta"], ["eps"]],
+                                  [["zeta"]] * 5, [["eta"]] * 6),
+}
+
+
+@pytest.mark.parametrize("case", PADDED_CASES)
+def test_padded_fields_equal_the_pad_block_oracle(case):
+    hp = replace(tiny_hyperparams(), max_words=3, max_news_sentences=4,
+                 max_entity_sentences=3, max_comment_sentences=4)
+    vocab = tiny_vocab()
+    news, comments, descriptions = PADDED_CASES[case]
+    doc = data.Document("x", news, comments, [("acme", descriptions)] if descriptions else [], 1)
+    sample = data.encode_document(doc, vocab, hp)
+    for prefix, sentences, slots in (
+            ("news", news, hp.max_news_sentences),
+            ("entity", data.resolve_entities(doc, hp), hp.max_entity_sentences),
+            ("comment", comments, hp.max_comment_sentences)):
+        expected = pad_block(sentences, vocab, slots, hp.max_words)
+        for suffix, want in zip(("ids", "word_mask", "sent_mask"), expected):
+            got = getattr(sample, f"{prefix}_{suffix}")
+            assert got.dtype == want.dtype and got.shape == want.shape, f"{prefix}_{suffix}"
+            npt.assert_array_equal(got, want, err_msg=f"{prefix}_{suffix}")
+
+
+def test_sample_stores_only_real_token_ids_in_one_array():
+    hp = tiny_hyperparams()
+    vocab = tiny_vocab()
+    doc = tiny_documents()[0]
+    sample = data.encode_document(doc, vocab, hp)
+    sources = (sample.news, sample.entities, sample.comments)
+    tokens = [t for sents in (doc.news_sentences, data.resolve_entities(doc, hp),
+                              doc.comment_sentences) for s in sents for t in s[:hp.max_words]]
+    npt.assert_array_equal(np.concatenate([s.ids for s in sources]),
+                           [vocab.id_of(t) for t in tokens])
+    for source in sources:
+        assert source.ids.dtype == source.lengths.dtype == np.int32
+        assert source.lengths.sum() == source.ids.size and source.max_words == hp.max_words
+        assert np.shares_memory(source.ids, sample.news.ids.base)
+        assert np.shares_memory(source.lengths, sample.news.lengths.base)
+    npt.assert_array_equal(sample.comments.lengths, [3, 2])
+
+
+def test_prepared_gossipcop_corpus_holds_at_most_16_kb_per_document():
+    # the padded layout held 263 KB per document at this profile
+    hp = model.HyperParams.profile("gossipcop")
+    vocab = paper_vocab()
+    rng = np.random.default_rng(9)
+    docs = [paper_document(rng, f"p{i}", vocab.tokens()) for i in range(40)]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        samples = [data.encode_document(doc, vocab, hp) for doc in docs]
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    tokens = sum(s.news.ids.size + s.entities.ids.size + s.comments.ids.size for s in samples)
+    assert tokens / len(docs) > 1200           # about 1,500 real tokens per document
+    assert held / len(docs) <= 16 * 1024

@@ -15,8 +15,8 @@ from oracles import (
     gru_params_arrays,
     word_attention_loops,
 )
-from tape_ops import (grad_check, mul, sigmoid, slice_rows, softmax_rows, sub, sum_all, tanh,
-                      transpose, zero_grad)
+from tape_ops import (grad_check, mul, sigmoid, slice_cols, slice_rows, softmax_rows, sub, sum_all,
+                      tanh, transpose, zero_grad)
 
 
 def make_gru(input_size, hidden, seed=7):
@@ -515,7 +515,7 @@ def test_word_attention_gradients_match_tape_reference(rng, batch, steps):
         return layers.word_attention(states, mask, p)[0]
 
     def reference(states):
-        steps_of = [ad.slice_cols(states, t * batch, (t + 1) * batch) for t in range(steps)]
+        steps_of = [slice_cols(states, t * batch, (t + 1) * batch) for t in range(steps)]
         return word_attention_reference(steps_of, mask, p)[0]
 
     tensors = list(p.named().values()) + [states]
@@ -703,7 +703,7 @@ def test_co_attention_gradients_match_tape_reference(rng, batch, n, e):
 
     def reference():
         return ad.concat([co_attention_reference(
-            ad.slice_cols(s, j * n, (j + 1) * n), ad.slice_cols(d, j * e, (j + 1) * e),
+            slice_cols(s, j * n, (j + 1) * n), slice_cols(d, j * e, (j + 1) * e),
             mask_s[j], mask_d[j], p) for j in range(batch)], axis=1)
 
     tensors = list(p.named().values()) + [s, d]

@@ -13,10 +13,10 @@ from hypothesis import strategies as st
 from dualcan import autodiff as ad
 from dualcan import data, layers, model
 
-from conftest import (random_document, tiny_documents, tiny_embeddings, tiny_hyperparams,
-                      tiny_vocab)
+from conftest import (PadNoiseEmbeddings, paper_document, paper_vocab, random_document,
+                      tiny_documents, tiny_embeddings, tiny_hyperparams, tiny_vocab)
 from oracles import model_forward_loops
-from tape_ops import grad_check, log, mean_all, scale, softmax_rows, transpose
+from tape_ops import grad_check, log, mean_all, scale, slice_cols, softmax_rows, transpose
 
 LN2 = math.log(2.0)
 
@@ -68,10 +68,7 @@ def test_encode_news_zero_params_zero_embeddings(tiny_setup):
 
 def test_encode_news_empty_document_errors(tiny_setup):
     hp, params, _, emb, samples = tiny_setup
-    empty = samples[0].copy()
-    empty.news_ids[:] = 0
-    empty.news_word_mask[:] = False
-    empty.news_sent_mask[:] = False
+    empty = dataclasses.replace(samples[0], news=samples[0].news.dropped())
     with pytest.raises(ad.DegenerateMaskError):
         model.encode_samples([samples[1], empty], params, emb, hp)
 
@@ -236,6 +233,50 @@ def _packed_batch(tiny_setup, case):
     return hp, params, emb, [data.encode_document(d, vocab, hp) for d in docs]
 
 
+def _stack_select_trim(samples, prefix):
+    """The batch id matrix, word mask and index the way the padded layout
+    built them: stack the padded blocks, select the real sentences, sort
+    them by length and trim the time axis."""
+    sent_mask = np.stack([getattr(s, f"{prefix}_sent_mask") for s in samples])
+    index = np.full(sent_mask.shape, -1)
+    word_mask = np.stack([getattr(s, f"{prefix}_word_mask") for s in samples])[sent_mask]
+    length = np.where(word_mask.any(axis=1),
+                      word_mask.shape[1] - np.argmax(word_mask[:, ::-1], axis=1), 0)
+    order = np.argsort(-length, kind="stable")
+    index[sent_mask] = np.argsort(order)
+    m = max(int(length.max(initial=0)), 1)
+    ids = np.stack([getattr(s, f"{prefix}_ids") for s in samples])[sent_mask][order, :m]
+    return ids, word_mask[order, :m], index
+
+
+def _holes_and_ablation_batch(tiny_setup):
+    hp, _, vocab, _, _ = tiny_setup
+    hp = dataclasses.replace(hp, max_words=4, max_news_sentences=4,
+                             max_entity_sentences=4, max_comment_sentences=4)
+    docs = [data.Document("h", [["alpha"], [], ["beta", "gamma", "delta", "eps", "zeta"]],
+                          [[], ["eta", "theta"]], [("acme", [["iota"], [], ["kappa"] * 3])], 1)]
+    rng = np.random.default_rng(11)
+    docs += [random_document(rng, f"r{i}", vocab.tokens(), max_news=4, max_entity=4,
+                             max_comment=4, max_words=4) for i in range(5)]
+    samples = [data.encode_document(d, vocab, hp) for d in docs]
+    samples[2] = model.ablate(samples[2], "N+C")
+    samples[4] = model.ablate(samples[4], "N+E")
+    return samples
+
+
+@pytest.mark.parametrize("case", [*PACKED_BATCHES, "holes-and-ablation"])
+def test_packed_batch_equals_the_stack_select_trim_path(tiny_setup, case):
+    samples = (_holes_and_ablation_batch(tiny_setup) if case == "holes-and-ablation"
+               else _packed_batch(tiny_setup, case)[3])
+    for prefix, source in (("news", "news"), ("entity", "entities"), ("comment", "comments")):
+        got = model._pack_sentences([getattr(s, source) for s in samples])
+        for name, have, want in zip(("ids", "word_mask", "index"), got,
+                                    _stack_select_trim(samples, prefix)):
+            assert have.shape == want.shape, f"{source} {name}"
+            npt.assert_array_equal(have, want, err_msg=f"{source} {name}")
+        assert (got[0][~got[1]] == data.PAD_ID).all()
+
+
 @pytest.mark.parametrize("case", PACKED_BATCHES)
 def test_length_sorted_word_recurrence_matches_oracle(tiny_setup, case):
     hp, params, emb, samples = _packed_batch(tiny_setup, case)
@@ -292,17 +333,36 @@ def test_word_recurrence_computes_only_real_column_steps(tiny_setup, monkeypatch
     assert counter.per_call[:6] == [n for n in real_words for _ in ("fwd", "bwd")]
 
 
+@dataclasses.dataclass(slots=True)
+class _StatedSlots(data.Source):
+    """A source whose real slots are stated instead of read off its lengths:
+    the one way to build a real slot without words."""
+
+    stated: np.ndarray = None
+
+    @property
+    def real(self):
+        return self.stated
+
+
 def test_sentence_without_words_fails_after_time_trimming(tiny_setup):
     # a real sentence slot whose words are all padding cannot be pooled: it
     # raises DegenerateMaskError (exit 2 on the command line), also when no
     # gathered sentence of its source has a real word left to trim to
     hp, params, _, emb, samples = tiny_setup
-    broken = samples[0].copy()
-    broken.comment_word_mask[0] = False
+    comments = samples[0].comments
+    first = int(comments.lengths[0])
+    lengths = comments.lengths.copy()
+    lengths[0] = 0
+    broken = dataclasses.replace(samples[0], comments=_StatedSlots(
+        comments.ids[first:], lengths, comments.max_words, stated=comments.real))
+    assert broken.comment_sent_mask[0] and not broken.comment_word_mask[0].any()
     with pytest.raises(layers.DegenerateMaskError):
         model.encode_samples([broken, samples[1]], params, emb, hp)
-    broken.comment_word_mask[:] = False
-    assert broken.comment_sent_mask.any()
+    lengths[:] = 0
+    broken = dataclasses.replace(samples[0], comments=_StatedSlots(
+        comments.ids[:0], lengths, comments.max_words, stated=comments.real))
+    assert broken.comment_sent_mask.any() and not broken.comment_word_mask.any()
     with pytest.raises(layers.DegenerateMaskError):
         model.encode_samples([broken], params, emb, hp)
 
@@ -434,7 +494,7 @@ def test_loss_hand_value():
 def cross_entropy_reference(logits, label):
     """Tape-composed loss of one [2 x 1] logit column."""
     probs = softmax_rows(transpose(logits))            # [1 x 2]
-    p0, p1 = ad.slice_cols(probs, 0, 1), ad.slice_cols(probs, 1, 2)
+    p0, p1 = slice_cols(probs, 0, 1), slice_cols(probs, 1, 2)
     return ad.add(scale(log(p1, floor=1e-12), -float(label)),
                   scale(log(p0, floor=1e-12), -(1.0 - label)))
 
@@ -454,7 +514,7 @@ def test_loss_batch_is_mean_of_reference_columns(rng):
                 loss = model.cross_entropy(logits, labels)
             else:
                 loss = mean_all(ad.concat(
-                    [cross_entropy_reference(ad.slice_cols(logits, b, b + 1), y)
+                    [cross_entropy_reference(slice_cols(logits, b, b + 1), y)
                      for b, y in enumerate(labels)], axis=1))
         g.backward(loss)
         grads.append((loss.item(), logits.grad))
@@ -783,30 +843,52 @@ def test_ablate_rejects_unknown_mode(tiny_setup):
         model.ablate(samples[0], "N")
 
 
+@pytest.mark.parametrize("mode, kept, dropped", [("N+C", "comments", "entities"),
+                                                 ("N+E", "entities", "comments")])
+def test_ablate_shares_the_kept_sources_and_allocates_nothing_for_the_dropped(mode, kept,
+                                                                              dropped):
+    hp = model.HyperParams.profile("gossipcop")
+    vocab = paper_vocab()
+    sample = data.encode_document(paper_document(np.random.default_rng(4), "p", vocab.tokens()),
+                                  vocab, hp)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = model.ablate(sample, mode)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    # a copy of the dropped source's padded arrays alone would be 100 x 120 x 9 bytes
+    assert peak <= 2048
+    for name in ("news", kept):
+        assert getattr(out, name) is getattr(sample, name)
+        for field in ("ids", "lengths"):
+            assert np.shares_memory(getattr(getattr(out, name), field),
+                                    getattr(getattr(sample, name), field))
+    gone, was = getattr(out, dropped), getattr(sample, dropped)
+    assert was.ids.size > 0 and gone.ids.size == 0
+    assert gone.lengths.shape == was.lengths.shape and gone.max_words == was.max_words
+    assert gone.lengths.strides == (0,)   # a view of one scalar
+    assert not gone.lengths.any() and not gone.real.any() and was.real.any()
+
+
 # ---------------------------------------------------------------------------
 # inertness
 # ---------------------------------------------------------------------------
 
 
-def _perturb_masked_positions(sample, rng, vocab_size):
-    noisy = sample.copy()
-    for ids, word_mask, sent_mask in (
-            (noisy.news_ids, noisy.news_word_mask, noisy.news_sent_mask),
-            (noisy.entity_ids, noisy.entity_word_mask, noisy.entity_sent_mask),
-            (noisy.comment_ids, noisy.comment_word_mask, noisy.comment_sent_mask)):
-        pad_cells = ~word_mask
-        ids[pad_cells] = rng.integers(2, vocab_size, size=int(pad_cells.sum()))
-    return noisy
-
-
 def test_padding_positions_are_exactly_inert(tiny_setup, rng):
-    hp, params, vocab, emb, samples = tiny_setup
+    # noise at every padded cell of the batch id matrix reaches the embedding
+    # lookup and changes nothing downstream
+    hp, params, _, emb, samples = tiny_setup
+    noisy = PadNoiseEmbeddings(emb, rng)
     for sample in samples:
         base, _ = model.run_sample(sample, params, emb, hp)
         for _ in range(5):
-            noisy = _perturb_masked_positions(sample, rng, len(vocab))
-            out, _ = model.run_sample(noisy, params, emb, hp)
+            out, _ = model.run_sample(sample, params, noisy, hp)
             npt.assert_array_equal(out.data, base.data)
+    assert noisy.noised > 0
 
 
 def test_appending_pad_slots_leaves_logits_unchanged(tiny_setup):

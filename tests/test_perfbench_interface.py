@@ -9,19 +9,24 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dualcan import data, interpret, model
+from dualcan import cli, data, interpret, model
 
-from conftest import random_document, tiny_documents, tiny_embeddings, tiny_hyperparams, tiny_vocab
+from conftest import (pad_block, random_document, tiny_documents, tiny_embeddings,
+                      tiny_hyperparams, tiny_vocab)
 from oracles import model_forward_loops
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def load_spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+def load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def load_spans():
+    return load_perfbench("spans")
 
 
 @pytest.fixture
@@ -83,3 +88,38 @@ def test_batched_and_batch_one_logits_match_oracle(tiny_batch, mode):
                           (attn.news_comment, attn.news_mask), (attn.comment, attn.comment_mask)):
         if mask.any():
             assert np.all(weights[~mask] == 0.0) and abs(weights.sum() - 1.0) <= 1e-9
+
+
+def test_input_stats_of_a_paper_corpus_read_as_in_the_padded_layout(tmp_path):
+    # the benchmark's per-layer input metrics read the padded fields; they
+    # keep the values the padded layout gave, which the oracle rebuilds
+    gen = load_perfbench("gen")
+    paths = gen.paper_corpus(tmp_path, 3, n_train=4, n_val=2, n_test=2)
+    hp = replace(model.HyperParams.profile("gossipcop"), max_news_sentences=24,
+                 max_entity_sentences=24, max_comment_sentences=24, batch_size=2)
+    config = cli.RunConfig(train=str(paths["train"]), val=str(paths["val"]),
+                           test=str(paths["test"]), embeddings=str(paths["embeddings"]),
+                           entities=str(paths["entities"]), hp=hp)
+    prepared = cli.prepare_data(config, hp)
+    stats = gen.input_stats(prepared.train + prepared.val + prepared.test)
+
+    resolver = data.SnapshotResolver(paths["entities"])
+    real_words = word_slots = documents = 0
+    sentences = {"news": 0, "entity": 0, "comment": 0}
+    for split in ("train", "val", "test"):
+        docs, _ = data.read_dataset(paths[split], hp.max_sentences_per_comment)
+        for doc in data.resolve_documents(docs, resolver):
+            documents += 1
+            for side, sents, slots in (
+                    ("news", doc.news_sentences, hp.max_news_sentences),
+                    ("entity", data.resolve_entities(doc, hp), hp.max_entity_sentences),
+                    ("comment", doc.comment_sentences, hp.max_comment_sentences)):
+                _, word_mask, sent_mask = pad_block(sents, prepared.vocab, slots, hp.max_words)
+                real_words += int(word_mask.sum())
+                word_slots += word_mask.size
+                sentences[side] += int(sent_mask.sum())
+    expected = {"input.word_fill": real_words / word_slots}
+    expected.update((f"input.{side}_sentences", n / documents) for side, n in sentences.items())
+    assert stats == expected
+    assert expected == {"input.word_fill": 0.179296875, "input.news_sentences": 20.25,
+                        "input.entity_sentences": 20.0, "input.comment_sentences": 19.625}
