@@ -10,16 +10,15 @@ soon as it has run, and so is the grad of the node's output unless that
 output is the loss: only the leaves (tensors no node produced) and the loss
 keep their grads. So a graph runs backward once.
 
-The model's layers are each one hand-written node recorded with
-:func:`fused`; the few structural ops here (``matmul``, ``add``, ``concat``,
-``gather_cols``) join them. Operations run fine without an
-active graph (plain forward evaluation); a graph is only needed when
-gradients are wanted:
+Each layer of the model is one hand-written node recorded with
+:func:`fused`, and :func:`gather_cols` is the one structural op beside them.
+Operations run fine without an active graph (plain forward evaluation); a
+graph is only needed when gradients are wanted:
 
     g = Graph()
     with g:
-        loss = matmul(w, x)     # w: [1 x n], x: [n x 1], both requires_grad
-    g.backward(loss)            # x.grad now holds w.T, w.grad holds x.T
+        loss = gather_cols(x, [2])   # x: [1 x n], requires_grad; loss: [1 x 1]
+    g.backward(loss)                 # x.grad: 1 in column 2, 0 elsewhere
 
 A graph and the tensors recorded on it belong to one thread (the active
 graph is thread-local); independent graphs may run concurrently in other
@@ -183,75 +182,6 @@ def fused(op: str, data: np.ndarray, parents: tuple, backward_fn) -> Tensor:
         out.requires_grad = True
         g._record(out, parents, backward_fn, op)
     return out
-
-
-def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum ``grad`` down to ``shape`` (reverses numpy broadcasting)."""
-    while grad.ndim > len(shape):
-        grad = grad.sum(axis=0)
-    for axis, dim in enumerate(shape):
-        if dim == 1 and grad.shape[axis] != 1:
-            grad = grad.sum(axis=axis, keepdims=True)
-    return grad
-
-
-# ---------------------------------------------------------------------------
-# ops
-# ---------------------------------------------------------------------------
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product of two 2-D tensors."""
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ShapeError(f"matmul needs 2-D operands, got {a.data.shape} and {b.data.shape}")
-    if a.data.shape[1] != b.data.shape[0]:
-        raise ShapeError(f"matmul inner dimensions differ: {a.data.shape} x {b.data.shape}")
-    data = a.data @ b.data
-
-    def bwd(g):
-        if a.requires_grad:
-            a.grad += g @ b.data.T
-        if b.requires_grad:
-            b.grad += a.data.T @ g
-
-    return fused("matmul", data, (a, b), bwd)
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum with numpy broadcasting."""
-    try:
-        data = a.data + b.data
-    except ValueError as e:
-        raise ShapeError(f"add: shapes {a.data.shape} and {b.data.shape} do not broadcast") from e
-
-    def bwd(g):
-        if a.requires_grad:
-            a.grad += _unbroadcast(g, a.data.shape)
-        if b.requires_grad:
-            b.grad += _unbroadcast(g, b.data.shape)
-
-    return fused("add", data, (a, b), bwd)
-
-
-def concat(tensors: list, axis: int) -> Tensor:
-    """Concatenate 2-D tensors along axis 0 (rows) or 1 (columns)."""
-    if axis not in (0, 1):
-        raise ShapeError(f"concat axis must be 0 or 1, got {axis}")
-    if not tensors:
-        raise ShapeError("concat of an empty tensor list")
-    data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def bwd(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
-                if axis == 0:
-                    t.grad += g[lo:hi, :]
-                else:
-                    t.grad += g[:, lo:hi]
-
-    return fused("concat", data, tuple(tensors), bwd)
 
 
 def gather_cols(x: Tensor, index) -> Tensor:

@@ -311,14 +311,15 @@ def cmd_synth(args) -> int:
     spec = SyntheticSpec(size=args.size, balance=args.balance, signal=signal,
                          seed=args.seed, embedding_dim=args.dim,
                          entity_slots=args.entity_slots)
+    hp = replace(HyperParams.profile("synthetic"), embedding_dim=args.dim,
+                 max_entity_sentences=args.entity_slots, seed=args.seed)
     try:
         spec.validate()
+        hp.validate()
     except ValueError as e:
         raise UsageError(str(e)) from e
     paths = data_mod.gen_synthetic(spec, args.out)
     config_path = Path(args.out) / "config.cfg"
-    hp = replace(HyperParams.profile("synthetic"), embedding_dim=args.dim,
-                 max_entity_sentences=args.entity_slots, seed=args.seed)
     settings = {"dataset": paths["dataset"], "entities": paths["entities"],
                 "embeddings": paths["embeddings"], "out": Path(args.out) / "run",
                 "split_seed": args.seed}

@@ -399,11 +399,13 @@ def resolve_documents(docs: list, resolver: SnapshotResolver | None) -> list:
 
     Documents with an empty entity list get one from the gazetteer pass over
     the snapshot names. Must run before vocabulary building so description
-    tokens are in-vocabulary.
+    tokens are in-vocabulary. Each name's description is tokenized once, and
+    documents that mention it share its token lists.
     """
     if resolver is None:
         return docs
     out = []
+    described = {}
     for doc in docs:
         entities = doc.entity_descriptions
         if not entities:
@@ -411,7 +413,9 @@ def resolve_documents(docs: list, resolver: SnapshotResolver | None) -> list:
         filled = []
         for name, sentences in entities:
             if not sentences:
-                sentences = sentences_to_tokens(resolver.lookup(name))
+                if name not in described:
+                    described[name] = sentences_to_tokens(resolver.lookup(name))
+                sentences = described[name]
             filled.append((name, sentences))
         out.append(replace(doc, entity_descriptions=filled))
     return out

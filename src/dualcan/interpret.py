@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .data import atomic_write
 from .model import predicted_label
 
 CELL = 18
@@ -52,7 +53,8 @@ def _shade(weight: float, col_max: float) -> str:
 
 
 def render_heatmap_svg(path, weights: np.ndarray, sample_ids: list, title: str) -> None:
-    """Write a heatmap of ``weights`` [positions x samples] to ``path``."""
+    """Write a heatmap of ``weights`` [positions x samples] to ``path``,
+    atomically (``data.atomic_write``)."""
     weights = np.asarray(weights, dtype=float)
     rows, cols = weights.shape
     if cols != len(sample_ids):
@@ -83,7 +85,7 @@ def render_heatmap_svg(path, weights: np.ndarray, sample_ids: list, title: str) 
                 f'<rect x="{x}" y="{y}" width="{CELL}" height="{CELL}" fill="{fill}" '
                 f'stroke="#cccccc" stroke-width="0.5"/>')
     parts.append("</svg>")
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(parts) + "\n")
 
 

@@ -306,7 +306,7 @@ def bigru(columns: list, p_fwd: GruParams, p_bwd: GruParams, keep: list | None =
 
     Each direction writes its states straight into its half of one
     [2h x T*B] buffer, so the stacked output is no second copy of them; the
-    one ``concat`` node on top only splits the gradient between the halves.
+    one node on top only splits the gradient between the halves.
     """
     if not columns:
         raise ShapeError("bigru over an empty sequence")
@@ -321,7 +321,7 @@ def bigru(columns: list, p_fwd: GruParams, p_bwd: GruParams, keep: list | None =
         if bwd.requires_grad:
             bwd.grad += g[h:]
 
-    return fused("concat", states, (fwd, bwd), backward)
+    return fused("bigru", states, (fwd, bwd), backward)
 
 
 def _columns(x: np.ndarray) -> np.ndarray:

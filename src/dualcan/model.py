@@ -26,12 +26,9 @@ from .autodiff import (
     NonFiniteError,
     ShapeError,
     Tensor,
-    add,
-    concat,
     fused,
     gather_cols,
     masked_softmax,
-    matmul,
     softmax_backward,
 )
 from .data import SampleArrays, atomic_write
@@ -410,9 +407,7 @@ def forward(encoded: EncodedBatch, params: ModelParams):
                               _side_mask(encoded.entity_mask), params.entity_coattn)
     com = layers.co_attention(encoded.news, encoded.comments, encoded.news_mask,
                               _side_mask(encoded.comment_mask), params.comment_coattn)
-    features = concat([ent.pooled, com.pooled], axis=0)                  # [8h x B]
-    hidden = add(matmul(params.head_w1, features), params.head_b1)
-    logits = add(matmul(params.head_w2, hidden), params.head_b2)
+    logits = head([ent.pooled, com.pooled], params)
     reports = [AttentionReport(
         news_entity=ent.attn_primary[b],
         entity=ent.attn_secondary[b],
@@ -423,6 +418,33 @@ def forward(encoded: EncodedBatch, params: ModelParams):
         comment_mask=encoded.comment_mask[b],
     ) for b in range(len(encoded))]
     return logits, reports
+
+
+def head(pooled: list, params: ModelParams) -> Tensor:
+    """The prediction head: logits [2 x B] of two affine layers over the
+    ``pooled`` tensors stacked by rows. One tape node with a hand-written
+    backward pass."""
+    w1, b1, w2, b2 = params.head_w1, params.head_b1, params.head_w2, params.head_b2
+    features = np.concatenate([p.data for p in pooled], axis=0)          # [8h x B]
+    hidden = w1.data @ features + b1.data
+    bounds = np.cumsum([0] + [p.shape[0] for p in pooled])
+
+    def backward(g):
+        if b2.requires_grad:
+            b2.grad += g.sum(axis=1, keepdims=True)
+        if w2.requires_grad:
+            w2.grad += g @ hidden.T
+        d_hidden = w2.data.T @ g
+        if b1.requires_grad:
+            b1.grad += d_hidden.sum(axis=1, keepdims=True)
+        if w1.requires_grad:
+            w1.grad += d_hidden @ features.T
+        d_features = w1.data.T @ d_hidden
+        for p, lo, hi in zip(pooled, bounds, bounds[1:]):
+            if p.requires_grad:
+                p.grad += d_features[lo:hi]
+
+    return fused("head", w2.data @ hidden + b2.data, (*pooled, w1, b1, w2, b2), backward)
 
 
 _LOG_FLOOR = 1e-12

@@ -1,10 +1,10 @@
 """Tape ops and a finite-difference gradient checker that only tests use.
 
 The model records each layer as one hand-written ``fused`` node, so the
-package keeps only those and a few structural ops. The ops here compose the
-tape references that the fused layers are checked against (``sub``, ``mul``,
-``tanh``, ``softmax_rows`` and the rest), and :func:`grad_check` compares a
-tape's gradients with central differences.
+package keeps only those and ``gather_cols``. The ops here compose the tape
+references that the fused layers are checked against (``matmul``, ``add``,
+``concat``, ``tanh``, ``softmax_rows`` and the rest), and :func:`grad_check`
+compares a tape's gradients with central differences.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from dualcan.autodiff import (
     NonFiniteError,
     ShapeError,
     Tensor,
-    _unbroadcast,
     fused,
     masked_softmax,
     softmax_backward,
@@ -31,6 +30,70 @@ def zero_grad(t: Tensor) -> None:
     never allocated stays None."""
     if t.grad is not None:
         t.grad.fill(0.0)
+
+
+def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
+    """Sum ``grad`` down to ``shape`` (reverses numpy broadcasting)."""
+    while grad.ndim > len(shape):
+        grad = grad.sum(axis=0)
+    for axis, dim in enumerate(shape):
+        if dim == 1 and grad.shape[axis] != 1:
+            grad = grad.sum(axis=axis, keepdims=True)
+    return grad
+
+
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """Matrix product of two 2-D tensors."""
+    if a.data.ndim != 2 or b.data.ndim != 2:
+        raise ShapeError(f"matmul needs 2-D operands, got {a.data.shape} and {b.data.shape}")
+    if a.data.shape[1] != b.data.shape[0]:
+        raise ShapeError(f"matmul inner dimensions differ: {a.data.shape} x {b.data.shape}")
+    data = a.data @ b.data
+
+    def bwd(g):
+        if a.requires_grad:
+            a.grad += g @ b.data.T
+        if b.requires_grad:
+            b.grad += a.data.T @ g
+
+    return fused("matmul", data, (a, b), bwd)
+
+
+def add(a: Tensor, b: Tensor) -> Tensor:
+    """Elementwise sum with numpy broadcasting."""
+    try:
+        data = a.data + b.data
+    except ValueError as e:
+        raise ShapeError(f"add: shapes {a.data.shape} and {b.data.shape} do not broadcast") from e
+
+    def bwd(g):
+        if a.requires_grad:
+            a.grad += _unbroadcast(g, a.data.shape)
+        if b.requires_grad:
+            b.grad += _unbroadcast(g, b.data.shape)
+
+    return fused("add", data, (a, b), bwd)
+
+
+def concat(tensors: list, axis: int) -> Tensor:
+    """Concatenate 2-D tensors along axis 0 (rows) or 1 (columns)."""
+    if axis not in (0, 1):
+        raise ShapeError(f"concat axis must be 0 or 1, got {axis}")
+    if not tensors:
+        raise ShapeError("concat of an empty tensor list")
+    data = np.concatenate([t.data for t in tensors], axis=axis)
+    sizes = [t.data.shape[axis] for t in tensors]
+    offsets = np.cumsum([0] + sizes)
+
+    def bwd(g):
+        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
+            if t.requires_grad:
+                if axis == 0:
+                    t.grad += g[lo:hi, :]
+                else:
+                    t.grad += g[:, lo:hi]
+
+    return fused("concat", data, tuple(tensors), bwd)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:

@@ -9,8 +9,8 @@ import pytest
 from dualcan import autodiff as ad
 
 from oracles import central_difference, matmul_loops, softmax_loops
-from tape_ops import (grad_check, log, mul, scale, sigmoid, slice_cols, slice_rows, softmax_rows,
-                      sub, sum_all, tanh, transpose, zero_grad)
+from tape_ops import (add, concat, grad_check, log, matmul, mul, scale, sigmoid, slice_cols,
+                      slice_rows, softmax_rows, sub, sum_all, tanh, transpose, zero_grad)
 
 
 def test_tensor_rejects_non_finite():
@@ -33,25 +33,25 @@ def test_tensor_scalar_becomes_1x1():
 
 def test_matmul_identity():
     a = ad.Tensor([[1.0, 2.0], [3.0, 4.0]])
-    out = ad.matmul(ad.Tensor(np.eye(2)), a)
+    out = matmul(ad.Tensor(np.eye(2)), a)
     npt.assert_array_equal(out.data, a.data)
 
 
 def test_matmul_hand_case():
-    out = ad.matmul(ad.Tensor([[1.0, 2.0]]), ad.Tensor([[3.0], [4.0]]))
+    out = matmul(ad.Tensor([[1.0, 2.0]]), ad.Tensor([[3.0], [4.0]]))
     npt.assert_array_equal(out.data, [[11.0]])
 
 
 def test_matmul_matches_triple_loop(rng):
     a = rng.uniform(-2, 2, (5, 4))
     b = rng.uniform(-2, 2, (4, 3))
-    out = ad.matmul(ad.Tensor(a), ad.Tensor(b))
+    out = matmul(ad.Tensor(a), ad.Tensor(b))
     npt.assert_allclose(out.data, matmul_loops(a, b), atol=1e-12)
 
 
 def test_matmul_shape_error_names_both_shapes():
     with pytest.raises(ad.ShapeError, match=r"\(2, 3\).*\(2, 2\)"):
-        ad.matmul(ad.Tensor(np.zeros((2, 3))), ad.Tensor(np.zeros((2, 2))))
+        matmul(ad.Tensor(np.zeros((2, 3))), ad.Tensor(np.zeros((2, 2))))
 
 
 def test_matmul_gradients(rng):
@@ -59,7 +59,7 @@ def test_matmul_gradients(rng):
     b = ad.Tensor(rng.uniform(-1, 1, (4, 2)), requires_grad=True)
     g = ad.Graph()
     with g:
-        loss = sum_all(ad.matmul(a, b))
+        loss = sum_all(matmul(a, b))
     g.backward(loss)
     for tensor in (a, b):
         def f(t=tensor):
@@ -189,12 +189,12 @@ def test_softmax_gradient_matches_central_difference(rng):
 def test_concat_then_slice_round_trips_bit_exact(rng):
     a = ad.Tensor(rng.uniform(-2, 2, (3, 2)))
     b = ad.Tensor(rng.uniform(-2, 2, (3, 5)))
-    joined = ad.concat([a, b], axis=1)
+    joined = concat([a, b], axis=1)
     back_a = slice_cols(joined, 0, 2)
     back_b = slice_cols(joined, 2, 7)
     npt.assert_array_equal(back_a.data, a.data)
     npt.assert_array_equal(back_b.data, b.data)
-    rows = ad.concat([transpose(a), transpose(b)], axis=0)
+    rows = concat([transpose(a), transpose(b)], axis=0)
     npt.assert_array_equal(slice_rows(rows, 2, 7).data, b.data.T)
 
 
@@ -204,7 +204,7 @@ def test_concat_gradient_splits(rng):
     w = rng.uniform(-1, 1, (2, 5))
     g = ad.Graph()
     with g:
-        loss = sum_all(mul(ad.concat([a, b], axis=1), ad.Tensor(w)))
+        loss = sum_all(mul(concat([a, b], axis=1), ad.Tensor(w)))
     g.backward(loss)
     npt.assert_allclose(a.grad, w[:, :2], atol=1e-15)
     npt.assert_allclose(b.grad, w[:, 2:], atol=1e-15)
@@ -239,7 +239,7 @@ def test_broadcast_add_gradient_sums(rng):
     bias = ad.Tensor(rng.uniform(-1, 1, (3, 1)), requires_grad=True)
     g = ad.Graph()
     with g:
-        loss = sum_all(ad.add(x, bias))
+        loss = sum_all(add(x, bias))
     g.backward(loss)
     npt.assert_array_equal(x.grad, np.ones((3, 4)))
     npt.assert_array_equal(bias.grad, np.full((3, 1), 4.0))
@@ -283,8 +283,8 @@ def test_backward_accumulates_across_fanout():
     x = ad.Tensor([[2.0]], requires_grad=True)
     g = ad.Graph()
     with g:
-        y = ad.add(x, x)
-        loss = sum_all(ad.add(y, x))
+        y = add(x, x)
+        loss = sum_all(add(y, x))
     g.backward(loss)
     assert x.grad[0, 0] == 3.0
 
@@ -345,7 +345,7 @@ def test_backward_releases_intermediate_grads_and_keeps_leaf_and_loss_grads():
     g = ad.Graph()
     with g:
         t = tanh(x)
-        y = ad.matmul(t, w)
+        y = matmul(t, w)
         loss = sum_all(mul(y, y))
     g.backward(loss)
     # every node output but the loss has dropped its grad once its node ran
@@ -385,8 +385,8 @@ def test_loss_grad_wrt_itself_is_one():
 def test_all_ops_match_central_differences_on_random_inputs(rng):
     """Every differentiable op agrees with finite differences within 1e-6."""
     specs = {
-        "matmul": lambda a, b: ad.matmul(a, b),
-        "add": ad.add,
+        "matmul": matmul,
+        "add": add,
         "sub": sub,
         "mul": mul,
     }
@@ -419,7 +419,7 @@ def test_all_ops_match_central_differences_on_random_inputs(rng):
         "sum": (sum_all, (-2, 2)),
         "slice_rows": (lambda t: slice_rows(t, 1, 3), (-2, 2)),
         "slice_cols": (lambda t: slice_cols(t, 0, 2), (-2, 2)),
-        "concat_self": (lambda t: ad.concat([t, tanh(t)], axis=0), (-2, 2)),
+        "concat_self": (lambda t: concat([t, tanh(t)], axis=0), (-2, 2)),
         "softmax": (lambda t: softmax_rows(t), (-2, 2)),
     }
     for name, (op, (lo, hi)) in unary.items():
@@ -443,7 +443,7 @@ def test_forward_replay_is_bit_identical(rng):
 
     def run():
         t = ad.Tensor(x)
-        return softmax_rows(ad.matmul(tanh(ad.matmul(ad.Tensor(w), t)), t)).data
+        return softmax_rows(matmul(tanh(matmul(ad.Tensor(w), t)), t)).data
 
     first = run()
     second = run()
@@ -460,7 +460,7 @@ def test_grad_check_quadratic_form(rng):
     x = ad.Tensor(rng.uniform(-1, 1, (4, 1)), requires_grad=True)
 
     def f():
-        return sum_all(mul(x, ad.matmul(ad.Tensor(q), x)))
+        return sum_all(mul(x, matmul(ad.Tensor(q), x)))
 
     report = grad_check(f, {"x": x}, h=1e-5)
     assert report.max_rel_err < 1e-9
@@ -480,7 +480,7 @@ def test_grad_check_tanh_chain(rng):
     def f():
         out = x
         for wi in w:
-            out = tanh(ad.matmul(wi, out))
+            out = tanh(matmul(wi, out))
         return sum_all(out)
 
     params = {"x": x, **{f"w{i}": wi for i, wi in enumerate(w)}}
@@ -549,3 +549,15 @@ def test_every_public_autodiff_function_has_a_caller_in_the_package():
                       and node.value.id == "autodiff"):
                     used.add(node.attr)
     assert public and sorted(public - used) == []
+
+
+def test_no_op_is_defined_both_in_the_package_and_in_tape_ops():
+    """Every op lives in exactly one place: autodiff.py or tests/tape_ops.py."""
+    def defined(path):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        return {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+    package = defined(Path(ad.__file__))
+    tests = defined(Path(__file__).with_name("tape_ops.py"))
+    assert {"fused", "gather_cols"} <= package and {"matmul", "add", "concat"} <= tests
+    assert sorted(package & tests) == []

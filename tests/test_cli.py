@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import errno
 import io
 import json
 import math
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualcan import cli, data, model
+from dualcan import cli, data, interpret, model
 
 
 def run_cli(*argv):
@@ -65,6 +66,18 @@ def test_synth_deterministic(tmp_path):
 
 def test_synth_rejects_bad_signal(tmp_path):
     assert run_cli("synth", "--out", str(tmp_path / "x"), "--signal", "bogus") == 1
+
+
+@pytest.mark.parametrize("flag, value, setting", [
+    ("--entity-slots", "0", "max_entity_sentences"),
+    ("--entity-slots", "-2", "max_entity_sentences"),
+    ("--dim", "0", "embedding_dim"),
+])
+def test_synth_refuses_a_config_it_could_not_train(tmp_path, capsys, flag, value, setting):
+    out = tmp_path / "corpus"
+    assert run_cli("synth", "--out", str(out), "--size", "10", flag, value) == 1
+    assert setting in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -135,6 +148,49 @@ def test_a_write_that_raises_partway_leaves_no_file_and_no_temporary(tmp_path, m
         FAILING_WRITES[name](path)
     assert len(removed) == 1 and removed[0] > 0      # it did fail partway
     assert [p.name for p in tmp_path.iterdir()] == ([name] if earlier else [])
+    if earlier:
+        assert path.read_bytes() == b"an earlier run"
+
+
+class _DiskFull:
+    """A text file whose write stores the first half of its text, then fails
+    as a full disk would."""
+
+    def __init__(self, fh):
+        self._fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+    def write(self, text):
+        self._fh.write(text[:len(text) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+@pytest.mark.parametrize("earlier", [False, True], ids=["new", "over-an-earlier-file"])
+def test_a_heatmap_write_that_fails_partway_leaves_no_file_and_no_temporary(
+        tmp_path, monkeypatch, earlier):
+    path = tmp_path / "attention_news_entity.svg"
+    if earlier:
+        path.write_bytes(b"an earlier run")
+    removed = []
+    remove, real_open = os.remove, open
+
+    def sized_remove(p):
+        removed.append(os.path.getsize(p))
+        remove(p)
+
+    monkeypatch.setattr(os, "remove", sized_remove)
+    monkeypatch.setattr("builtins.open", lambda *args, **kwargs: _DiskFull(
+        real_open(*args, **kwargs)))
+    with pytest.raises(OSError, match="No space left"):
+        interpret.render_heatmap_svg(path, np.ones((2, 2)), ["d0", "d1"], "news sentences")
+    monkeypatch.undo()
+    assert len(removed) == 1 and removed[0] > 0      # it did fail partway
+    assert [p.name for p in tmp_path.iterdir()] == ([path.name] if earlier else [])
     if earlier:
         assert path.read_bytes() == b"an earlier run"
 

@@ -342,6 +342,32 @@ def test_resolve_documents_fills_descriptions(tmp_path):
                                              ["it", "sells", "tools", "."]]
 
 
+def test_resolve_documents_tokenizes_each_name_once(tmp_path, monkeypatch):
+    resolver = snapshot(tmp_path, {"acme": "Acme is a brand. It sells tools.",
+                                   "zeta corp": "Zeta makes widgets."})
+    docs = [data.Document("a", [["acme", "said"]], [], [("acme", []), ("zeta corp", [])], 0),
+            data.Document("b", [["zeta", "corp", "and", "acme"]], [], [], 1),
+            data.Document("c", [["x"]], [], [("acme", [["own", "text"]]), ("nobody", [])], 0),
+            data.Document("d", [["y"]], [], [("nobody", []), ("acme", [])], 1)]
+    # what resolving each mention on its own gives
+    expected = [replace(doc, entity_descriptions=[
+        (name, sentences or data.sentences_to_tokens(resolver.lookup(name)))
+        for name, sentences in (doc.entity_descriptions
+                                or [(n, []) for n in data.link_entities(doc, resolver)])])
+        for doc in docs]
+    calls = []
+    original = data.sentences_to_tokens
+
+    def counted(text):
+        calls.append(text)
+        return original(text)
+
+    monkeypatch.setattr(data, "sentences_to_tokens", counted)
+    assert data.resolve_documents(docs, resolver) == expected
+    # acme, zeta corp and nobody: one call per distinct name, not per mention
+    assert sorted(calls) == ["", "Acme is a brand. It sells tools.", "Zeta makes widgets."]
+
+
 def test_resolve_entities_caps_per_description():
     import dataclasses
     hp = dataclasses.replace(tiny_hyperparams(), max_entity_sentences=10)

@@ -15,8 +15,8 @@ from oracles import (
     gru_params_arrays,
     word_attention_loops,
 )
-from tape_ops import (grad_check, mul, sigmoid, slice_cols, slice_rows, softmax_rows, sub, sum_all,
-                      tanh, transpose, zero_grad)
+from tape_ops import (add, concat, grad_check, matmul, mul, sigmoid, slice_cols, slice_rows,
+                      softmax_rows, sub, sum_all, tanh, transpose, zero_grad)
 
 
 def make_gru(input_size, hidden, seed=7):
@@ -37,19 +37,16 @@ def zero_gru(input_size, hidden):
 
 def gru_cell(x, h_prev, p):
     """Tape-composed reference for one step: h = (1 - z) * h_prev + z * h_cand."""
-    r = sigmoid(ad.add(ad.add(ad.matmul(p.w_reset, x), ad.matmul(p.u_reset, h_prev)),
-                          p.b_reset))
-    z = sigmoid(ad.add(ad.add(ad.matmul(p.w_update, x), ad.matmul(p.u_update, h_prev)),
-                          p.b_update))
-    cand = tanh(ad.add(ad.add(ad.matmul(p.w_cand, x),
-                                 ad.matmul(p.u_cand, mul(r, h_prev))), p.b_cand))
-    return ad.add(h_prev, mul(z, sub(cand, h_prev)))
+    r = sigmoid(add(add(matmul(p.w_reset, x), matmul(p.u_reset, h_prev)), p.b_reset))
+    z = sigmoid(add(add(matmul(p.w_update, x), matmul(p.u_update, h_prev)), p.b_update))
+    cand = tanh(add(add(matmul(p.w_cand, x), matmul(p.u_cand, mul(r, h_prev))), p.b_cand))
+    return add(h_prev, mul(z, sub(cand, h_prev)))
 
 
 def masked_step(x, h, p, keep_t):
     """Reference step where keep_t = 0 columns carry the previous state."""
     cell = gru_cell(x, h, p)
-    return cell if keep_t is None else ad.add(h, mul(keep_t, sub(cell, h)))
+    return cell if keep_t is None else add(h, mul(keep_t, sub(cell, h)))
 
 
 def gru_sequence_reference(columns, p, keep=None, reverse=False):
@@ -58,7 +55,7 @@ def gru_sequence_reference(columns, p, keep=None, reverse=False):
     order = range(len(columns) - 1, -1, -1) if reverse else range(len(columns))
     for t in order:
         h = states[t] = masked_step(columns[t], h, p, None if keep is None else keep[t])
-    return ad.concat(states, axis=1)
+    return concat(states, axis=1)
 
 
 def columns_of(seq):
@@ -357,13 +354,13 @@ def test_bigru_writes_both_recurrences_into_its_output(rng):
 
     def stacked(columns, pf, pb, keep):
         # the two recurrences and a concat node, as bigru ran before its buffer
-        return ad.concat([layers.gru_sequence(columns, pf, keep),
-                          layers.gru_sequence(columns, pb, keep, reverse=True)], axis=0)
+        return concat([layers.gru_sequence(columns, pf, keep),
+                       layers.gru_sequence(columns, pb, keep, reverse=True)], axis=0)
 
     g = ad.Graph()
     with g:
         out = layers.bigru(columns, pf, pb, keep)
-    assert [node.op for node in g._nodes] == ["gru_sequence", "gru_sequence", "concat"]
+    assert [node.op for node in g._nodes] == ["gru_sequence", "gru_sequence", "bigru"]
     fwd, bwd = (node.out for node in g._nodes[:2])
     assert np.shares_memory(out.data, fwd.data) and np.shares_memory(out.data, bwd.data)
     assert out.data.flags.c_contiguous and out.data.shape == (8, 15)
@@ -404,15 +401,14 @@ def make_attn(hidden, seed=17):
 def word_attention_reference(states, mask, p):
     """Tape-composed reference over T word states [2h x B]: one score row and
     one weighted add per step."""
-    scores = transpose(ad.concat([ad.matmul(p.context, tanh(ad.add(ad.matmul(p.proj, s),
-                                                                         p.bias)))
-                                     for s in states], axis=0))
+    scores = transpose(concat([matmul(p.context, tanh(add(matmul(p.proj, s), p.bias)))
+                               for s in states], axis=0))
     weights = softmax_rows(scores, mask)
     weights_t = transpose(weights)
     pooled = None
     for t, s in enumerate(states):
         term = mul(s, slice_rows(weights_t, t, t + 1))
-        pooled = term if pooled is None else ad.add(pooled, term)
+        pooled = term if pooled is None else add(pooled, term)
     return pooled, weights
 
 
@@ -595,15 +591,14 @@ def make_coattn(hidden, seed=37):
 def co_attention_reference(s, d, mask_s, mask_d, p):
     """Tape-composed reference for one sample: S [2h x N] and D [2h x E] with
     1-D masks; returns the pooled vectors stacked as [4h x 1]."""
-    affinity = tanh(ad.matmul(ad.matmul(transpose(d), p.w_affinity), s))     # [E x N]
-    proj_s = ad.matmul(p.w_primary, s)
-    proj_d = ad.matmul(p.w_secondary, d)
-    inter_s = tanh(ad.add(proj_s, ad.matmul(proj_d, affinity)))
-    inter_d = tanh(ad.add(proj_d, ad.matmul(proj_s, transpose(affinity))))
-    attn_s = softmax_rows(ad.matmul(p.score_primary, inter_s), mask_s.reshape(1, -1))
-    attn_d = softmax_rows(ad.matmul(p.score_secondary, inter_d), mask_d.reshape(1, -1))
-    return ad.concat([ad.matmul(s, transpose(attn_s)), ad.matmul(d, transpose(attn_d))],
-                     axis=0)
+    affinity = tanh(matmul(matmul(transpose(d), p.w_affinity), s))     # [E x N]
+    proj_s = matmul(p.w_primary, s)
+    proj_d = matmul(p.w_secondary, d)
+    inter_s = tanh(add(proj_s, matmul(proj_d, affinity)))
+    inter_d = tanh(add(proj_d, matmul(proj_s, transpose(affinity))))
+    attn_s = softmax_rows(matmul(p.score_primary, inter_s), mask_s.reshape(1, -1))
+    attn_d = softmax_rows(matmul(p.score_secondary, inter_d), mask_d.reshape(1, -1))
+    return concat([matmul(s, transpose(attn_s)), matmul(d, transpose(attn_d))], axis=0)
 
 
 def one(mask):
@@ -702,7 +697,7 @@ def test_co_attention_gradients_match_tape_reference(rng, batch, n, e):
         return layers.co_attention(s, d, mask_s, mask_d, p).pooled
 
     def reference():
-        return ad.concat([co_attention_reference(
+        return concat([co_attention_reference(
             slice_cols(s, j * n, (j + 1) * n), slice_cols(d, j * e, (j + 1) * e),
             mask_s[j], mask_d[j], p) for j in range(batch)], axis=1)
 
@@ -806,7 +801,7 @@ def test_all_layer_gradients_pass_grad_check(rng):
     def f():
         states = layers.bigru(seq, pf, pb, keep)
         pooled, _ = layers.word_attention(states, one(mask_seq), attn)
-        out = layers.co_attention(ad.concat([pooled, pooled, pooled, pooled], axis=1),
+        out = layers.co_attention(concat([pooled, pooled, pooled, pooled], axis=1),
                                   d_side, one(mask_seq), one(mask_d), co)
         return sum_all(out.pooled)
 

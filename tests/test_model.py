@@ -3,6 +3,7 @@ import math
 import re
 import struct
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import numpy.testing as npt
@@ -16,7 +17,8 @@ from dualcan import data, layers, model
 from conftest import (PadNoiseEmbeddings, paper_document, paper_vocab, random_document,
                       tiny_documents, tiny_embeddings, tiny_hyperparams, tiny_vocab)
 from oracles import model_forward_loops
-from tape_ops import grad_check, log, mean_all, scale, slice_cols, softmax_rows, transpose
+from tape_ops import (add, concat, grad_check, log, matmul, mean_all, scale, slice_cols,
+                      softmax_rows, transpose)
 
 LN2 = math.log(2.0)
 
@@ -369,9 +371,9 @@ def test_sentence_without_words_fails_after_time_trimming(tiny_setup):
 
 def test_synthetic_training_batch_tape(tmp_path, monkeypatch):
     # one synthetic-profile training batch of 8: each GRU recurrence, word
-    # attention and co-attention block is one tape node, the whole tape holds
-    # at most 60 nodes, and a word-level
-    # recurrence runs as many steps as the longest real sentence of its source
+    # attention, co-attention block and the head is one tape node, the whole
+    # tape holds 26 nodes, and a word-level recurrence runs as many steps as
+    # the longest real sentence of its source
     from dualcan import cli
 
     assert cli.main(["synth", "--out", str(tmp_path), "--size", "60", "--seed", "7"]) == 0
@@ -397,8 +399,11 @@ def test_synthetic_training_batch_tape(tmp_path, monkeypatch):
     assert len(batch) == 8 and hp == model.HyperParams(embedding_dim=16, seed=7)
     assert len(graph) <= 60
     ops = [node.op for node in graph._nodes]
-    assert (ops.count("gru_sequence"), ops.count("word_attention"),
-            ops.count("co_attention")) == (8, 3, 2)
+    # 4 news sentence slots gather their steps, and 3 gathers reorder the
+    # sources sample by sample
+    assert Counter(ops) == Counter(gru_sequence=8, bigru=4, word_attention=3, gather_cols=7,
+                                   co_attention=2, head=1, cross_entropy=1)
+    assert len(ops) == 26
     longest = {}
     for source, enc in (("news", params.news_encoder), ("entity", params.entity_encoder),
                         ("comment", params.comment_encoder)):
@@ -468,6 +473,60 @@ def test_forward_empty_side_uses_uniform_fallback(tiny_setup):
 
 
 # ---------------------------------------------------------------------------
+# prediction head
+# ---------------------------------------------------------------------------
+
+
+def head_reference(pooled, params):
+    """Tape-composed head: the pooled tensors stacked by rows, then two
+    affine layers."""
+    hidden = add(matmul(params.head_w1, concat(pooled, axis=0)), params.head_b1)
+    return add(matmul(params.head_w2, hidden), params.head_b2)
+
+
+def _head_inputs(rng, batch):
+    hp = tiny_hyperparams()
+    params = model.ModelParams.create(hp)
+    for bias in (params.head_b1, params.head_b2):
+        bias.data[:] = rng.uniform(-1, 1, bias.shape)
+    pooled = [ad.Tensor(rng.uniform(-1, 1, (4 * hp.hidden_size, batch)), requires_grad=True)
+              for _ in range(2)]
+    return params, pooled, rng.integers(0, 2, batch)
+
+
+@pytest.mark.parametrize("batch", [1, 5])
+def test_head_matches_tape_reference_bit_for_bit(rng, batch):
+    # logits, every head parameter grad and both pooled grads equal the
+    # composed concat, matmul and add ops byte for byte
+    params, pooled, labels = _head_inputs(rng, batch)
+    runs = []
+    for run in (model.head, head_reference):
+        params.zero_grads()
+        for p in pooled:
+            p.grad = None
+        g = ad.Graph()
+        with g:
+            logits = run(pooled, params)
+            loss = model.cross_entropy(logits, labels)
+        g.backward(loss)
+        runs.append((logits.data, params.grads.copy(), [p.grad for p in pooled], len(g)))
+    (logits, grads, pooled_grads, nodes), (ref_logits, ref_grads, ref_pooled, _) = runs
+    npt.assert_array_equal(logits, ref_logits)
+    npt.assert_array_equal(grads, ref_grads)
+    for got, expected in zip(pooled_grads, ref_pooled):
+        npt.assert_array_equal(got, expected)
+    assert nodes == 2 and np.count_nonzero(grads) > 0
+
+
+def test_head_gradients_pass_grad_check(rng):
+    params, pooled, labels = _head_inputs(rng, 3)
+    head = {k: t for k, t in params.named().items() if k.startswith("head.")}
+    report = grad_check(lambda: model.cross_entropy(model.head(pooled, params), labels),
+                        {**head, "pooled.entity": pooled[0], "pooled.comment": pooled[1]})
+    assert report.passed(1e-4), report.summary()
+
+
+# ---------------------------------------------------------------------------
 # loss
 # ---------------------------------------------------------------------------
 
@@ -495,8 +554,8 @@ def cross_entropy_reference(logits, label):
     """Tape-composed loss of one [2 x 1] logit column."""
     probs = softmax_rows(transpose(logits))            # [1 x 2]
     p0, p1 = slice_cols(probs, 0, 1), slice_cols(probs, 1, 2)
-    return ad.add(scale(log(p1, floor=1e-12), -float(label)),
-                  scale(log(p0, floor=1e-12), -(1.0 - label)))
+    return add(scale(log(p1, floor=1e-12), -float(label)),
+               scale(log(p0, floor=1e-12), -(1.0 - label)))
 
 
 def test_loss_batch_is_mean_of_reference_columns(rng):
@@ -513,7 +572,7 @@ def test_loss_batch_is_mean_of_reference_columns(rng):
             if batched:
                 loss = model.cross_entropy(logits, labels)
             else:
-                loss = mean_all(ad.concat(
+                loss = mean_all(concat(
                     [cross_entropy_reference(slice_cols(logits, b, b + 1), y)
                      for b, y in enumerate(labels)], axis=1))
         g.backward(loss)
