@@ -108,7 +108,6 @@ class Graph:
 
     def __init__(self):
         self._nodes: list[_Node] = []
-        self._index: dict[int, int] = {}
         self._spent = False
 
     def __enter__(self) -> "Graph":
@@ -129,7 +128,6 @@ class Graph:
         return len(self._nodes)
 
     def _record(self, out: Tensor, parents: tuple, backward_fn, op: str) -> None:
-        self._index[id(out)] = len(self._nodes)
         self._nodes.append(_Node(out, parents, backward_fn, op))
 
     def backward(self, loss: Tensor) -> None:
@@ -150,14 +148,13 @@ class Graph:
                              "activations; record the forward pass again on a new Graph")
         if loss.data.size != 1:
             raise GraphError(f"backward needs a scalar loss, got shape {loss.data.shape}")
-        pos = self._index.get(id(loss))
-        if pos is None:
+        if not any(node.out is loss for node in self._nodes):
             raise GraphError("loss tensor was not produced under this graph")
         self._spent = True
         if loss.grad is None:
             loss.grad = np.zeros_like(loss.data)
         loss.grad += 1.0
-        for node in reversed(self._nodes[: pos + 1]):
+        for node in reversed(self._nodes):
             if node.out.grad is None:
                 continue
             for p in node.parents:
@@ -171,8 +168,10 @@ class Graph:
 
 def fused(op: str, data: np.ndarray, parents: tuple, backward_fn) -> Tensor:
     """Record ``data``, computed from ``parents``, as one tape node named
-    ``op``. ``backward_fn(g)`` receives the output gradient and must add into
-    ``grad`` of every parent that requires grad."""
+    ``op`` if a graph is active and some parent requires grad.
+    ``backward_fn(g)`` receives the output gradient and must add into
+    ``grad`` of every parent that requires grad: of every parameter, so a
+    layer checks ``requires_grad`` only on an input that can lack one."""
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
@@ -198,8 +197,7 @@ def gather_cols(x: Tensor, index) -> Tensor:
     data[:, live] = x.data[:, index[live]]
 
     def bwd(g):
-        if x.requires_grad:
-            np.add.at(x.grad, (slice(None), index[live]), g[:, live])
+        np.add.at(x.grad, (slice(None), index[live]), g[:, live])
 
     return fused("gather_cols", data, (x,), bwd)
 

@@ -313,6 +313,9 @@ def cmd_synth(args) -> int:
                          entity_slots=args.entity_slots)
     hp = replace(HyperParams.profile("synthetic"), embedding_dim=args.dim,
                  max_entity_sentences=args.entity_slots, seed=args.seed)
+    for flag, setting in (("--dim", "embedding_dim"), ("--entity-slots", "max_entity_sentences")):
+        if getattr(hp, setting) < 1:
+            raise UsageError(f"{flag} ({setting}) must be at least 1, got {getattr(hp, setting)}")
     try:
         spec.validate()
         hp.validate()
@@ -324,9 +327,8 @@ def cmd_synth(args) -> int:
                 "embeddings": paths["embeddings"], "out": Path(args.out) / "run",
                 "split_seed": args.seed}
     settings.update((f"hp.{f.name}", getattr(hp, f.name)) for f in fields(hp))
-    with open(config_path, "w", encoding="utf-8") as fh:
-        for key, value in settings.items():
-            fh.write(f"{key} = {value}\n")
+    with data_mod.atomic_write(config_path, "w", encoding="utf-8") as fh:
+        fh.writelines(f"{key} = {value}\n" for key, value in settings.items())
     for name, path in paths.items():
         print(f"{name}: {path}")
     print(f"config: {config_path}")

@@ -320,10 +320,7 @@ def link_entities(doc: Document, resolver: SnapshotResolver) -> list[str]:
     """
     news_tokens = [tok for sent in doc.news_sentences for tok in sent]
     found = []
-    seen = set()
     for name in resolver.names():
-        if name in seen:
-            continue
         name_tokens = tokenize(name)
         if not name_tokens:
             continue
@@ -331,7 +328,6 @@ def link_entities(doc: Document, resolver: SnapshotResolver) -> list[str]:
         for i in range(len(news_tokens) - k + 1):
             if news_tokens[i:i + k] == name_tokens:
                 found.append((i, name))
-                seen.add(name)
                 break
     found.sort(key=lambda pair: pair[0])
     return [name for _, name in found]
@@ -585,6 +581,9 @@ class SyntheticSpec:
             raise ValueError("seed must be non-negative")
         if not 0.0 <= self.balance <= 1.0:
             raise ValueError("balance must be in [0, 1]")
+        for name in ("embedding_dim", "entity_slots"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
         unknown = set(self.signal) - {"news", "comments", "entities"}
         if unknown:
             raise ValueError(f"unknown signal channels: {sorted(unknown)}")
@@ -674,15 +673,13 @@ def gen_synthetic(spec: SyntheticSpec, out_dir) -> dict:
         })
 
     dataset_path = out / "dataset.jsonl"
-    with open(dataset_path, "w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+    with atomic_write(dataset_path, "w", encoding="utf-8") as fh:
+        fh.writelines(json.dumps(record, sort_keys=True) + "\n" for record in records)
 
     snapshot_path = out / "entities.jsonl"
-    with open(snapshot_path, "w", encoding="utf-8") as fh:
-        for name in sorted(snapshot):
-            fh.write(json.dumps({"name": name, "description": snapshot[name]},
-                                sort_keys=True) + "\n")
+    with atomic_write(snapshot_path, "w", encoding="utf-8") as fh:
+        fh.writelines(json.dumps({"name": name, "description": snapshot[name]},
+                                 sort_keys=True) + "\n" for name in sorted(snapshot))
 
     # every token that can appear gets a deterministic frozen vector
     docs = [parse_document(r) for r in records]
@@ -694,7 +691,7 @@ def gen_synthetic(spec: SyntheticSpec, out_dir) -> dict:
             vocab_tokens.update(sent)
     emb_rng = np.random.default_rng(spec.seed + 1)
     embeddings_path = out / "embeddings.txt"
-    with open(embeddings_path, "w", encoding="utf-8") as fh:
+    with atomic_write(embeddings_path, "w", encoding="utf-8") as fh:
         for token in sorted(vocab_tokens):
             vec = emb_rng.uniform(-0.5, 0.5, size=spec.embedding_dim)
             fh.write(token + " " + " ".join(f"{v:.6f}" for v in vec) + "\n")
@@ -710,8 +707,7 @@ def gen_synthetic(spec: SyntheticSpec, out_dir) -> dict:
         "cue_entity_sentence_index": 0 if "entities" in spec.signal else None,
     }
     meta_path = out / "meta.json"
-    with open(meta_path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(meta, sort_keys=True, indent=2) + "\n")
+    write_json(meta_path, meta)
 
     return {
         "dataset": str(dataset_path),

@@ -3,8 +3,12 @@ additive word attention, and the co-attention block that fuses two sentence
 sequences through an affinity matrix.
 
 All layers are pure functions of (inputs, params). Parameters are plain
-Tensors with ``requires_grad=True``; masks are numpy boolean arrays (True
-marks a real, non-padding position).
+Tensors with ``requires_grad=True``, so a backward pass adds into every
+parameter's grad. It checks ``requires_grad`` only on the two inputs that can
+lack one, :func:`gru_sequence`'s columns (frozen word embeddings) and
+:func:`co_attention`'s ``d`` (a source with no sentence in the batch); every
+other input recorded on a tape must have one. Masks are numpy boolean arrays
+(True marks a real, non-padding position).
 """
 
 from __future__ import annotations
@@ -284,9 +288,8 @@ def gru_sequence(columns: list, p: GruParams, keep: list | None = None,
                               d_pre[2 * h:] @ (r * prev).T])               # [3h x h]
         d_b = d_pre.sum(axis=1, keepdims=True)                             # [3h x 1]
         for i, tensor in enumerate(weights):
-            if tensor.requires_grad:
-                gate = slice(i // 3 * h, (i // 3 + 1) * h)
-                tensor.grad += (d_w, d_u, d_b)[i % 3][gate]
+            gate = slice(i // 3 * h, (i // 3 + 1) * h)
+            tensor.grad += (d_w, d_u, d_b)[i % 3][gate]
         if any(col.requires_grad for col in columns):
             d_x = stacked(p.w_reset, p.w_update, p.w_cand).T @ d_pre
             for t, col in enumerate(columns):
@@ -316,10 +319,8 @@ def bigru(columns: list, p_fwd: GruParams, p_bwd: GruParams, keep: list | None =
     bwd = gru_sequence(columns, p_bwd, keep, reverse=True, out=states[h:])
 
     def backward(g):
-        if fwd.requires_grad:
-            fwd.grad += g[:h]
-        if bwd.requires_grad:
-            bwd.grad += g[h:]
+        fwd.grad += g[:h]
+        bwd.grad += g[h:]
 
     return fused("bigru", states, (fwd, bwd), backward)
 
@@ -370,14 +371,10 @@ def word_attention(states: Tensor, mask, p: WordAttentionParams):
         d_scores = softmax_backward(weights, np.einsum("rtb,rb->bt", s3, g))
         d_scores = d_scores.T.reshape(1, n * batch)
         d_pre = (p.context.data.T @ d_scores) * (1.0 - key * key)             # [h x T*B]
-        if states.requires_grad:
-            states.grad += (g[:, None, :] * weights.T).reshape(rows, -1) + p.proj.data.T @ d_pre
-        if p.proj.requires_grad:
-            p.proj.grad += d_pre @ s.T
-        if p.bias.requires_grad:
-            p.bias.grad += d_pre.sum(axis=1, keepdims=True)
-        if p.context.requires_grad:
-            p.context.grad += d_scores @ key.T
+        states.grad += (g[:, None, :] * weights.T).reshape(rows, -1) + p.proj.data.T @ d_pre
+        p.proj.grad += d_pre @ s.T
+        p.bias.grad += d_pre.sum(axis=1, keepdims=True)
+        p.context.grad += d_scores @ key.T
 
     out = fused("word_attention", pooled, (states, p.proj, p.bias, p.context), backward)
     return out, weights
@@ -429,22 +426,16 @@ def co_attention(s: Tensor, d: Tensor, mask_s, mask_d, p: CoAttentionParams) -> 
         d_aff = proj_d.transpose(0, 2, 1) @ d_pre_s + d_pre_d.transpose(0, 2, 1) @ proj_s
         d_m = d_aff * (1.0 - affinity * affinity)   # at the affinity pre-activation D^T Wr S
         d_m_s = _columns(d3 @ d_m)                                        # [2h x B*N]
-        if s.requires_grad:
-            s.grad += _columns(g_s[:, :, None] * attn_s[:, None, :]) + wp.T @ d_proj_s \
-                + wa.T @ d_m_s
+        s.grad += _columns(g_s[:, :, None] * attn_s[:, None, :]) + wp.T @ d_proj_s \
+            + wa.T @ d_m_s
         if d.requires_grad:
             d.grad += _columns(g_d[:, :, None] * attn_d[:, None, :]) + wd.T @ d_proj_d \
                 + _columns(_blocks(wa @ s.data, batch) @ d_m.transpose(0, 2, 1))
-        if p.w_affinity.requires_grad:
-            p.w_affinity.grad += d_m_s @ s.data.T
-        if p.w_primary.requires_grad:
-            p.w_primary.grad += d_proj_s @ s.data.T
-        if p.w_secondary.requires_grad:
-            p.w_secondary.grad += d_proj_d @ d.data.T
-        if p.score_primary.requires_grad:
-            p.score_primary.grad += d_sc_s.reshape(1, -1) @ _columns(inter_s).T
-        if p.score_secondary.requires_grad:
-            p.score_secondary.grad += d_sc_d.reshape(1, -1) @ _columns(inter_d).T
+        p.w_affinity.grad += d_m_s @ s.data.T
+        p.w_primary.grad += d_proj_s @ s.data.T
+        p.w_secondary.grad += d_proj_d @ d.data.T
+        p.score_primary.grad += d_sc_s.reshape(1, -1) @ _columns(inter_s).T
+        p.score_secondary.grad += d_sc_d.reshape(1, -1) @ _columns(inter_d).T
 
     out = fused("co_attention", pooled, (s, d, *p.named().values()), backward)
     return CoAttentionOutput(out, affinity, inter_s, inter_d, attn_s, attn_d)

@@ -430,19 +430,14 @@ def head(pooled: list, params: ModelParams) -> Tensor:
     bounds = np.cumsum([0] + [p.shape[0] for p in pooled])
 
     def backward(g):
-        if b2.requires_grad:
-            b2.grad += g.sum(axis=1, keepdims=True)
-        if w2.requires_grad:
-            w2.grad += g @ hidden.T
+        b2.grad += g.sum(axis=1, keepdims=True)
+        w2.grad += g @ hidden.T
         d_hidden = w2.data.T @ g
-        if b1.requires_grad:
-            b1.grad += d_hidden.sum(axis=1, keepdims=True)
-        if w1.requires_grad:
-            w1.grad += d_hidden @ features.T
+        b1.grad += d_hidden.sum(axis=1, keepdims=True)
+        w1.grad += d_hidden @ features.T
         d_features = w1.data.T @ d_hidden
         for p, lo, hi in zip(pooled, bounds, bounds[1:]):
-            if p.requires_grad:
-                p.grad += d_features[lo:hi]
+            p.grad += d_features[lo:hi]
 
     return fused("head", w2.data @ hidden + b2.data, (*pooled, w1, b1, w2, b2), backward)
 
@@ -468,11 +463,10 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     scale = 1.0 / labels.size
 
     def backward(g):
-        if logits.requires_grad:
-            d_probs = np.zeros_like(probs)
-            d_probs[picked] = (p_true >= _LOG_FLOOR) * (g[0, 0] * scale * -1.0) \
-                / np.maximum(p_true, _LOG_FLOOR)
-            logits.grad += softmax_backward(probs, d_probs).T
+        d_probs = np.zeros_like(probs)
+        d_probs[picked] = (p_true >= _LOG_FLOOR) * (g[0, 0] * scale * -1.0) \
+            / np.maximum(p_true, _LOG_FLOOR)
+        logits.grad += softmax_backward(probs, d_probs).T
 
     return fused("cross_entropy", np.array([[per_sample.sum() * scale]]), (logits,), backward)
 

@@ -551,6 +551,21 @@ def test_every_public_autodiff_function_has_a_caller_in_the_package():
     assert public and sorted(public - used) == []
 
 
+def test_layers_check_requires_grad_only_on_the_inputs_that_can_lack_one():
+    """Every parameter takes its gradient, so in layers.py and model.py only
+    gru_sequence's columns (frozen embeddings) and co_attention's secondary
+    side (a source with no sentence in the batch) may be tested for one."""
+    package = Path(ad.__file__).parent
+    uses = set()
+    for module in ("layers.py", "model.py"):
+        for top in ast.parse((package / module).read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Attribute) and node.attr == "requires_grad":
+                    uses.add((module, getattr(top, "name", None), ast.unparse(node.value)))
+    assert uses and sorted(uses - {("layers.py", "gru_sequence", "col"),
+                                   ("layers.py", "co_attention", "d")}) == []
+
+
 def test_no_op_is_defined_both_in_the_package_and_in_tape_ops():
     """Every op lives in exactly one place: autodiff.py or tests/tape_ops.py."""
     def defined(path):

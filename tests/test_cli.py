@@ -76,7 +76,9 @@ def test_synth_rejects_bad_signal(tmp_path):
 def test_synth_refuses_a_config_it_could_not_train(tmp_path, capsys, flag, value, setting):
     out = tmp_path / "corpus"
     assert run_cli("synth", "--out", str(out), "--size", "10", flag, value) == 1
-    assert setting in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert setting in err
+    assert f"{flag} ({setting}) must be at least 1, got {value}" in err
     assert not out.exists()
 
 
@@ -153,11 +155,11 @@ def test_a_write_that_raises_partway_leaves_no_file_and_no_temporary(tmp_path, m
 
 
 class _DiskFull:
-    """A text file whose write stores the first half of its text, then fails
-    as a full disk would."""
+    """A text file with room for 8 characters: the write that would pass them
+    stores what fits, then fails as a full disk would."""
 
     def __init__(self, fh):
-        self._fh = fh
+        self._fh, self._room = fh, 8
 
     def __enter__(self):
         return self
@@ -166,8 +168,14 @@ class _DiskFull:
         self._fh.close()
 
     def write(self, text):
-        self._fh.write(text[:len(text) // 2])
-        raise OSError(errno.ENOSPC, "No space left on device")
+        self._fh.write(text[:self._room])
+        if len(text) > self._room:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        self._room -= len(text)
+
+    def writelines(self, lines):
+        for line in lines:
+            self.write(line)
 
 
 @pytest.mark.parametrize("earlier", [False, True], ids=["new", "over-an-earlier-file"])
@@ -191,6 +199,42 @@ def test_a_heatmap_write_that_fails_partway_leaves_no_file_and_no_temporary(
     monkeypatch.undo()
     assert len(removed) == 1 and removed[0] > 0      # it did fail partway
     assert [p.name for p in tmp_path.iterdir()] == ([path.name] if earlier else [])
+    if earlier:
+        assert path.read_bytes() == b"an earlier run"
+
+
+# the files synth writes, in the order it writes them
+SYNTH_FILES = ["dataset.jsonl", "entities.jsonl", "embeddings.txt", "meta.json", "config.cfg"]
+
+
+@pytest.mark.parametrize("earlier", [False, True], ids=["new", "over-an-earlier-file"])
+@pytest.mark.parametrize("name", SYNTH_FILES)
+def test_a_synth_write_that_fails_partway_leaves_no_file_and_no_temporary(
+        tmp_path, monkeypatch, name, earlier):
+    out = tmp_path / "corpus"
+    path = out / name
+    if earlier:
+        out.mkdir()
+        path.write_bytes(b"an earlier run")
+    removed = []
+    remove, real_open = os.remove, open
+
+    def sized_remove(p):
+        removed.append(os.path.getsize(p))
+        remove(p)
+
+    def open_on_a_full_disk(file, *args, **kwargs):
+        fh = real_open(file, *args, **kwargs)
+        return _DiskFull(fh) if os.path.basename(str(file)).startswith(f"{name}.") else fh
+
+    monkeypatch.setattr(os, "remove", sized_remove)
+    monkeypatch.setattr("builtins.open", open_on_a_full_disk)
+    with pytest.raises(OSError, match="No space left"):
+        run_cli("synth", "--out", str(out), "--size", "10")
+    monkeypatch.undo()
+    assert len(removed) == 1 and removed[0] > 0      # it did fail partway
+    before = SYNTH_FILES[:SYNTH_FILES.index(name)]
+    assert sorted(p.name for p in out.iterdir()) == sorted(before + ([name] if earlier else []))
     if earlier:
         assert path.read_bytes() == b"an earlier run"
 

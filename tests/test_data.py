@@ -1,3 +1,4 @@
+import hashlib
 import json
 import tracemalloc
 from collections import Counter
@@ -616,11 +617,28 @@ def test_gen_synthetic_byte_identical_under_seed(tmp_path):
         assert Path(paths_a[key]).read_bytes() == Path(paths_b[key]).read_bytes()
 
 
+def test_gen_synthetic_corpus_bytes_are_pinned(tmp_path):
+    # perfbench/gen.py builds its synthetic inputs with gen_synthetic
+    paths = data.gen_synthetic(data.SyntheticSpec(size=40, balance=0.4, seed=9), tmp_path)
+    digests = {key: hashlib.sha256(Path(paths[key]).read_bytes()).hexdigest()
+               for key in ("dataset", "entities", "embeddings", "meta")}
+    assert digests == {
+        "dataset": "14f3a7e3c4bc01ce4817824edad0133935a577e6324f27d69a78a6a84826d324",
+        "entities": "e2f3210722d1bc5532474ed8a4003007495944e86dbf71ccbe1fdffc5eb989f2",
+        "embeddings": "9683557a66b086100ace71ac0dafc659a6680b0fe163c9bf081ca633a29f347c",
+        "meta": "f0d297d2f234c6a64744b3a634365396259264efc00365a9f8bbae12d77f49d9",
+    }
+
+
 def test_gen_synthetic_validates_spec():
     with pytest.raises(ValueError):
         data.SyntheticSpec(size=0).validate()
     with pytest.raises(ValueError):
         data.SyntheticSpec(signal=("bogus",)).validate()
+    with pytest.raises(ValueError, match="embedding_dim must be at least 1, got 0"):
+        data.SyntheticSpec(embedding_dim=0).validate()
+    with pytest.raises(ValueError, match="entity_slots must be at least 1, got 0"):
+        data.SyntheticSpec(entity_slots=0).validate()
 
 
 def _bow_accuracy(train_docs, test_docs, text_of):

@@ -1124,6 +1124,30 @@ def test_train_snapshots_once_per_improving_epoch(tiny_setup, monkeypatch):
         npt.assert_array_equal(tensor.data, copies[-1][1][name])
 
 
+def test_every_parameter_takes_a_gradient_created_or_restored(tiny_setup):
+    # the backward passes add into every parameter's grad without checking
+    hp, params, _, _, _ = tiny_setup
+    for built in (model.ModelParams.create(hp), model.restore_params(hp, params.copy_values())):
+        assert all(t.requires_grad for t in built.named().values())
+
+
+@pytest.mark.parametrize("mode, source, prefix", [("N+C", "entities", "entity.word."),
+                                                  ("N+E", "comments", "comment.word.")])
+def test_a_training_step_leaves_the_dropped_word_encoder_without_gradient(tiny_setup, mode,
+                                                                         source, prefix):
+    # the dropped source reaches its co-attention block as a constant, so its
+    # word encoder never runs and its gradient stays exactly zero
+    hp, _, vocab, emb, _ = tiny_setup
+    hp1 = dataclasses.replace(hp, max_epochs=1, batch_size=6)
+    samples = _toy_split(hp1, vocab, emb, n=6)
+    assert any(getattr(s, source).real.any() for s in samples)
+    params = model.ModelParams.create(hp1)
+    assert len(model.train(samples, samples, hp1, params, emb, mode).history) == 1
+    grads = {name: t.grad for name, t in params.named().items()}
+    assert all(not g.any() for name, g in grads.items() if name.startswith(prefix))
+    assert any(g.any() for name, g in grads.items() if name.startswith("news.word."))
+
+
 def test_restore_params_peaks_at_about_two_flat_vectors():
     hp = dataclasses.replace(model.HyperParams(), embedding_dim=48, hidden_size=48)
     values = model.ModelParams.create(dataclasses.replace(hp, seed=9)).copy_values()
