@@ -11,7 +11,8 @@ output is the loss: only the leaves (tensors no node produced) and the loss
 keep their grads. So a graph runs backward once.
 
 Each layer of the model is one hand-written node recorded with
-:func:`fused`, and :func:`gather_cols` is the one structural op beside them.
+:func:`fused`, and :func:`gather_cols` is the one structural op beside them;
+:func:`constant_steps` wraps the per-step inputs of a recurrence.
 Operations run fine without an active graph (plain forward evaluation); a
 graph is only needed when gradients are wanted:
 
@@ -166,16 +167,32 @@ class Graph:
                 node.out.grad = None
 
 
+def _wrap(data: np.ndarray) -> Tensor:
+    """``data`` as a Tensor without grad, unchecked."""
+    out = Tensor.__new__(Tensor)
+    out.data = data
+    out.grad = None
+    out.requires_grad = False
+    return out
+
+
+def constant_steps(block) -> list:
+    """The slices ``block[t]`` of a float64 array as Tensors without grad.
+    The block is checked for non-finite values once, with the error a
+    Tensor of them would raise, instead of slice by slice."""
+    block = np.asarray(block, dtype=np.float64)
+    if not np.all(np.isfinite(block)):
+        raise NonFiniteError("tensor created with non-finite values")
+    return [_wrap(step) for step in block]
+
+
 def fused(op: str, data: np.ndarray, parents: tuple, backward_fn) -> Tensor:
     """Record ``data``, computed from ``parents``, as one tape node named
     ``op`` if a graph is active and some parent requires grad.
     ``backward_fn(g)`` receives the output gradient and must add into
     ``grad`` of every parent that requires grad: of every parameter, so a
     layer checks ``requires_grad`` only on an input that can lack one."""
-    out = Tensor.__new__(Tensor)
-    out.data = data
-    out.grad = None
-    out.requires_grad = False
+    out = _wrap(data)
     g = _active_graph()
     if g is not None and any(p.requires_grad for p in parents):
         out.requires_grad = True

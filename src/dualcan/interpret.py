@@ -45,13 +45,6 @@ def report_entry(doc_id: str, label: int, probs, attn) -> dict:
     }
 
 
-def _shade(weight: float, col_max: float) -> str:
-    # darker = larger weight; each column is normalized by its own max
-    frac = 0.0 if col_max <= 0 else min(max(weight / col_max, 0.0), 1.0)
-    level = int(round(255 * (1.0 - frac)))
-    return f"rgb({level},{level},{level})"
-
-
 def render_heatmap_svg(path, weights: np.ndarray, sample_ids: list, title: str) -> None:
     """Write a heatmap of ``weights`` [positions x samples] to ``path``,
     atomically (``data.atomic_write``)."""
@@ -61,7 +54,12 @@ def render_heatmap_svg(path, weights: np.ndarray, sample_ids: list, title: str) 
         raise ValueError(f"{cols} weight columns but {len(sample_ids)} sample ids")
     width = LEFT_MARGIN + cols * CELL + 10
     height = TOP_MARGIN + rows * CELL + 10
+    if not np.isfinite(weights).all():
+        raise ValueError("heatmap weights must be finite")
+    # darker = larger weight; each column is normalized by its own max
     col_max = weights.max(axis=0) if rows else np.zeros(cols)
+    frac = np.divide(weights, col_max, out=np.zeros_like(weights), where=col_max > 0)
+    levels = np.rint(255 * (1.0 - np.clip(frac, 0.0, 1.0))).astype(int).tolist()
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',
@@ -78,12 +76,11 @@ def render_heatmap_svg(path, weights: np.ndarray, sample_ids: list, title: str) 
         parts.append(
             f'<text x="{LEFT_MARGIN - 6}" y="{y + CELL - 5}" font-size="8" '
             f'font-family="sans-serif" text-anchor="end">{i}</text>')
-        for j in range(cols):
+        for j, level in enumerate(levels[i]):
             x = LEFT_MARGIN + j * CELL
-            fill = _shade(weights[i, j], float(col_max[j]))
             parts.append(
-                f'<rect x="{x}" y="{y}" width="{CELL}" height="{CELL}" fill="{fill}" '
-                f'stroke="#cccccc" stroke-width="0.5"/>')
+                f'<rect x="{x}" y="{y}" width="{CELL}" height="{CELL}" '
+                f'fill="rgb({level},{level},{level})" stroke="#cccccc" stroke-width="0.5"/>')
     parts.append("</svg>")
     with atomic_write(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(parts) + "\n")

@@ -169,10 +169,14 @@ def gru_sequence(columns: list, p: GruParams, keep: list | None = None,
     by descending length, as the word encoder passes them, the live prefix
     is exactly the sentences still running. The gate inputs of every live
     column-step come from one stacked [3h x in] product with the three
-    biases folded in, each step does one stacked [2h x h] reset/update
-    product, and the stored activations are packed [rows x R], R the total
-    of the live prefixes, so the weight and input gradients are one matmul
-    each over live column-steps only. A step whose prefix keeps every column
+    biases folded in, and each step does one stacked [2h x h] reset/update
+    product. The reset and update rows of these weights and biases are
+    negated once per call, so a step's sigmoid is ``1 / (1 + exp(e))`` of
+    the negated pre-activation ``e`` without negating it again. Each live
+    step keeps its gates and candidate arrays as it makes them; backward
+    packs them once into [rows x R] blocks, R the total of the live
+    prefixes, so the weight and input gradients are one matmul each over
+    live column-steps only. A step whose prefix keeps every column
     at exactly 1 takes the cell as its state without the keep blend.
 
     ``out``, if given, is a C-contiguous [h x T*B] array that the states
@@ -188,11 +192,12 @@ def gru_sequence(columns: list, p: GruParams, keep: list | None = None,
     if not columns:
         raise ShapeError("gru_sequence over an empty sequence")
     n, batch, h = len(columns), columns[0].shape[1], p.hidden_size
+    expected = (p.input_size, batch)
     for col in columns:
-        if col.shape != (p.input_size, batch):
+        if col.data.shape != expected:
             raise ShapeError(f"gru_sequence column of shape {col.shape}, expected "
                              f"{p.input_size} rows (params) and {batch} columns (batch)")
-    if keep is not None and (len(keep) != n or any(k.shape != (1, batch) for k in keep)):
+    if keep is not None and (len(keep) != n or any(k.data.shape != (1, batch) for k in keep)):
         raise ShapeError(f"gru_sequence keep needs {n} rows of shape (1, {batch})")
     if out is None:
         out = np.empty((h, n * batch))
@@ -221,36 +226,59 @@ def gru_sequence(columns: list, p: GruParams, keep: list | None = None,
         return np.concatenate([col.data[:, :width] for col, width in zip(columns, live)],
                               axis=1)                                     # [in x R]
 
-    x_gates = stacked(p.w_reset, p.w_update, p.w_cand) @ packed_x()       # [3h x R]
-    x_gates += stacked(p.b_reset, p.b_update, p.b_cand)
-    u_rz = stacked(p.u_reset, p.u_update)                                 # [2h x h]
+    # the reset and update rows negated, once: exp of the negated
+    # pre-activation then needs no per-step negation, and as negation is
+    # exact and rounding sign-symmetric it is the same number
+    x_gates = np.concatenate([-p.w_reset.data, -p.w_update.data, p.w_cand.data]) \
+        @ packed_x()                                                      # [3h x R]
+    x_gates += np.concatenate([-p.b_reset.data, -p.b_update.data, p.b_cand.data])
+    neg_u_rz = -stacked(p.u_reset, p.u_update)                            # [2h x h]
+    x_rz, x_c, u_c = x_gates[:2 * h], x_gates[2 * h:], p.u_cand.data
     order = range(n - 1, -1, -1) if reverse else range(n)
-    # stored per live column-step: both gates and the candidate; and per
+    # kept per live step, in run order: both gates and the candidate; and per
     # step the state of every column after it, which is the output
-    gates, cand = np.empty((2 * h, start[-1])), np.empty((h, start[-1]))
+    rz_steps, cand_steps = [], []
     states = out.reshape(h, n, batch)   # a view, as out is C-contiguous
     state = np.zeros((h, batch))
     for t in order:
         width = live[t]
         if width:
             packed = slice(start[t], start[t + 1])
-            s = state[:, :width]
-            a = u_rz @ s
-            a += x_gates[:2 * h, packed]
-            rz = gates[:, packed] = 1.0 / (1.0 + np.exp(-a))
-            c = p.u_cand.data @ (rz[:h] * s)
-            c += x_gates[2 * h:, packed]
-            c = cand[:, packed] = np.tanh(c)
-            cell = s + rz[h:] * (c - s)
+            s = state if width == batch else state[:, :width]
+            rz = neg_u_rz @ s
+            rz += x_rz[:, packed]
+            np.exp(rz, out=rz)
+            rz += 1.0
+            np.divide(1.0, rz, out=rz)
+            c = u_c @ (rz[:h] * s)
+            c += x_c[:, packed]
+            np.tanh(c, out=c)
+            rz_steps.append(rz)
+            cand_steps.append(c)
+            cell = c - s
+            cell *= rz[h:]
+            cell += s
             if blend[t]:
-                cell = s + k[t, :width] * (cell - s)
+                cell -= s
+                cell *= k[t, :width]
+                cell += s
             if width == batch:
                 state = cell
             else:
                 state[:, :width] = cell
         states[:, t] = state
 
+    def pack(steps, rows):
+        # the kept steps as one [rows x R] block in position order; the list
+        # is emptied, so each step is held once
+        if reverse:
+            steps.reverse()
+        block = np.concatenate(steps, axis=1) if steps else np.empty((rows, 0))
+        steps.clear()
+        return block
+
     def backward(grad):
+        gates, cand = pack(rz_steps, 2 * h), pack(cand_steps, h)
         # the carried state before each live column-step, packed like gates
         zero, back = np.zeros((h, batch)), 1 if reverse else -1
         prev = np.concatenate([(zero if t == order[0] else states[:, t + back])[:, :width]

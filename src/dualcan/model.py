@@ -26,6 +26,7 @@ from .autodiff import (
     NonFiniteError,
     ShapeError,
     Tensor,
+    constant_steps,
     fused,
     gather_cols,
     masked_softmax,
@@ -345,7 +346,7 @@ def _word_encode_blocks(sources: list, enc: EncoderParams, embeddings):
     ids, word_mask, index = _pack_sentences(sources)
     if not len(ids):
         return Tensor(np.zeros((2 * enc.fwd.hidden_size, 1))), index
-    inputs = [Tensor(step.T) for step in embeddings.lookup(ids.T)]      # m of [d x K]
+    inputs = constant_steps(embeddings.lookup(ids.T).transpose(0, 2, 1))  # m of [d x K]
     states = layers.bigru(inputs, enc.fwd, enc.bwd, _keep_rows(word_mask))
     pooled, _ = layers.word_attention(states, word_mask, enc.attention)   # [2h x K]
     return pooled, index
@@ -353,8 +354,7 @@ def _word_encode_blocks(sources: list, enc: EncoderParams, embeddings):
 
 def _keep_rows(mask: np.ndarray) -> list:
     """[B x T] boolean mask -> the T [1 x B] keep rows of a recurrence."""
-    keep = mask.T.astype(np.float64)
-    return [Tensor(keep[t:t + 1]) for t in range(keep.shape[0])]
+    return constant_steps(mask.T.astype(np.float64)[:, None, :])
 
 
 def encode_samples(samples: list, params: ModelParams, embeddings,
@@ -667,7 +667,7 @@ def train(train_samples: list, val_samples: list, hp: HyperParams,
         since_best += 1
         if since_best >= hp.patience:
             break
-    if best_values is not None:   # None only when max_epochs < 1
+    if best_epoch != len(history):   # else the parameters hold the best values already
         params.load_values(best_values)
     return TrainResult(params, history, best_epoch, best_key[0])
 

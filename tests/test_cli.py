@@ -811,6 +811,65 @@ def test_heatmap_shading_is_monotone(tmp_path):
     assert grid[0, 0] == 0 and grid[1, 1] == 0
 
 
+# sha256 of each SVG, pinned when shading was computed cell by cell with
+# Python's round (which, like np.rint, rounds half to even)
+PINNED_HEATMAPS = {
+    "half-way-levels-and-a-zero-column": (
+        np.array([[1.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.25, 0.25, 0.0]]),
+        "f4abafa85e25c2237708fa03947f58ebe322e0f31bf27da56b00d488c38c9ca3"),
+    # every level below the first row is exactly k + 0.5
+    "levels-at-k-and-a-half": (
+        np.vstack([np.ones(3), 1.0 - (np.arange(9.0).reshape(3, 3) * 21 + 0.5) / 255]),
+        "83429582e003104b28661ecf560aea706338b2d45c3b8dca145a9561685890d5"),
+    "negative-weights": (
+        np.array([[-0.5, 0.2], [0.3, -0.1], [0.3, 0.0]]),
+        "061955f243e730e225a84cefff7e8d1acd514295fe8ca271dbac8c590bc70166"),
+    "no-rows": (
+        np.zeros((0, 2)),
+        "c608623ec1cf6a73b13e722d064f8e2056089e0ecdaf278d7d0c26e17bef1b76"),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_HEATMAPS)
+def test_heatmap_svg_bytes_are_pinned(tmp_path, name):
+    import hashlib
+
+    weights, digest = PINNED_HEATMAPS[name]
+    path = tmp_path / f"{name}.svg"
+    interpret.render_heatmap_svg(path, weights, [f"s{j}" for j in range(weights.shape[1])],
+                                 name)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def test_heatmap_levels_equal_the_cell_by_cell_rule(tmp_path):
+    def level(weight, col_max):
+        # the per-cell rule: a column's max is darkest, a zero-max column white
+        frac = 0.0 if col_max <= 0 else min(max(weight / col_max, 0.0), 1.0)
+        return int(round(255 * (1.0 - frac)))
+
+    rng = np.random.default_rng(11)
+    path = tmp_path / "map.svg"
+    for trial in range(60):
+        rows, cols = int(rng.integers(1, 6)), int(rng.integers(1, 5))
+        weights = [rng.uniform(-0.2, 1, (rows, cols)),                 # negatives
+                   rng.integers(0, 5, (rows, cols)) / 4.0,             # ties, zero columns
+                   1.0 - (rng.integers(0, 255, (rows, cols)) + 0.5) / 255,  # near k + 0.5
+                   ][trial % 3]
+        interpret.render_heatmap_svg(path, weights, [f"s{j}" for j in range(cols)], "t")
+        fills = [int(m.group(1)) for m in re.finditer(r'fill="rgb\((\d+),', path.read_text())]
+        col_max = weights.max(axis=0)
+        assert fills == [level(weights[i, j], col_max[j])
+                         for i in range(rows) for j in range(cols)], trial
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_a_non_finite_heatmap_weight_raises_before_any_file_is_written(tmp_path, value):
+    with pytest.raises(ValueError):
+        interpret.render_heatmap_svg(tmp_path / "map.svg", np.array([[0.5, value], [0.2, 0.1]]),
+                                     ["a", "b"], "news")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_heatmaps_escape_ids_and_titles(tmp_path):
     import xml.etree.ElementTree as ET
 

@@ -251,6 +251,8 @@ PACKED_KEEPS = {
     "fractional-keep": [[1, 0.5, 1, 1, 0.25],
                         [1, 1, 0.75, 0, 0],
                         [0.5, 1, 0, 0, 0]],
+    # no column moves at any step: no live column-step at all
+    "all-idle": [[0, 0, 0, 0, 0]] * 3,
 }
 
 
@@ -271,6 +273,74 @@ def test_gru_sequence_packed_prefixes_match_tape_reference(rng, case, reverse):
         lambda run: _weighted_sum(run(columns, p, keep, reverse=reverse), weights))
     for fused_grad, reference_grad in zip(*grads):
         npt.assert_allclose(fused_grad, reference_grad, rtol=0, atol=1e-10)
+
+
+def gru_sequence_steps(columns, p, keep, reverse):
+    """A plain step loop over the live prefixes in the operation order of the
+    straightforward recurrence: one stacked input product over the packed
+    live columns plus the biases, then per step the sigmoid as
+    1 / (1 + exp(-a)), tanh, ``s + z * (c - s)``, and the keep blend on
+    steps whose prefix keeps some column at other than exactly 1."""
+    n, batch, h = len(columns), columns[0].shape[1], p.hidden_size
+    k = np.ones((n, batch)) if keep is None else np.concatenate([kt.data for kt in keep])
+    live = [batch - int(np.argmax(row[::-1] != 0.0)) if (row != 0.0).any() else 0 for row in k]
+    starts = np.cumsum([0] + live)
+    x = np.concatenate([p.w_reset.data, p.w_update.data, p.w_cand.data]) \
+        @ np.concatenate([col.data[:, :width] for col, width in zip(columns, live)], axis=1) \
+        + np.concatenate([p.b_reset.data, p.b_update.data, p.b_cand.data])
+    u_rz = np.concatenate([p.u_reset.data, p.u_update.data])
+    state, states = np.zeros((h, batch)), np.empty((h, n, batch))
+    for t in (reversed(range(n)) if reverse else range(n)):
+        width = live[t]
+        if width:
+            s, x_t = state[:, :width], x[:, starts[t]:starts[t + 1]]
+            rz = 1.0 / (1.0 + np.exp(-(u_rz @ s + x_t[:2 * h])))
+            c = np.tanh(p.u_cand.data @ (rz[:h] * s) + x_t[2 * h:])
+            cell = s + rz[h:] * (c - s)
+            if (k[t, :width] != 1.0).any():
+                cell = s + k[t, :width] * (cell - s)
+            state[:, :width] = cell
+        states[:, t] = state
+    return states.reshape(h, n * batch)
+
+
+BIT_KEEPS = {
+    **PACKED_KEEPS,
+    "one-column": [[1, 1, 0, 1, 0]],
+    # length-sorted, as the word encoder passes them: full-width first steps
+    "eight-columns": (np.arange(5) < np.array([5, 5, 4, 3, 3, 2, 1, 1])[:, None]).tolist(),
+}
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("case", BIT_KEEPS)
+def test_gru_sequence_equals_a_plain_step_loop_bit_for_bit(rng, case, reverse):
+    keep_array = np.array(BIT_KEEPS[case], dtype=float)           # [B x T]
+    batch, steps = keep_array.shape
+    p = make_gru(5, 6, seed=68)
+    columns = [ad.Tensor(rng.uniform(-2, 2, (5, batch))) for _ in range(steps)]
+    keep = [ad.Tensor(keep_array[:, t].reshape(1, -1)) for t in range(steps)]
+    npt.assert_array_equal(layers.gru_sequence(columns, p, keep, reverse=reverse).data,
+                           gru_sequence_steps(columns, p, keep, reverse))
+    npt.assert_array_equal(layers.gru_sequence(columns, p, reverse=reverse).data,
+                           gru_sequence_steps(columns, p, None, reverse))
+
+
+def test_gru_sequence_without_a_graph_holds_only_its_output(rng):
+    h, d, batch, steps = 32, 24, 12, 20
+    p = make_gru(d, h, seed=69)
+    lengths = np.sort(rng.integers(1, steps + 1, batch))[::-1]
+    keep = keep_rows(np.arange(steps) < lengths[:, None])
+    columns = [ad.Tensor(rng.uniform(-1, 1, (d, batch))) for _ in range(steps)]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = layers.gru_sequence(columns, p, keep)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    # gates and candidates alone would be 3h * R * 8 bytes, over 100 KB
+    assert out.data.nbytes <= held <= out.data.nbytes + 1024, (held, out.data.nbytes)
 
 
 @pytest.mark.parametrize("reverse", [False, True])

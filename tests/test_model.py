@@ -121,6 +121,18 @@ def test_encode_news_matches_composed_oracle(tiny_setup):
     npt.assert_allclose(s.data, expected, atol=1e-10)
 
 
+@pytest.mark.parametrize("token", ["alpha", "theta", "zeta"], ids=["news", "entity", "comment"])
+def test_a_non_finite_embedding_row_that_is_looked_up_raises(tiny_setup, token):
+    hp, params, vocab, emb, samples = tiny_setup
+    matrix = emb.matrix.copy()
+    matrix[vocab.id_of(token), 1] = np.nan
+    with pytest.raises(ad.NonFiniteError):
+        model.encode_samples(samples, params, data.EmbeddingTable(matrix), hp)
+    matrix = emb.matrix.copy()
+    matrix[1, 1] = np.nan   # the oov row, which no word of these samples looks up
+    model.encode_samples(samples, params, data.EmbeddingTable(matrix), hp)
+
+
 def test_encode_samples_batch_matches_single_sample(tiny_setup):
     hp, params, _, emb, samples = tiny_setup
     batch = model.encode_samples(samples, params, emb, hp)
@@ -1122,6 +1134,40 @@ def test_train_snapshots_once_per_improving_epoch(tiny_setup, monkeypatch):
     assert [epoch for epoch, _ in copies] == improving
     for name, tensor in result.params.named().items():
         npt.assert_array_equal(tensor.data, copies[-1][1][name])
+
+
+@pytest.mark.parametrize("trend, best_epoch, restores", [(1, 3, 0), (-1, 1, 1)],
+                         ids=["last-epoch-best", "first-epoch-best"])
+def test_train_restores_only_when_the_best_epoch_is_not_the_last(tiny_setup, monkeypatch,
+                                                                  trend, best_epoch, restores):
+    hp, params, vocab, emb, _ = tiny_setup
+    hp2 = dataclasses.replace(hp, max_epochs=3, patience=3)
+    samples = _toy_split(hp2, vocab, emb, n=8)
+    evaluations, loads, copies = [], [], []
+    evaluate, load_values, copy_values = (model.evaluate, model.FlatParams.load_values,
+                                          model.FlatParams.copy_values)
+
+    def trending_evaluate(*args, **kwargs):
+        # validation F1 rises (or falls) strictly from epoch to epoch
+        evaluations.append(None)
+        return {**evaluate(*args, **kwargs), "f1_macro": 0.5 + trend * len(evaluations) / 10}
+
+    def counted_load(self, values):
+        loads.append(None)
+        load_values(self, values)
+
+    def recorded_copy(self):
+        copies.append(copy_values(self))
+        return copies[-1]
+
+    monkeypatch.setattr(model, "evaluate", trending_evaluate)
+    monkeypatch.setattr(model.FlatParams, "load_values", counted_load)
+    monkeypatch.setattr(model.FlatParams, "copy_values", recorded_copy)
+    result = model.train(samples[:5], samples, hp2, params, emb)
+    assert len(result.history) == 3 and result.best_epoch == best_epoch
+    assert len(loads) == restores
+    for name, tensor in result.params.named().items():
+        npt.assert_array_equal(tensor.data, copies[-1][name])
 
 
 def test_every_parameter_takes_a_gradient_created_or_restored(tiny_setup):
