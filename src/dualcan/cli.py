@@ -263,17 +263,18 @@ _SPLITS = ("train", "val", "test", "full")
 
 
 def _pick_split(prepared: PreparedData, split: str) -> list:
-    """Samples of ``split``: train, val, test or full (all three in that order)."""
-    if split == "full":
-        return prepared.train + prepared.val + prepared.test
-    return getattr(prepared, split)
+    """Samples of ``split``: train, val, test or full (all three in that
+    order). An empty split raises DatasetFormatError naming it."""
+    samples = (prepared.train + prepared.val + prepared.test if split == "full"
+               else getattr(prepared, split))
+    if not samples:
+        raise DatasetFormatError(f"split '{split}' has no usable samples")
+    return samples
 
 
 def cmd_eval(args) -> int:
     hp, params, config, prepared = _load_for_eval(args)
     samples = _pick_split(prepared, args.split)
-    if not samples:
-        raise DatasetFormatError(f"split '{args.split}' has no usable samples")
     report = model.evaluate(samples, params, prepared.embeddings, hp, config.mode)
     print(json.dumps(report, indent=2, sort_keys=True))
     if args.out:
@@ -290,11 +291,11 @@ def cmd_explain(args) -> int:
         wanted = [i.strip() for i in args.ids.split(",") if i.strip()]
         skipped = [i for i in wanted if i not in by_id]
         samples = [by_id[i] for i in wanted if i in by_id]
+        if not samples:
+            raise DatasetFormatError("no requested sample ids were found")
     predictions = model.predict(samples, params, prepared.embeddings, hp, config.mode)
     entries = [interpret.report_entry(s.doc_id, s.label, probs, attn)
                for s, (probs, attn) in zip(samples, predictions)]
-    if not entries:
-        raise DatasetFormatError("no requested sample ids were found")
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
     data_mod.write_json(out / "attention_report.json", {"samples": entries, "skipped": skipped})

@@ -23,6 +23,7 @@ import re
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from itertools import repeat
 
 import numpy as np
@@ -308,27 +309,25 @@ class SnapshotResolver:
     def lookup(self, name: str) -> str:
         return self._descriptions.get(_normalize_name(name), "")
 
-    def names(self) -> list[str]:
-        return list(self._names)
+    @cached_property
+    def patterns(self) -> list:
+        """(name, " tok tok ") per snapshot name with tokens, in snapshot
+        order: its tokens space-joined between spaces, made on first use."""
+        return [(name, f" {' '.join(tokens)} ") for name in self._names
+                if (tokens := tokenize(name))]
 
 
 def link_entities(doc: Document, resolver: SnapshotResolver) -> list[str]:
     """Gazetteer pass: snapshot names whose token sequence occurs in the news.
 
-    Returns names in order of first appearance; used when a document carries
-    no explicit entity list.
+    Returns names in order of first appearance, names that first appear at
+    the same token in snapshot order; used when a document carries no
+    explicit entity list. Tokens hold no whitespace, so a name's pattern
+    occurs in the space-joined news tokens exactly where its tokens do.
     """
-    news_tokens = [tok for sent in doc.news_sentences for tok in sent]
-    found = []
-    for name in resolver.names():
-        name_tokens = tokenize(name)
-        if not name_tokens:
-            continue
-        k = len(name_tokens)
-        for i in range(len(news_tokens) - k + 1):
-            if news_tokens[i:i + k] == name_tokens:
-                found.append((i, name))
-                break
+    text = f" {' '.join(tok for sent in doc.news_sentences for tok in sent)} "
+    found = [(at, name) for name, pattern in resolver.patterns
+             if (at := text.find(pattern)) >= 0]
     found.sort(key=lambda pair: pair[0])
     return [name for _, name in found]
 

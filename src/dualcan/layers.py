@@ -22,6 +22,7 @@ from .autodiff import (
     DegenerateMaskError,
     ShapeError,
     Tensor,
+    constant_steps,
     fused,
     masked_softmax,
     softmax_backward,
@@ -151,13 +152,13 @@ class CoAttentionOutput:
     attn_secondary: np.ndarray        # [B x E]
 
 
-def gru_sequence(columns: list, p: GruParams, keep: list | None = None,
-                 reverse: bool = False, *, out: np.ndarray | None = None) -> Tensor:
+def gru_sequence(columns: list, p: GruParams, keep: list, reverse: bool = False, *,
+                 out: np.ndarray) -> Tensor:
     """Run a GRU over a list of T [in x B] columns from a zero initial state.
 
     Returns the states after every position as one [h x T*B] tensor, in
     position order: column t*B + b is the state of sequence b after step t.
-    ``keep`` is an optional list of T [1 x B] float tensors; a step computes
+    ``keep`` is a list of T [1 x B] float tensors; a step computes
     the cell ``h + z * (cand - h)`` and moves to ``h + keep * (cell - h)``,
     so where ``keep`` is 0 the state passes through unchanged (padding
     positions do not advance the recurrence).
@@ -179,9 +180,9 @@ def gru_sequence(columns: list, p: GruParams, keep: list | None = None,
     live column-steps only. A step whose prefix keeps every column
     at exactly 1 takes the cell as its state without the keep blend.
 
-    ``out``, if given, is a C-contiguous [h x T*B] array that the states
-    are written into and that becomes the output's data (:func:`bigru`
-    passes each direction one half of its buffer).
+    ``out`` is a C-contiguous [h x T*B] array that the states are written
+    into and that becomes the output's data (:func:`bigru` passes each
+    direction one half of its buffer).
 
     The node saves only the gates, the candidates and its own output.
     Backpropagation rebuilds the packed input, the stacked weights and the
@@ -197,24 +198,19 @@ def gru_sequence(columns: list, p: GruParams, keep: list | None = None,
         if col.data.shape != expected:
             raise ShapeError(f"gru_sequence column of shape {col.shape}, expected "
                              f"{p.input_size} rows (params) and {batch} columns (batch)")
-    if keep is not None and (len(keep) != n or any(k.data.shape != (1, batch) for k in keep)):
+    if len(keep) != n or any(k.data.shape != (1, batch) for k in keep):
         raise ShapeError(f"gru_sequence keep needs {n} rows of shape (1, {batch})")
-    if out is None:
-        out = np.empty((h, n * batch))
-    elif out.shape != (h, n * batch) or not out.flags.c_contiguous:
+    if out.shape != (h, n * batch) or not out.flags.c_contiguous:
         raise ShapeError(f"gru_sequence out must be a C-contiguous ({h}, {n * batch}) array, "
                          f"got shape {out.shape}")
     weights = tuple(p.named().values())   # reset, update, cand: w, u, b each
-    if keep is None:
-        k, live, blend = None, [batch] * n, [False] * n
-    else:
-        k = np.concatenate([kt.data for kt in keep])                      # [T x B]
-        moves, partial = k != 0.0, k != 1.0
-        # live[t]: columns up to the last one that moves at step t;
-        # blend[t]: some column of that prefix keeps neither 0 nor 1 exactly
-        live = np.where(moves.any(axis=1), batch - np.argmax(moves[:, ::-1], axis=1), 0)
-        first_partial = np.where(partial.any(axis=1), np.argmax(partial, axis=1), batch)
-        live, blend = live.tolist(), (first_partial < live).tolist()
+    k = np.concatenate([kt.data for kt in keep])                          # [T x B]
+    moves, partial = k != 0.0, k != 1.0
+    # live[t]: columns up to the last one that moves at step t;
+    # blend[t]: some column of that prefix keeps neither 0 nor 1 exactly
+    live = np.where(moves.any(axis=1), batch - np.argmax(moves[:, ::-1], axis=1), 0)
+    first_partial = np.where(partial.any(axis=1), np.argmax(partial, axis=1), batch)
+    live, blend = live.tolist(), (first_partial < live).tolist()
     # the live column-steps of step t are packed columns start[t] .. start[t + 1] - 1
     start = [0, *accumulate(live)]
 
@@ -327,13 +323,14 @@ def gru_sequence(columns: list, p: GruParams, keep: list | None = None,
     return fused("gru_sequence", out, (*columns, *weights), backward)
 
 
-def bigru(columns: list, p_fwd: GruParams, p_bwd: GruParams, keep: list | None = None) -> Tensor:
+def bigru(columns: list, p_fwd: GruParams, p_bwd: GruParams, mask) -> Tensor:
     """Bidirectional GRU over a list of T [in x B] columns -> states [2h x T*B].
 
     Column t*B + b stacks the forward state of sequence b after steps 1..t on
     its backward state after steps T..t; both directions start from zero.
-    ``keep`` is passed to both recurrences, so where it is 0 a column neither
-    advances them nor changes the carried states.
+    The boolean ``mask`` [B x T] becomes the T keep rows of both
+    recurrences, so a False position neither advances them nor changes the
+    carried states.
 
     Each direction writes its states straight into its half of one
     [2h x T*B] buffer, so the stacked output is no second copy of them; the
@@ -341,8 +338,12 @@ def bigru(columns: list, p_fwd: GruParams, p_bwd: GruParams, keep: list | None =
     """
     if not columns:
         raise ShapeError("bigru over an empty sequence")
-    h = p_fwd.hidden_size
-    states = np.empty((2 * h, len(columns) * columns[0].shape[1]))
+    h, n, batch = p_fwd.hidden_size, len(columns), columns[0].shape[1]
+    mask = np.asarray(mask, dtype=bool)
+    if mask.shape != (batch, n):
+        raise ShapeError(f"bigru mask must be [B x T] = [{batch} x {n}], got shape {mask.shape}")
+    keep = constant_steps(mask.T.astype(np.float64)[:, None, :])         # T of [1 x B]
+    states = np.empty((2 * h, n * batch))
     fwd = gru_sequence(columns, p_fwd, keep, out=states[:h])
     bwd = gru_sequence(columns, p_bwd, keep, reverse=True, out=states[h:])
 

@@ -92,9 +92,9 @@ PROFILES = {
 @dataclass
 class HyperParams:
     """Model and training dimensions; all sentence/word limits are global,
-    so batching is plain concatenation. A field's ``min`` (default 1) is the
-    least value ``validate`` accepts; field order is the order of the ``hp``
-    lines in a checkpoint header."""
+    so batching is plain concatenation. ``validate`` accepts finite values
+    of at least a field's ``min`` (default 1); field order is the order of
+    the ``hp`` lines in a checkpoint header."""
 
     embedding_dim: int = 16
     hidden_size: int = 8
@@ -113,8 +113,9 @@ class HyperParams:
     def validate(self) -> None:
         for f in fields(self):
             value, least = getattr(self, f.name), f.metadata.get("min", 1)
-            if not value >= least:
-                raise ValueError(f"hyperparameter {f.name} must be at least {least}, got {value!r}")
+            if not (value >= least and math.isfinite(value)):
+                raise ValueError(f"hyperparameter {f.name} must be finite and at least {least}, "
+                                 f"got {value!r}")
 
     @staticmethod
     def profile(name: str) -> "HyperParams":
@@ -347,14 +348,9 @@ def _word_encode_blocks(sources: list, enc: EncoderParams, embeddings):
     if not len(ids):
         return Tensor(np.zeros((2 * enc.fwd.hidden_size, 1))), index
     inputs = constant_steps(embeddings.lookup(ids.T).transpose(0, 2, 1))  # m of [d x K]
-    states = layers.bigru(inputs, enc.fwd, enc.bwd, _keep_rows(word_mask))
+    states = layers.bigru(inputs, enc.fwd, enc.bwd, word_mask)
     pooled, _ = layers.word_attention(states, word_mask, enc.attention)   # [2h x K]
     return pooled, index
-
-
-def _keep_rows(mask: np.ndarray) -> list:
-    """[B x T] boolean mask -> the T [1 x B] keep rows of a recurrence."""
-    return constant_steps(mask.T.astype(np.float64)[:, None, :])
 
 
 def encode_samples(samples: list, params: ModelParams, embeddings,
@@ -378,8 +374,7 @@ def encode_samples(samples: list, params: ModelParams, embeddings,
     news_mask = news_index >= 0                                           # [B x N]
     batch, slots = news_mask.shape
     steps = [gather_cols(news_pooled, news_index[:, n]) for n in range(slots)]
-    states = layers.bigru(steps, params.sentence_fwd, params.sentence_bwd,
-                          _keep_rows(news_mask))
+    states = layers.bigru(steps, params.sentence_fwd, params.sentence_bwd, news_mask)
     order = np.arange(slots) * batch + np.arange(batch).reshape(-1, 1)    # [B x N]
     return EncodedBatch(
         news=gather_cols(states, np.where(news_mask, order, -1).reshape(-1)),

@@ -4,7 +4,9 @@ The model records each layer as one hand-written ``fused`` node, so the
 package keeps only those and ``gather_cols``. The ops here compose the tape
 references that the fused layers are checked against (``matmul``, ``add``,
 ``concat``, ``tanh``, ``softmax_rows`` and the rest), and :func:`grad_check`
-compares a tape's gradients with central differences.
+compares a tape's gradients with central differences. :func:`gru_out` and
+:func:`unpadded` state the ``keep`` and ``out`` that ``gru_sequence``
+requires.
 """
 
 from __future__ import annotations
@@ -30,6 +32,19 @@ def zero_grad(t: Tensor) -> None:
     never allocated stays None."""
     if t.grad is not None:
         t.grad.fill(0.0)
+
+
+def gru_out(columns: list, p) -> np.ndarray:
+    """A fresh [h x T*B] output buffer for a recurrence with params ``p``
+    over ``columns``."""
+    return np.empty((p.hidden_size, len(columns) * columns[0].shape[1]))
+
+
+def unpadded(columns: list, p) -> dict:
+    """``gru_sequence``'s ``keep`` and ``out`` for columns with no padding:
+    T all-ones [1 x B] keep rows and a fresh output buffer."""
+    return {"keep": [Tensor(np.ones((1, columns[0].shape[1]))) for _ in columns],
+            "out": gru_out(columns, p)}
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:

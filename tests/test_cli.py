@@ -940,6 +940,48 @@ def test_bad_hyperparameter_overrides_exit_1(synth_dir, capsys):
     assert "usage error" in err
 
 
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_non_finite_learning_rate_exits_1_before_reading_data(synth_dir, tmp_path, capsys,
+                                                              monkeypatch, value):
+    def no_data(*args):
+        raise AssertionError("data was read")
+
+    monkeypatch.setattr(cli, "prepare_data", no_data)
+    out = tmp_path / "run"
+    assert run_cli("train", "--config", str(synth_dir / "config.cfg"), "--out", str(out),
+                   "--set", f"hp.learning_rate={value}") == 1
+    assert (f"usage error: hyperparameter learning_rate must be finite and at least 0, "
+            f"got {value}") in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_eval_checkpoint_with_infinite_learning_rate_exits_2(synth_dir, trained_dir, tmp_path,
+                                                             capsys):
+    raw = (trained_dir / "checkpoint.bin").read_bytes()
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(raw.replace(b"\nhp learning_rate 0.005\n", b"\nhp learning_rate inf\n", 1))
+    assert bad.read_bytes() != raw
+    assert run_cli("eval", "--checkpoint", str(bad),
+                   "--config", str(synth_dir / "config.cfg")) == 2
+    assert "learning_rate must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["eval", "explain"])
+def test_eval_and_explain_name_an_empty_split(synth_dir, trained_dir, tmp_path, capsys, command):
+    lines = (synth_dir / "dataset.jsonl").read_text().splitlines(keepends=True)
+    overrides = []
+    for split, part in {"train": lines[:16], "val": [], "test": lines[16:]}.items():
+        (tmp_path / f"{split}.jsonl").write_text("".join(part))
+        overrides += ["--set", f"{split}={tmp_path / f'{split}.jsonl'}"]
+    cfg = tmp_path / "cfg.cfg"
+    cfg.write_text(re.sub(r"dataset = .*\n", "", (synth_dir / "config.cfg").read_text()))
+    out = tmp_path / "out"
+    assert run_cli(command, "--checkpoint", str(trained_dir / "checkpoint.bin"),
+                   "--config", str(cfg), "--split", "val", "--out", str(out), *overrides) == 2
+    assert "data error: split 'val' has no usable samples" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_negative_seeds_exit_1(synth_dir, tmp_path, capsys):
     # numpy refuses a negative seed; both are refused before anything is written
     out = tmp_path / "out"

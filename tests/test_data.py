@@ -335,6 +335,68 @@ def test_link_entities_gazetteer(tmp_path):
     assert data.link_entities(doc, resolver) == ["zeta corp", "acme"]
 
 
+def link_entities_scan(doc, names):
+    """The token-slice scan the gazetteer once ran: each name tokenized per
+    document and compared with every news token slice of its length, names
+    ordered by the token of their first match."""
+    news_tokens = [tok for sent in doc.news_sentences for tok in sent]
+    found = []
+    for name in names:
+        name_tokens = data.tokenize(name)
+        if not name_tokens:
+            continue
+        k = len(name_tokens)
+        for i in range(len(news_tokens) - k + 1):
+            if news_tokens[i:i + k] == name_tokens:
+                found.append((i, name))
+                break
+    found.sort(key=lambda pair: pair[0])
+    return [name for _, name in found]
+
+
+def test_link_entities_matches_at_token_boundaries(tmp_path):
+    # upper case and punctuation tokens; two names that start at the same
+    # token keep snapshot order; a name without tokens never matches
+    resolver = snapshot(tmp_path, {"AT&T": "", "acme corp": "", "Acme": "", " ": "",
+                                   "Dr. Zeta": "", "corp": "", "acme corp inc": ""})
+    doc = data.Document("x", [["dr", ".", "zeta", "met", "acmes", "and", "acme", "corp"],
+                              ["at", "&", "t", "."]], [], [], 0)
+    assert data.link_entities(doc, resolver) == ["Dr. Zeta", "acme corp", "Acme", "corp",
+                                                 "AT&T"]
+
+
+def test_link_entities_equals_the_token_scan_on_random_snapshots(tmp_path):
+    rng = np.random.default_rng(11)
+    words = ["Acme", "acme", "corp", "ZETA", "dr", ".", "&", "t", "at", "-", "x1", "", " "]
+    news_words = ["acme", "corp", "zeta", "dr", ".", "&", "t", "at", "-", "x1", "the"]
+    for trial in range(40):
+        # the resolver keeps the first of names equal up to case and spacing
+        names = {}
+        for _ in range(rng.integers(1, 15)):
+            parts = rng.choice(words, rng.integers(0, 4))
+            name = "".join(str(w) + rng.choice(["", " "]) for w in parts)
+            names.setdefault(" ".join(name.lower().split()), name)
+        resolver = snapshot(tmp_path, {name: "d" for name in names.values()})
+        doc = data.Document("x", [list(rng.choice(news_words, rng.integers(0, 9)))
+                                  for _ in range(rng.integers(1, 4))], [], [], 0)
+        assert data.link_entities(doc, resolver) == link_entities_scan(doc, names.values()), trial
+
+
+def test_link_entities_tokenizes_each_name_once_per_resolver(tmp_path, monkeypatch):
+    resolver = snapshot(tmp_path, {"acme": "", "zeta corp": "", "AT&T": ""})
+    calls = []
+    original = data.tokenize
+
+    def counted(text):
+        calls.append(text)
+        return original(text)
+
+    monkeypatch.setattr(data, "tokenize", counted)
+    docs = [data.Document(i, [["zeta", "corp", "and", "acme"]], [], [], 0) for i in "abc"]
+    assert [data.link_entities(doc, resolver) for doc in docs] == [["zeta corp", "acme"]] * 3
+    assert sorted(calls) == ["AT&T", "acme", "zeta corp"]
+
+
 def test_resolve_documents_fills_descriptions(tmp_path):
     resolver = snapshot(tmp_path, {"acme": "Acme is a brand. It sells tools."})
     doc = data.Document("x", [["acme", "said"]], [], [("acme", [])], 0)

@@ -15,8 +15,9 @@ from oracles import (
     gru_params_arrays,
     word_attention_loops,
 )
-from tape_ops import (add, concat, grad_check, matmul, mul, sigmoid, slice_cols, slice_rows,
-                      softmax_rows, sub, sum_all, tanh, transpose, zero_grad)
+from tape_ops import (add, concat, grad_check, gru_out, matmul, mul, sigmoid, slice_cols,
+                      slice_rows, softmax_rows, sub, sum_all, tanh, transpose, unpadded,
+                      zero_grad)
 
 
 def make_gru(input_size, hidden, seed=7):
@@ -45,17 +46,21 @@ def gru_cell(x, h_prev, p):
 
 def masked_step(x, h, p, keep_t):
     """Reference step where keep_t = 0 columns carry the previous state."""
-    cell = gru_cell(x, h, p)
-    return cell if keep_t is None else add(h, mul(keep_t, sub(cell, h)))
+    return add(h, mul(keep_t, sub(gru_cell(x, h, p), h)))
 
 
-def gru_sequence_reference(columns, p, keep=None, reverse=False):
+def gru_sequence_reference(columns, p, keep, reverse=False):
     h = ad.Tensor(np.zeros((p.hidden_size, columns[0].shape[1])))
     states = [None] * len(columns)
     order = range(len(columns) - 1, -1, -1) if reverse else range(len(columns))
     for t in order:
-        h = states[t] = masked_step(columns[t], h, p, None if keep is None else keep[t])
+        h = states[t] = masked_step(columns[t], h, p, keep[t])
     return concat(states, axis=1)
+
+
+def fused_gru(columns, p, keep, reverse=False):
+    """``layers.gru_sequence`` into a fresh output buffer."""
+    return layers.gru_sequence(columns, p, keep, reverse, out=gru_out(columns, p))
 
 
 def columns_of(seq):
@@ -75,7 +80,8 @@ def per_sequence(out, steps, batch):
 
 def test_gru_cell_zero_params_zero_state_gives_zero():
     p = zero_gru(2, 3)
-    out = layers.gru_sequence([ad.Tensor(np.ones((2, 1)))], p)
+    columns = [ad.Tensor(np.ones((2, 1)))]
+    out = layers.gru_sequence(columns, p, **unpadded(columns, p))
     npt.assert_array_equal(out.data, np.zeros((3, 1)))
 
 
@@ -83,7 +89,8 @@ def test_gru_cell_output_is_convex_combination(rng):
     # h stays inside (-1, 1) whenever h_prev does: each new state is a convex
     # mix of the previous one and a tanh value
     p = make_gru(2, 4)
-    out = layers.gru_sequence(columns_of(rng.uniform(-2, 2, (2, 6))), p)
+    columns = columns_of(rng.uniform(-2, 2, (2, 6)))
+    out = layers.gru_sequence(columns, p, **unpadded(columns, p))
     assert out.shape == (4, 6)
     assert (np.abs(out.data) < 1.0).all()
 
@@ -92,7 +99,8 @@ def test_gru_cell_matches_formula_oracle():
     # the second step starts from the state the first one reached
     p = make_gru(2, 1, seed=13)
     x = np.array([[1.0, 0.0], [0.0, 1.0]])
-    out = layers.gru_sequence(columns_of(x), p)
+    columns = columns_of(x)
+    out = layers.gru_sequence(columns, p, **unpadded(columns, p))
     first = gru_cell_loops(x[:, 0], np.zeros(1), *gru_params_arrays(p))
     second = gru_cell_loops(x[:, 1], first, *gru_params_arrays(p))
     npt.assert_allclose(out.data[:, 0], first, atol=1e-12)
@@ -102,7 +110,8 @@ def test_gru_cell_matches_formula_oracle():
 def test_gru_cell_random_matches_oracle(rng):
     p = make_gru(3, 5, seed=21)
     x = rng.uniform(-2, 2, (3, 4))
-    out = layers.gru_sequence(columns_of(x), p)
+    columns = columns_of(x)
+    out = layers.gru_sequence(columns, p, **unpadded(columns, p))
     h = np.zeros(5)
     for t in range(4):
         h = gru_cell_loops(x[:, t], h, *gru_params_arrays(p))
@@ -112,25 +121,28 @@ def test_gru_cell_random_matches_oracle(rng):
 def test_gru_cell_column_batch_equals_per_column(rng):
     p = make_gru(3, 4, seed=2)
     x = rng.uniform(-1, 1, (3, 5, 3))                  # [in x B x T]
-    batched = per_sequence(layers.gru_sequence([ad.Tensor(x[:, :, t]) for t in range(3)], p),
-                           3, 5)
+    columns = [ad.Tensor(x[:, :, t]) for t in range(3)]
+    batched = per_sequence(layers.gru_sequence(columns, p, **unpadded(columns, p)), 3, 5)
     for j in range(5):
-        single = layers.gru_sequence(columns_of(x[:, j, :]), p)
+        columns = columns_of(x[:, j, :])
+        single = layers.gru_sequence(columns, p, **unpadded(columns, p))
         npt.assert_allclose(batched[j], single.data, atol=1e-12)
 
 
 def test_gru_cell_shape_errors():
     p = make_gru(2, 3)
     with pytest.raises(ad.ShapeError):        # input rows do not match the params
-        layers.gru_sequence([ad.Tensor(np.zeros((5, 1)))], p)
+        columns = [ad.Tensor(np.zeros((5, 1)))]
+        layers.gru_sequence(columns, p, **unpadded(columns, p))
     with pytest.raises(ad.ShapeError):        # columns of different batch sizes
-        layers.gru_sequence([ad.Tensor(np.zeros((2, 2))), ad.Tensor(np.zeros((2, 3)))], p)
+        columns = [ad.Tensor(np.zeros((2, 2))), ad.Tensor(np.zeros((2, 3)))]
+        layers.gru_sequence(columns, p, **unpadded(columns, p))
     two = [ad.Tensor(np.zeros((2, 2)))] * 2
     for keep in ([ad.Tensor(np.ones((1, 3)))] * 2,     # keep row of another batch size
                  [ad.Tensor(np.ones((2, 2)))] * 2,     # keep of two rows
                  [ad.Tensor(np.ones((1, 2)))]):        # one keep row for two steps
         with pytest.raises(ad.ShapeError):
-            layers.gru_sequence(two, p, keep)
+            fused_gru(two, p, keep)
 
 
 @pytest.mark.parametrize("reverse", [False, True])
@@ -140,8 +152,8 @@ def test_gru_sequence_matches_loop_oracle(rng, batch, steps, reverse):
     seqs = rng.uniform(-1, 1, (batch, 3, steps))       # [B x in x T]
     mask = rng.uniform(size=(batch, steps)) < 0.6
     mask[:, steps // 2] = True
-    out = layers.gru_sequence([ad.Tensor(seqs[:, :, t].T) for t in range(steps)], p,
-                              keep_rows(mask), reverse=reverse)
+    out = fused_gru([ad.Tensor(seqs[:, :, t].T) for t in range(steps)], p, keep_rows(mask),
+                    reverse=reverse)
     rows = slice(4, 8) if reverse else slice(0, 4)     # bigru_loops stacks fwd on bwd
     got = per_sequence(out, steps, batch)
     for j in range(batch):
@@ -154,7 +166,7 @@ def test_gru_sequence_keep_zero_carries_state_bit_identical(rng, reverse):
     mask = np.array([[False, True, False, False, True, False],
                      [True, False, True, True, False, False]])
     columns = [ad.Tensor(rng.uniform(-1, 1, (2, 2))) for _ in range(6)]
-    out = layers.gru_sequence(columns, p, keep_rows(mask), reverse=reverse)
+    out = fused_gru(columns, p, keep_rows(mask), reverse=reverse)
     states = out.data.reshape(3, 6, 2)                  # [h x T x B]
     order = list(range(5, -1, -1)) if reverse else list(range(6))
     before = np.zeros((3, 2))
@@ -170,7 +182,8 @@ def test_gru_sequence_records_one_node(rng):
     p = make_gru(2, 3, seed=63)
     g = ad.Graph()
     with g:
-        out = layers.gru_sequence(columns_of(rng.uniform(-1, 1, (2, 5))), p)
+        columns = columns_of(rng.uniform(-1, 1, (2, 5)))
+        out = layers.gru_sequence(columns, p, **unpadded(columns, p))
     assert [node.op for node in g._nodes] == ["gru_sequence"]
     assert out.shape == (3, 5)
 
@@ -188,7 +201,7 @@ def test_gru_sequence_node_holds_only_gates_candidates_and_states(rng):
     try:
         before = tracemalloc.get_traced_memory()[0]
         with g:
-            out = layers.gru_sequence(columns, p, keep)
+            out = fused_gru(columns, p, keep)
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
@@ -228,7 +241,7 @@ def test_gru_sequence_gradients_match_tape_reference(rng, reverse):
     weights = np.hstack([rng.uniform(-1, 1, (4, 3)) for _ in range(5)])
     tensors = list(p.named().values()) + columns
     grads = _tape_gradients(
-        (layers.gru_sequence, gru_sequence_reference), tensors,
+        (fused_gru, gru_sequence_reference), tensors,
         lambda run: _weighted_sum(run(columns, p, keep, reverse=reverse), weights))
     for fused_grad, reference_grad in zip(*grads):
         npt.assert_allclose(fused_grad, reference_grad, rtol=0, atol=1e-10)
@@ -264,12 +277,12 @@ def test_gru_sequence_packed_prefixes_match_tape_reference(rng, case, reverse):
     keep = [ad.Tensor(keep_array[:, t].reshape(1, -1)) for t in range(5)]
     columns = [ad.Tensor(rng.uniform(-1, 1, (3, 3)), requires_grad=True) for _ in range(5)]
     weights = np.hstack([rng.uniform(-1, 1, (4, 3)) for _ in range(5)])
-    npt.assert_allclose(layers.gru_sequence(columns, p, keep, reverse=reverse).data,
+    npt.assert_allclose(fused_gru(columns, p, keep, reverse=reverse).data,
                         gru_sequence_reference(columns, p, keep, reverse=reverse).data,
                         rtol=0, atol=1e-12)
     tensors = list(p.named().values()) + columns
     grads = _tape_gradients(
-        (layers.gru_sequence, gru_sequence_reference), tensors,
+        (fused_gru, gru_sequence_reference), tensors,
         lambda run: _weighted_sum(run(columns, p, keep, reverse=reverse), weights))
     for fused_grad, reference_grad in zip(*grads):
         npt.assert_allclose(fused_grad, reference_grad, rtol=0, atol=1e-10)
@@ -282,7 +295,7 @@ def gru_sequence_steps(columns, p, keep, reverse):
     1 / (1 + exp(-a)), tanh, ``s + z * (c - s)``, and the keep blend on
     steps whose prefix keeps some column at other than exactly 1."""
     n, batch, h = len(columns), columns[0].shape[1], p.hidden_size
-    k = np.ones((n, batch)) if keep is None else np.concatenate([kt.data for kt in keep])
+    k = np.concatenate([kt.data for kt in keep])
     live = [batch - int(np.argmax(row[::-1] != 0.0)) if (row != 0.0).any() else 0 for row in k]
     starts = np.cumsum([0] + live)
     x = np.concatenate([p.w_reset.data, p.w_update.data, p.w_cand.data]) \
@@ -320,10 +333,11 @@ def test_gru_sequence_equals_a_plain_step_loop_bit_for_bit(rng, case, reverse):
     p = make_gru(5, 6, seed=68)
     columns = [ad.Tensor(rng.uniform(-2, 2, (5, batch))) for _ in range(steps)]
     keep = [ad.Tensor(keep_array[:, t].reshape(1, -1)) for t in range(steps)]
-    npt.assert_array_equal(layers.gru_sequence(columns, p, keep, reverse=reverse).data,
+    npt.assert_array_equal(fused_gru(columns, p, keep, reverse=reverse).data,
                            gru_sequence_steps(columns, p, keep, reverse))
-    npt.assert_array_equal(layers.gru_sequence(columns, p, reverse=reverse).data,
-                           gru_sequence_steps(columns, p, None, reverse))
+    ones = unpadded(columns, p)
+    npt.assert_array_equal(layers.gru_sequence(columns, p, reverse=reverse, **ones).data,
+                           gru_sequence_steps(columns, p, ones["keep"], reverse))
 
 
 def test_gru_sequence_without_a_graph_holds_only_its_output(rng):
@@ -335,7 +349,7 @@ def test_gru_sequence_without_a_graph_holds_only_its_output(rng):
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        out = layers.gru_sequence(columns, p, keep)
+        out = fused_gru(columns, p, keep)
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
@@ -351,7 +365,7 @@ def test_gru_sequence_grad_check_with_input_columns(rng, reverse):
     weights = np.hstack([rng.uniform(-1, 1, (2, 2)) for _ in range(4)])
 
     def f():
-        return _weighted_sum(layers.gru_sequence(columns, p, keep, reverse=reverse), weights)
+        return _weighted_sum(fused_gru(columns, p, keep, reverse=reverse), weights)
 
     params = dict(p.named())
     params.update((f"x{t}", c) for t, c in enumerate(columns))
@@ -367,7 +381,7 @@ def test_gru_sequence_grad_check_with_input_columns(rng, reverse):
 def test_bigru_single_step_concatenates_both_cells(rng):
     pf, pb = make_gru(2, 3, seed=3), make_gru(2, 3, seed=4)
     x = rng.uniform(-1, 1, (2, 1))
-    out = layers.bigru([ad.Tensor(x)], pf, pb)
+    out = layers.bigru([ad.Tensor(x)], pf, pb, np.ones((1, 1), bool))
     f = gru_cell(ad.Tensor(x), ad.Tensor(np.zeros((3, 1))), pf)
     b = gru_cell(ad.Tensor(x), ad.Tensor(np.zeros((3, 1))), pb)
     assert out.shape == (6, 1)
@@ -376,7 +390,7 @@ def test_bigru_single_step_concatenates_both_cells(rng):
 
 def test_bigru_zero_params_zero_output(rng):
     pf, pb = zero_gru(2, 3), zero_gru(2, 3)
-    out = layers.bigru(columns_of(rng.uniform(-1, 1, (2, 4))), pf, pb)
+    out = layers.bigru(columns_of(rng.uniform(-1, 1, (2, 4))), pf, pb, np.ones((1, 4), bool))
     npt.assert_array_equal(out.data, np.zeros((6, 4)))
 
 
@@ -384,7 +398,8 @@ def test_bigru_matches_loop_oracle(rng):
     # column t*B + j of the states is step t of sequence j
     pf, pb = make_gru(3, 2, seed=5), make_gru(3, 2, seed=6)
     seqs = rng.uniform(-1, 1, (4, 3, 3))              # [B x in x T]
-    out = layers.bigru([ad.Tensor(seqs[:, :, t].T) for t in range(3)], pf, pb)
+    out = layers.bigru([ad.Tensor(seqs[:, :, t].T) for t in range(3)], pf, pb,
+                       np.ones((4, 3), bool))
     got = per_sequence(out, 3, 4)
     for j in range(4):
         npt.assert_allclose(got[j], bigru_loops(seqs[j], pf, pb), atol=1e-12)
@@ -396,8 +411,7 @@ def test_bigru_masked_matches_loop_oracle(rng):
     masks = np.array([[True, True, False, True, False],
                       [True, False, False, False, False],
                       [True, True, True, True, True]])
-    keep = [ad.Tensor(masks[:, t].astype(float).reshape(1, -1)) for t in range(5)]
-    out = layers.bigru([ad.Tensor(seqs[:, :, t].T) for t in range(5)], pf, pb, keep)
+    out = layers.bigru([ad.Tensor(seqs[:, :, t].T) for t in range(5)], pf, pb, masks)
     got = per_sequence(out, 5, 3)
     for j in range(3):
         npt.assert_allclose(got[j], bigru_loops(seqs[j], pf, pb, list(masks[j])), atol=1e-12)
@@ -411,35 +425,62 @@ def test_bigru_empty_sequence_errors(monkeypatch):
 
     monkeypatch.setattr(layers.np, "empty", no_buffer)
     with pytest.raises(ad.ShapeError, match="bigru over an empty sequence"):
-        layers.bigru([], pf, pb)
+        layers.bigru([], pf, pb, np.ones((1, 0), bool))
+
+
+def test_bigru_rejects_a_mask_of_the_wrong_shape(rng):
+    pf, pb = make_gru(2, 2), make_gru(2, 2)
+    columns = [ad.Tensor(rng.uniform(-1, 1, (2, 3))) for _ in range(4)]   # B = 3, T = 4
+    for mask in (np.ones(4, bool), np.ones((4, 3), bool), np.ones((3, 5), bool)):
+        with pytest.raises(ad.ShapeError, match="bigru mask must be"):
+            layers.bigru(columns, pf, pb, mask)
+
+
+def stacked(columns, pf, pb, mask):
+    """The two recurrences over explicit keep rows and a concat node, as
+    bigru ran before its buffer."""
+    return concat([fused_gru(columns, pf, keep_rows(mask)),
+                   fused_gru(columns, pb, keep_rows(mask), reverse=True)], axis=0)
 
 
 def test_bigru_writes_both_recurrences_into_its_output(rng):
     pf, pb = make_gru(3, 4, seed=12), make_gru(3, 4, seed=13)
     columns = [ad.Tensor(rng.uniform(-1, 1, (3, 3)), requires_grad=True) for _ in range(5)]
-    keep = keep_rows(np.array([[True, True, True, True, False],
-                               [True, True, False, False, False],
-                               [True, False, False, False, False]]))
+    mask = np.array([[True, True, True, True, False],
+                     [True, True, False, False, False],
+                     [True, False, False, False, False]])
     weights = rng.uniform(-1, 1, (8, 15))
-
-    def stacked(columns, pf, pb, keep):
-        # the two recurrences and a concat node, as bigru ran before its buffer
-        return concat([layers.gru_sequence(columns, pf, keep),
-                       layers.gru_sequence(columns, pb, keep, reverse=True)], axis=0)
-
     g = ad.Graph()
     with g:
-        out = layers.bigru(columns, pf, pb, keep)
+        out = layers.bigru(columns, pf, pb, mask)
     assert [node.op for node in g._nodes] == ["gru_sequence", "gru_sequence", "bigru"]
     fwd, bwd = (node.out for node in g._nodes[:2])
     assert np.shares_memory(out.data, fwd.data) and np.shares_memory(out.data, bwd.data)
     assert out.data.flags.c_contiguous and out.data.shape == (8, 15)
-    npt.assert_array_equal(out.data, stacked(columns, pf, pb, keep).data)
+    npt.assert_array_equal(out.data, stacked(columns, pf, pb, mask).data)
     tensors = list(pf.named().values()) + list(pb.named().values()) + columns
     grads = _tape_gradients((layers.bigru, stacked), tensors,
-                            lambda run: _weighted_sum(run(columns, pf, pb, keep), weights))
+                            lambda run: _weighted_sum(run(columns, pf, pb, mask), weights))
     for buffered, concatenated in zip(*grads):
         npt.assert_array_equal(buffered, concatenated)
+
+
+@pytest.mark.parametrize("case", [case for case, keep in PACKED_KEEPS.items()
+                                  if np.isin(keep, (0, 1)).all()])
+def test_bigru_mask_equals_explicit_keep_rows_bit_for_bit(rng, case):
+    mask = np.array(PACKED_KEEPS[case], dtype=bool)                    # [B x T]
+    batch, steps = mask.shape
+    pf, pb = make_gru(3, 4, seed=14), make_gru(3, 4, seed=15)
+    columns = [ad.Tensor(rng.uniform(-1, 1, (3, batch)), requires_grad=True)
+               for _ in range(steps)]
+    npt.assert_array_equal(layers.bigru(columns, pf, pb, mask).data,
+                           stacked(columns, pf, pb, mask).data)
+    weights = rng.uniform(-1, 1, (8, steps * batch))
+    tensors = list(pf.named().values()) + list(pb.named().values()) + columns
+    grads = _tape_gradients((layers.bigru, stacked), tensors,
+                            lambda run: _weighted_sum(run(columns, pf, pb, mask), weights))
+    for from_mask, from_keep_rows in zip(*grads):
+        npt.assert_array_equal(from_mask, from_keep_rows)
 
 
 def test_gru_sequence_rejects_an_out_of_the_wrong_shape(rng):
@@ -447,7 +488,7 @@ def test_gru_sequence_rejects_an_out_of_the_wrong_shape(rng):
     columns = columns_of(rng.uniform(-1, 1, (2, 4)))
     for out in (np.empty((3, 5)), np.empty((4, 3)).T):
         with pytest.raises(ad.ShapeError, match="out must be a C-contiguous"):
-            layers.gru_sequence(columns, p, out=out)
+            layers.gru_sequence(columns, p, unpadded(columns, p)["keep"], out=out)
 
 
 def test_gru_hidden_stays_in_unit_interval(rng):
@@ -455,7 +496,7 @@ def test_gru_hidden_stays_in_unit_interval(rng):
     pf, pb = make_gru(3, 4, seed=10), make_gru(3, 4, seed=11)
     for _ in range(10):
         seq = rng.uniform(-5, 5, (3, 6))
-        out = layers.bigru(columns_of(seq), pf, pb)
+        out = layers.bigru(columns_of(seq), pf, pb, np.ones((1, 6), bool))
         assert (np.abs(out.data) < 1.0).all()
 
 
@@ -865,11 +906,10 @@ def test_all_layer_gradients_pass_grad_check(rng):
     seq = columns_of(rng.uniform(-1, 1, (3, 4)))
     d_side = ad.Tensor(rng.uniform(-1, 1, (4, 3)))
     mask_seq = np.array([True, True, True, False])
-    keep = [ad.Tensor([[float(m)]]) for m in mask_seq]
     mask_d = np.array([True, True, False])
 
     def f():
-        states = layers.bigru(seq, pf, pb, keep)
+        states = layers.bigru(seq, pf, pb, one(mask_seq))
         pooled, _ = layers.word_attention(states, one(mask_seq), attn)
         out = layers.co_attention(concat([pooled, pooled, pooled, pooled], axis=1),
                                   d_side, one(mask_seq), one(mask_d), co)

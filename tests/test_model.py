@@ -47,13 +47,12 @@ def test_encode_news_single_word_sentence(tiny_setup):
     # expected: word BiGRU state pooled with weight 1, then the sentence BiGRU
     word_vec = emb.matrix[vocab.id_of("alpha")].reshape(-1, 1)
     word_states = layers.bigru([ad.Tensor(word_vec)], params.news_encoder.fwd,
-                               params.news_encoder.bwd)
+                               params.news_encoder.bwd, np.array([[True]]))
     pooled, weights = layers.word_attention(word_states, np.array([[True]]),
                                             params.news_encoder.attention)
     npt.assert_array_equal(weights, [[1.0]])
-    keep = [ad.Tensor([[1.0]]), ad.Tensor([[0.0]])]
     states = layers.bigru([pooled, ad.Tensor(np.zeros((4, 1)))], params.sentence_fwd,
-                          params.sentence_bwd, keep)
+                          params.sentence_bwd, np.array([[True, False]]))
     expected = np.hstack([states.data[:, :1], np.zeros((4, 1))])
     npt.assert_allclose(enc.news.data, expected, atol=1e-12)
 
