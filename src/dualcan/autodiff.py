@@ -12,7 +12,7 @@ keep their grads. So a graph runs backward once.
 
 Each layer of the model is one hand-written node recorded with
 :func:`fused`, and :func:`gather_cols` is the one structural op beside them;
-:func:`constant_steps` wraps the per-step inputs of a recurrence.
+:func:`split_cols` cuts a tensor into column views, such as a recurrence's steps.
 Operations run fine without an active graph (plain forward evaluation); a
 graph is only needed when gradients are wanted:
 
@@ -62,8 +62,8 @@ class Tensor:
     """A dense float64 array, optionally tracked for gradients.
 
     ``grad`` is lazily allocated: it stays ``None`` until a backward pass
-    touches the tensor, after which it has the same shape as ``data``. An
-    owner may make both views into larger buffers (``model.FlatParams``).
+    touches the tensor, after which it has the same shape as ``data``. Both
+    may be views into larger buffers (``model.FlatParams``, :func:`split_cols`).
     """
 
     __slots__ = ("data", "requires_grad", "grad")
@@ -105,24 +105,19 @@ class _Node:
 
 
 class Graph:
-    """Append-only op tape; context manager makes it the recording target."""
+    """Append-only op tape; ``with`` makes it the recording target, then restores the outer one."""
 
     def __init__(self):
         self._nodes: list[_Node] = []
         self._spent = False
 
     def __enter__(self) -> "Graph":
-        stack = getattr(_state, "stack", None)
-        if stack is None:
-            stack = _state.stack = []
-        stack.append(self)
+        self._outer = _active_graph()
         _state.graph = self
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        stack = _state.stack
-        stack.pop()
-        _state.graph = stack[-1] if stack else None
+        _state.graph = self._outer
         return False
 
     def __len__(self):
@@ -176,14 +171,21 @@ def _wrap(data: np.ndarray) -> Tensor:
     return out
 
 
-def constant_steps(block) -> list:
-    """The slices ``block[t]`` of a float64 array as Tensors without grad.
-    The block is checked for non-finite values once, with the error a
-    Tensor of them would raise, instead of slice by slice."""
-    block = np.asarray(block, dtype=np.float64)
-    if not np.all(np.isfinite(block)):
-        raise NonFiniteError("tensor created with non-finite values")
-    return [_wrap(step) for step in block]
+def split_cols(x: Tensor, parts: int) -> list:
+    """``x`` [rows x parts*w] as ``parts`` tensors of w columns, recording no
+    node. Their ``data`` are views into ``x.data``; if ``x`` requires grad (on
+    a tape), their ``grad`` are views into ``x.grad``, bound to zeros here if
+    None and never rebound, so what a node adds into a part reaches ``x``."""
+    if x.data.ndim != 2 or parts < 1 or x.data.shape[1] % parts:
+        raise ShapeError(f"split_cols cannot cut shape {x.data.shape} into {parts} parts")
+    shape = (x.data.shape[0], parts, x.data.shape[1] // parts)   # a view, as it splits an axis
+    out = [_wrap(cols) for cols in x.data.reshape(shape).swapaxes(0, 1)]
+    if x.requires_grad:
+        if x.grad is None:
+            x.grad = np.zeros_like(x.data)
+        for part, grad in zip(out, x.grad.reshape(shape).swapaxes(0, 1)):
+            part.requires_grad, part.grad = True, grad
+    return out
 
 
 def fused(op: str, data: np.ndarray, parents: tuple, backward_fn) -> Tensor:

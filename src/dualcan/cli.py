@@ -288,7 +288,7 @@ def cmd_explain(args) -> int:
     samples, skipped = _pick_split(prepared, args.split), []
     if args.ids:
         by_id = {s.doc_id: s for s in samples}
-        wanted = [i.strip() for i in args.ids.split(",") if i.strip()]
+        wanted = dict.fromkeys(i.strip() for i in args.ids.split(",") if i.strip())
         skipped = [i for i in wanted if i not in by_id]
         samples = [by_id[i] for i in wanted if i in by_id]
         if not samples:

@@ -22,10 +22,10 @@ from .autodiff import (
     DegenerateMaskError,
     ShapeError,
     Tensor,
-    constant_steps,
     fused,
     masked_softmax,
     softmax_backward,
+    split_cols,
 )
 
 
@@ -342,7 +342,7 @@ def bigru(columns: list, p_fwd: GruParams, p_bwd: GruParams, mask) -> Tensor:
     mask = np.asarray(mask, dtype=bool)
     if mask.shape != (batch, n):
         raise ShapeError(f"bigru mask must be [B x T] = [{batch} x {n}], got shape {mask.shape}")
-    keep = constant_steps(mask.T.astype(np.float64)[:, None, :])         # T of [1 x B]
+    keep = split_cols(Tensor(mask.T.reshape(1, -1)), n)                  # T of [1 x B]
     states = np.empty((2 * h, n * batch))
     fwd = gru_sequence(columns, p_fwd, keep, out=states[:h])
     bwd = gru_sequence(columns, p_bwd, keep, reverse=True, out=states[h:])

@@ -26,11 +26,11 @@ from .autodiff import (
     NonFiniteError,
     ShapeError,
     Tensor,
-    constant_steps,
     fused,
     gather_cols,
     masked_softmax,
     softmax_backward,
+    split_cols,
 )
 from .data import SampleArrays, atomic_write
 from .layers import CoAttentionParams, GruParams, WordAttentionParams
@@ -282,7 +282,7 @@ class EncodedBatch:
     Each source stacks its samples side by side: column b*N + n of ``news``
     is sentence slot n of sample b, and likewise for ``entities`` and
     ``comments``; pad slots are zero columns. Indexing or iterating gives
-    batch-of-1 views that share the tape.
+    batch-of-1 views that share the tape (:func:`autodiff.split_cols`).
     """
 
     news: Tensor             # [2h x B*N]
@@ -299,14 +299,10 @@ class EncodedBatch:
     def __getitem__(self, i: int) -> "EncodedBatch":
         if not 0 <= i < len(self):
             raise IndexError(f"sample {i} of a batch of {len(self)}")
-
-        def one(cols: Tensor, mask: np.ndarray) -> Tensor:
-            return gather_cols(cols, i * mask.shape[1] + np.arange(mask.shape[1]))
-
-        return EncodedBatch(one(self.news, self.news_mask), self.news_mask[i:i + 1],
-                            one(self.entities, self.entity_mask), self.entity_mask[i:i + 1],
-                            one(self.comments, self.comment_mask), self.comment_mask[i:i + 1],
-                            self.labels[i:i + 1])
+        news, entities, comments = (split_cols(cols, len(self))[i]
+                                    for cols in (self.news, self.entities, self.comments))
+        return EncodedBatch(news, self.news_mask[i:i + 1], entities, self.entity_mask[i:i + 1],
+                            comments, self.comment_mask[i:i + 1], self.labels[i:i + 1])
 
 
 @dataclass
@@ -347,8 +343,8 @@ def _word_encode_blocks(sources: list, enc: EncoderParams, embeddings):
     ids, word_mask, index = _pack_sentences(sources)
     if not len(ids):
         return Tensor(np.zeros((2 * enc.fwd.hidden_size, 1))), index
-    inputs = constant_steps(embeddings.lookup(ids.T).transpose(0, 2, 1))  # m of [d x K]
-    states = layers.bigru(inputs, enc.fwd, enc.bwd, word_mask)
+    block = Tensor(embeddings.lookup(ids.T).reshape(ids.size, -1).T)     # [d x m*K], step-major
+    states = layers.bigru(split_cols(block, ids.shape[1]), enc.fwd, enc.bwd, word_mask)
     pooled, _ = layers.word_attention(states, word_mask, enc.attention)   # [2h x K]
     return pooled, index
 
@@ -367,13 +363,13 @@ def encode_samples(samples: list, params: ModelParams, embeddings,
         [s.entities for s in samples], params.entity_encoder, embeddings)
     comment_pooled, comment_index = _word_encode_blocks(
         [s.comments for s in samples], params.comment_encoder, embeddings)
-    # sentence-level BiGRU over the whole batch: step n holds sentence slot n
-    # of every sample (a zero column at pad slots), so in its states column
-    # n*B + b is slot n of sample b; one gather reorders them sample by
-    # sample, with zero columns at pad slots
+    # sentence-level BiGRU over the whole batch: in its input block and its
+    # states, column n*B + b is slot n of sample b (a zero input at pad
+    # slots), so step n is the n-th B columns; one gather reorders the states
+    # sample by sample, with zero columns at pad slots
     news_mask = news_index >= 0                                           # [B x N]
     batch, slots = news_mask.shape
-    steps = [gather_cols(news_pooled, news_index[:, n]) for n in range(slots)]
+    steps = split_cols(gather_cols(news_pooled, news_index.T.reshape(-1)), slots)  # N of [2h x B]
     states = layers.bigru(steps, params.sentence_fwd, params.sentence_bwd, news_mask)
     order = np.arange(slots) * batch + np.arange(batch).reshape(-1, 1)    # [B x N]
     return EncodedBatch(
@@ -612,8 +608,8 @@ def train(train_samples: list, val_samples: list, hp: HyperParams,
     """Mini-batch Adam with early stopping on validation macro-F1.
 
     Shuffling is seeded by ``hp.seed``; the returned parameters are the
-    best-validation snapshot. Aborts with a diagnostic if the loss goes
-    non-finite.
+    best-validation snapshot. A non-finite loss aborts with a diagnostic,
+    the only report: numpy's floating-point warnings are off in the epochs.
     """
     if not train_samples or not val_samples:
         raise ValueError("train and validation splits must be non-empty")
@@ -628,40 +624,41 @@ def train(train_samples: list, val_samples: list, hp: HyperParams,
     best_key = (-1.0, 0.0)
     best_epoch = 0
     since_best = 0
-    for epoch in range(1, hp.max_epochs + 1):
-        order = shuffle_rng.permutation(len(train_samples))
-        losses, grad_norm = [], 0.0
-        for start in range(0, len(order), hp.batch_size):
-            batch = [train_samples[i] for i in order[start:start + hp.batch_size]]
-            params.zero_grads()
-            graph = Graph()
-            with graph:
-                encoded = encode_samples(batch, params, embeddings, hp)
-                batch_loss = cross_entropy(forward(encoded, params)[0], encoded.labels)
-            loss_value = batch_loss.item()
-            if not np.isfinite(loss_value):
-                raise DivergenceError(
-                    f"non-finite loss in epoch {epoch}, batch starting at {start}")
-            graph.backward(batch_loss)
-            grad_norm = max(grad_norm, clip_gradients(params, GRAD_CLIP_NORM))
-            adam_step(params, state, hp.learning_rate)
-            losses.append(loss_value)
-        train_loss = float(np.mean(losses))
-        val_report = evaluate(val_samples, params, embeddings, hp, mode)
-        history.append(EpochLog(epoch, train_loss, grad_norm, val_report))
-        key = (val_report["f1_macro"], -train_loss)
-        if key > best_key:
-            improved_f1 = val_report["f1_macro"] > best_key[0]
-            best_key = key
-            best_epoch = epoch
-            best_values = None   # release the old snapshot before copying the new one
-            best_values = params.copy_values()
-            if improved_f1:
-                since_best = 0
-                continue
-        since_best += 1
-        if since_best >= hp.patience:
-            break
+    with np.errstate(all="ignore"):
+        for epoch in range(1, hp.max_epochs + 1):
+            order = shuffle_rng.permutation(len(train_samples))
+            losses, grad_norm = [], 0.0
+            for start in range(0, len(order), hp.batch_size):
+                batch = [train_samples[i] for i in order[start:start + hp.batch_size]]
+                params.zero_grads()
+                graph = Graph()
+                with graph:
+                    encoded = encode_samples(batch, params, embeddings, hp)
+                    batch_loss = cross_entropy(forward(encoded, params)[0], encoded.labels)
+                loss_value = batch_loss.item()
+                if not np.isfinite(loss_value):
+                    raise DivergenceError(
+                        f"non-finite loss in epoch {epoch}, batch starting at {start}")
+                graph.backward(batch_loss)
+                grad_norm = max(grad_norm, clip_gradients(params, GRAD_CLIP_NORM))
+                adam_step(params, state, hp.learning_rate)
+                losses.append(loss_value)
+            train_loss = float(np.mean(losses))
+            val_report = evaluate(val_samples, params, embeddings, hp, mode)
+            history.append(EpochLog(epoch, train_loss, grad_norm, val_report))
+            key = (val_report["f1_macro"], -train_loss)
+            if key > best_key:
+                improved_f1 = val_report["f1_macro"] > best_key[0]
+                best_key = key
+                best_epoch = epoch
+                best_values = None   # release the old snapshot before copying the new one
+                best_values = params.copy_values()
+                if improved_f1:
+                    since_best = 0
+                    continue
+            since_best += 1
+            if since_best >= hp.patience:
+                break
     if best_epoch != len(history):   # else the parameters hold the best values already
         params.load_values(best_values)
     return TrainResult(params, history, best_epoch, best_key[0])

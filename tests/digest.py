@@ -1,0 +1,156 @@
+"""Named sha256 digests of what the program computes, to check that a change
+keeps every bit.
+
+    python tests/digest.py                 # this checkout's digests
+    python tests/digest.py --against REV   # and which of them differ at REV
+
+On the benchmark's train-synth inputs (2 epochs) and train-paper inputs (1
+epoch on 16 samples), both generated with seed 1, there is one digest each
+for one batch's gradients, the trained flat values, ``predict`` outputs under
+every input mode and ``run_sample`` logits. Then there is one per artifact of
+``synth --size 200 --seed 3``, then ``train`` (3 epochs) and ``explain
+--split full`` under every mode; the run's own directory in a file reads as
+``<work>``.
+
+``--against REV`` extracts the files committed at REV into a temporary
+directory, runs this same script there, prints each digest that differs and
+exits 1 if one does. Float digests depend on the BLAS build, so compare trees
+on one machine; no test pins one.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import subprocess
+import sys
+import tempfile
+from dataclasses import replace
+from pathlib import Path
+
+import numpy as np
+
+CHECKOUT = Path(__file__).resolve().parent.parent
+if __name__ == "__main__":   # measure this checkout's package and benchmark inputs
+    sys.path[:0] = [str(CHECKOUT / "src"), str(CHECKOUT)]
+
+from dualcan import cli, model  # noqa: E402
+from dualcan.autodiff import Graph  # noqa: E402
+
+
+def sha(*arrays) -> str:
+    """sha256 over the dtype, shape and bytes of each array in turn."""
+    h = hashlib.sha256()
+    for a in arrays:
+        a = np.ascontiguousarray(a)
+        h.update(f"{a.dtype.str}{a.shape}".encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+def model_digests(prepared, hp: model.HyperParams, params: model.ModelParams) -> dict:
+    """Digests of one batch's gradients at ``params``, then of the flat values
+    ``model.train`` makes of them, and of ``predict`` (every mode) and
+    ``run_sample`` on the test split with the trained values."""
+    emb = prepared.embeddings
+    params.zero_grads()
+    graph = Graph()
+    with graph:
+        encoded = model.encode_samples(prepared.train[:hp.batch_size], params, emb, hp)
+        loss = model.cross_entropy(model.forward(encoded, params)[0], encoded.labels)
+    graph.backward(loss)
+    out = {"batch_grads": sha(params.grads)}
+    trained = model.train(prepared.train, prepared.val, hp, params, emb).params
+    out["trained_values"] = sha(trained.values)
+    for mode in model.MODES:
+        out[f"predict.{mode}"] = sha(*(a for probs, r in model.predict(
+            prepared.test, trained, emb, hp, mode)
+            for a in (probs, r.news_entity, r.entity, r.news_comment, r.comment)))
+    out["run_sample"] = sha(*(model.run_sample(s, trained, emb, hp)[0].data
+                              for s in prepared.test))
+    return out
+
+
+def _benchmark_digests(work: Path) -> dict:
+    from perfbench import gen, workloads
+
+    synth, paper = workloads.WORKLOADS["train-synth"], workloads.WORKLOADS["train-paper"]
+    inputs = {"train-synth": (synth.hp, 2, synth.corpus),
+              "train-paper": (paper.hp, 1, lambda out, seed: gen.paper_corpus(
+                  out, seed, n_train=16, n_val=4, n_test=8))}
+    out = {}
+    for name, (hp, epochs, corpus) in inputs.items():
+        hp = replace(hp, max_epochs=epochs, patience=epochs)
+        paths = {k: str(v) for k, v in corpus(work / name, 1).items()}
+        config = cli.RunConfig(train=paths["train"], val=paths["val"], test=paths["test"],
+                               entities=paths["entities"], embeddings=paths["embeddings"], hp=hp)
+        prepared = cli.prepare_data(config, hp)
+        digests = model_digests(prepared, hp, model.ModelParams.create(hp))
+        out.update((f"{name}.{key}", value) for key, value in digests.items())
+    return out
+
+
+def _artifact_digests(work: Path) -> dict:
+    corpus, run = work / "corpus", work / "run"
+    commands = [["synth", "--out", str(corpus), "--size", "200", "--seed", "3"],
+                ["train", "--config", str(corpus / "config.cfg"), "--out", str(run),
+                 "--set", "hp.max_epochs=3"]]
+    commands += [["explain", "--config", str(corpus / "config.cfg"), "--checkpoint",
+                  str(run / "checkpoint.bin"), "--split", "full", "--mode", mode,
+                  "--out", str(work / f"explain-{mode}")] for mode in model.MODES]
+    with contextlib.redirect_stdout(io.StringIO()):
+        for argv in commands:
+            if cli.main(argv) != 0:
+                raise RuntimeError(f"dualcan {' '.join(argv)} failed")
+    return {f"cli.{path.relative_to(work)}": hashlib.sha256(
+        path.read_bytes().replace(str(work).encode(), b"<work>")).hexdigest()
+        for path in sorted(work.rglob("*")) if path.is_file()}
+
+
+def collect() -> dict:
+    """Every digest of this checkout, by name."""
+    with tempfile.TemporaryDirectory() as tmp:
+        (Path(tmp) / "cli").mkdir()
+        return {**_benchmark_digests(Path(tmp)), **_artifact_digests(Path(tmp) / "cli")}
+
+
+def digests_at(rev: str) -> dict:
+    """:func:`collect` run by this script on the files committed at ``rev``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        archive = subprocess.run(["git", "-C", str(CHECKOUT), "archive", rev],
+                                 check=True, stdout=subprocess.PIPE).stdout
+        subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
+        script = Path(tmp) / "tests" / "digest.py"
+        script.parent.mkdir(exist_ok=True)
+        script.write_bytes(Path(__file__).read_bytes())
+        printed = subprocess.run([sys.executable, str(script)], check=True,
+                                 stdout=subprocess.PIPE, text=True).stdout
+    return {name: value for value, name in (line.split() for line in printed.splitlines())}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--against", metavar="REV",
+                        help="also compute the digests at git revision REV and compare")
+    args = parser.parse_args(argv)
+    if Path(model.__file__).resolve().parent != CHECKOUT / "src" / "dualcan":
+        raise SystemExit(f"digest: imported dualcan from {model.__file__}, not {CHECKOUT}/src")
+    mine = collect()
+    for name, value in mine.items():
+        print(f"{value}  {name}")
+    if not args.against:
+        return 0
+    theirs = digests_at(args.against)
+    differ = sorted(name for name in mine.keys() | theirs.keys()
+                    if mine.get(name) != theirs.get(name))
+    for name in differ:
+        print(f"differs at {args.against}: {name}")
+    print(f"{len(differ)} of {len(mine.keys() | theirs.keys())} digests differ "
+          f"at {args.against}")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -234,6 +234,41 @@ def test_gather_cols_values_zero_columns_and_gradient(rng):
             ad.gather_cols(x, bad)
 
 
+def test_split_cols_gives_views_and_binds_a_grad_only_on_a_tape(rng):
+    x = ad.Tensor(rng.uniform(-1, 1, (3, 6)))
+    parts = ad.split_cols(x, 3)
+    assert [p.shape for p in parts] == [(3, 2)] * 3
+    for i, part in enumerate(parts):
+        npt.assert_array_equal(part.data, x.data[:, 2 * i:2 * i + 2])
+        assert np.shares_memory(part.data, x.data)
+        assert part.grad is None and not part.requires_grad
+    assert x.grad is None
+    for bad in (0, 4, -1):
+        with pytest.raises(ad.ShapeError):
+            ad.split_cols(x, bad)
+    with pytest.raises(ad.ShapeError):
+        ad.split_cols(ad.Tensor(np.zeros((2, 2, 2))), 2)
+
+
+def test_split_cols_on_a_tape_binds_the_grad_once_and_routes_it_back(rng):
+    x = ad.Tensor(rng.uniform(-1, 1, (2, 4)), requires_grad=True)
+    w = rng.uniform(-1, 1, (2, 2))
+    g = ad.Graph()
+    with g:
+        block = ad.gather_cols(x, [3, 2, 1, 0])
+        first = ad.split_cols(block, 2)
+        bound = block.grad
+        second = ad.split_cols(block, 2)    # a second cut must not rebind the grad
+        assert block.grad is bound and not bound.any()
+        loss = add(sum_all(mul(first[0], ad.Tensor(w))), sum_all(mul(second[1], second[1])))
+    for part in first + second:
+        assert part.requires_grad and np.shares_memory(part.grad, bound)
+    g.backward(loss)
+    assert block.grad is None                    # a node's output grad is released
+    npt.assert_array_equal(first[0].grad, w)     # the parts keep theirs, like leaves
+    npt.assert_array_equal(x.grad, np.concatenate([2.0 * x.data[:, :2], w[:, ::-1]], axis=1))
+
+
 def test_broadcast_add_gradient_sums(rng):
     x = ad.Tensor(rng.uniform(-1, 1, (3, 4)), requires_grad=True)
     bias = ad.Tensor(rng.uniform(-1, 1, (3, 1)), requires_grad=True)
@@ -354,6 +389,40 @@ def test_backward_releases_intermediate_grads_and_keeps_leaf_and_loss_grads():
     d_y = 2.0 * (np.tanh(x.data) @ w.data)
     npt.assert_allclose(w.grad, np.tanh(x.data).T @ d_y, rtol=1e-15)
     npt.assert_allclose(x.grad, (d_y @ w.data.T) * (1.0 - np.tanh(x.data) ** 2), rtol=1e-15)
+
+
+def test_nested_graphs_restore_the_outer_one():
+    x = ad.Tensor([[1.0, 2.0]], requires_grad=True)
+    outer, inner = ad.Graph(), ad.Graph()
+    with outer:
+        ad.gather_cols(x, [0])
+        with inner:
+            ad.gather_cols(x, [1])
+        ad.gather_cols(x, [1])
+    assert (len(outer), len(inner)) == (2, 1)
+    assert not ad.gather_cols(x, [0]).requires_grad     # no graph is active after both
+
+
+def test_a_graph_is_active_only_in_its_own_thread():
+    import threading
+
+    x = ad.Tensor([[1.0, 2.0]], requires_grad=True)
+    seen = {}
+
+    def other():
+        seen["before"] = ad.gather_cols(x, [0]).requires_grad
+        own = ad.Graph()
+        with own:
+            ad.gather_cols(x, [1])
+        seen["own"] = len(own)
+
+    g = ad.Graph()
+    with g:
+        worker = threading.Thread(target=other)
+        worker.start()
+        worker.join()
+        ad.gather_cols(x, [0])
+    assert seen == {"before": False, "own": 1} and len(g) == 1
 
 
 def test_backward_rejects_non_scalar():

@@ -9,6 +9,7 @@ import re
 import shlex
 import struct
 import tempfile
+import warnings
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -279,6 +280,22 @@ def test_train_zero_learning_rate_keeps_initial_params(synth_dir, tmp_path):
     fresh = model.ModelParams.create(hp)
     for name, tensor in fresh.named().items():
         assert (values[name] == tensor.data).all(), name
+
+
+def test_a_diverging_train_reports_one_line_and_no_numpy_warning(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    assert run_cli("synth", "--out", str(corpus), "--size", "40", "--seed", "1") == 0
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run_cli("train", "--config", str(corpus / "config.cfg"), "--out",
+                       str(tmp_path / "run"), "--set", "hp.learning_rate=1e308")
+    assert code == 3
+    assert [w.category.__name__ for w in caught] == []
+    err = capsys.readouterr().err
+    assert "RuntimeWarning" not in err
+    assert err.splitlines()[-1] == \
+        "numerical failure: non-finite loss in epoch 1, batch starting at 8"
 
 
 def test_train_missing_config_is_data_error(tmp_path):
@@ -784,6 +801,18 @@ def test_explain_keeps_requested_id_order(synth_dir, trained_dir, tmp_path):
                              "--split", "full", "--ids", ",".join(wanted))
     assert [e["id"] for e in report["samples"]] == [wanted[0], wanted[2], wanted[3]]
     assert report["skipped"] == ["ghost-id"]
+
+
+def test_explain_reports_each_requested_id_once(synth_dir, trained_dir, tmp_path):
+    docs, _ = data.read_dataset(synth_dir / "dataset.jsonl")
+    a, b = docs[4].doc_id, docs[1].doc_id
+    out = tmp_path / "explain"
+    report = _explain_report(synth_dir, trained_dir, out, "--split", "full",
+                             "--ids", f"{a},ghost-id,{b},{a},ghost-id,{b}")
+    assert [e["id"] for e in report["samples"]] == [a, b]
+    assert report["skipped"] == ["ghost-id"]
+    heatmap = (out / "attention_comment.svg").read_text(encoding="utf-8")
+    assert heatmap.count(f">{a}</text>") == heatmap.count(f">{b}</text>") == 1
 
 
 def test_explain_all_unknown_ids_is_error(synth_dir, trained_dir, tmp_path):

@@ -383,7 +383,7 @@ def test_sentence_without_words_fails_after_time_trimming(tiny_setup):
 def test_synthetic_training_batch_tape(tmp_path, monkeypatch):
     # one synthetic-profile training batch of 8: each GRU recurrence, word
     # attention, co-attention block and the head is one tape node, the whole
-    # tape holds 26 nodes, and a word-level recurrence runs as many steps as
+    # tape holds 23 nodes, and a word-level recurrence runs as many steps as
     # the longest real sentence of its source
     from dualcan import cli
 
@@ -410,11 +410,11 @@ def test_synthetic_training_batch_tape(tmp_path, monkeypatch):
     assert len(batch) == 8 and hp == model.HyperParams(embedding_dim=16, seed=7)
     assert len(graph) <= 60
     ops = [node.op for node in graph._nodes]
-    # 4 news sentence slots gather their steps, and 3 gathers reorder the
+    # one gather builds the sentence BiGRU's input, and 3 gathers reorder the
     # sources sample by sample
-    assert Counter(ops) == Counter(gru_sequence=8, bigru=4, word_attention=3, gather_cols=7,
+    assert Counter(ops) == Counter(gru_sequence=8, bigru=4, word_attention=3, gather_cols=4,
                                    co_attention=2, head=1, cross_entropy=1)
-    assert len(ops) == 26
+    assert len(ops) == 23
     longest = {}
     for source, enc in (("news", params.news_encoder), ("entity", params.entity_encoder),
                         ("comment", params.comment_encoder)):
@@ -422,6 +422,137 @@ def test_synthetic_training_batch_tape(tmp_path, monkeypatch):
                               for s in batch)
         assert steps[id(enc.fwd)] == steps[id(enc.bwd)] == [longest[source]]
     assert min(longest.values()) < hp.max_words
+
+
+def test_a_batch_of_two_with_24_news_slots_records_23_nodes():
+    # one gather feeds the sentence BiGRU whatever the slot count, and 3
+    # reorder the sources sample by sample
+    hp = model.HyperParams(embedding_dim=4, hidden_size=2, max_words=6, max_news_sentences=24,
+                           max_entity_sentences=24, max_comment_sentences=24, batch_size=2)
+    rng = np.random.default_rng(5)
+    vocab = paper_vocab(50)
+    emb = data.EmbeddingTable(rng.uniform(-0.5, 0.5, (len(vocab), hp.embedding_dim)))
+    docs = [paper_document(rng, f"p{i}", vocab.tokens(), sentences=24, words=4) for i in range(2)]
+    samples = [data.encode_document(doc, vocab, hp) for doc in docs]
+    assert [int(s.news.real.sum()) for s in samples] == [24, 24]
+    params = model.ModelParams.create(hp)
+    graph = ad.Graph()
+    with graph:
+        encoded = model.encode_samples(samples, params, emb, hp)
+        model.cross_entropy(model.forward(encoded, params)[0], encoded.labels)
+    ops = Counter(node.op for node in graph._nodes)
+    assert ops == Counter(gru_sequence=8, bigru=4, word_attention=3, gather_cols=4,
+                          co_attention=2, head=1, cross_entropy=1)
+    assert sum(ops.values()) == 23
+
+
+def _encode_per_slot(samples, params, emb, hp):
+    """``model.encode_samples`` with the sentence BiGRU's input gathered one
+    news slot at a time, each slot a [2h x B] step of its own gather node:
+    the reference the one gather and its column views must equal bit for bit."""
+    news_pooled, news_index = model._word_encode_blocks(
+        [s.news for s in samples], params.news_encoder, emb)
+    entity_pooled, entity_index = model._word_encode_blocks(
+        [s.entities for s in samples], params.entity_encoder, emb)
+    comment_pooled, comment_index = model._word_encode_blocks(
+        [s.comments for s in samples], params.comment_encoder, emb)
+    news_mask = news_index >= 0
+    batch, slots = news_mask.shape
+    steps = [ad.gather_cols(news_pooled, news_index[:, n]) for n in range(slots)]
+    states = layers.bigru(steps, params.sentence_fwd, params.sentence_bwd, news_mask)
+    order = np.arange(slots) * batch + np.arange(batch).reshape(-1, 1)
+    return model.EncodedBatch(
+        ad.gather_cols(states, np.where(news_mask, order, -1).reshape(-1)), news_mask,
+        ad.gather_cols(entity_pooled, entity_index.reshape(-1)), entity_index >= 0,
+        ad.gather_cols(comment_pooled, comment_index.reshape(-1)), comment_index >= 0,
+        np.array([sample.label for sample in samples]))
+
+
+def _source_hole_batch(tiny_setup):
+    # sample 1's first news slot is a hole, its second the sentence "kappa gamma"
+    hp, _, _, _, samples = tiny_setup
+    news = samples[1].news
+    hole = data.Source(news.ids[:2], np.array([0, 2], np.int32), news.max_words)
+    return samples[:1] + [dataclasses.replace(samples[1], news=hole)] + samples[:1]
+
+
+@pytest.mark.parametrize("case", ["holes-and-ablation", "source-hole"])
+def test_one_sentence_gather_equals_the_per_slot_gathers(tiny_setup, case):
+    hp, params, _, emb, _ = tiny_setup
+    samples = (_holes_and_ablation_batch(tiny_setup) if case == "holes-and-ablation"
+               else _source_hole_batch(tiny_setup))
+    counts = {int(s.news.real.sum()) for s in samples}
+    assert len(counts) > 1          # the sentence recurrence blends its keep rows
+    if case == "source-hole":
+        assert samples[1].news.real.tolist() == [False, True]
+
+    def run(encode):
+        params.zero_grads()
+        graph = ad.Graph()
+        with graph:
+            encoded = encode(samples, params, emb, hp)
+            logits = model.forward(encoded, params)[0]
+            loss = model.cross_entropy(logits, encoded.labels)
+        graph.backward(loss)
+        return logits.data, {name: t.grad.copy() for name, t in params.named().items()}
+
+    logits, grads = run(model.encode_samples)
+    want_logits, want_grads = run(_encode_per_slot)
+    npt.assert_array_equal(logits, want_logits)
+    for name, grad in want_grads.items():
+        assert grad.any(), name
+        npt.assert_array_equal(grads[name], grad, err_msg=name)
+
+
+def test_forward_on_each_indexed_sample_reaches_the_pooled_states(tiny_setup):
+    # each index cuts views of the batch's blocks; their grads must stay the
+    # blocks' own, so every sample's gradient reaches the word encoders
+    hp, params, _, emb, samples = tiny_setup
+
+    def grads(loss_of):
+        params.zero_grads()
+        graph = ad.Graph()
+        with graph:
+            loss = loss_of(model.encode_samples(samples, params, emb, hp))
+        graph.backward(loss)
+        return {name: t.grad.copy() for name, t in params.named().items()}
+
+    def per_sample(encoded):
+        first, second = (model.cross_entropy(model.forward(one, params)[0], one.labels)
+                         for one in encoded)
+        return scale(add(first, second), 0.5)
+
+    batched = grads(lambda e: model.cross_entropy(model.forward(e, params)[0], e.labels))
+    for name, grad in grads(per_sample).items():
+        npt.assert_allclose(grad, batched[name], rtol=1e-9, atol=1e-15, err_msg=name)
+
+
+def test_a_non_finite_embedding_block_raises_before_the_recurrence(tiny_setup, monkeypatch):
+    hp, params, vocab, emb, samples = tiny_setup
+    calls = []
+    monkeypatch.setattr(layers, "gru_sequence", lambda *args, **kwargs: calls.append(args))
+    matrix = emb.matrix.copy()
+    matrix[vocab.id_of("alpha"), 0] = np.inf
+    with pytest.raises(ad.NonFiniteError, match="non-finite"):
+        model.encode_samples(samples, params, data.EmbeddingTable(matrix), hp)
+    assert calls == []
+
+
+def test_without_a_graph_no_step_or_view_carries_a_grad(tiny_setup, monkeypatch):
+    hp, params, _, emb, samples = tiny_setup
+    steps = []
+    original = layers.bigru
+
+    def recorded(columns, *args):
+        steps.extend(columns)
+        return original(columns, *args)
+
+    monkeypatch.setattr(layers, "bigru", recorded)
+    encoded = model.encode_samples(samples, params, emb, hp)
+    views = [t for one in encoded for t in (one.news, one.entities, one.comments)]
+    assert len(steps) > 4 and len(views) == 6
+    for t in steps + views + [encoded.news, encoded.entities, encoded.comments]:
+        assert t.grad is None and not t.requires_grad
 
 
 # ---------------------------------------------------------------------------
