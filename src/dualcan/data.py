@@ -298,7 +298,7 @@ class SnapshotResolver:
                 record = json.loads(line)
             except json.JSONDecodeError as e:
                 raise DatasetFormatError(f"{path}:{line_no}: invalid JSON") from e
-            if "name" not in record or "description" not in record:
+            if not (isinstance(record, dict) and "name" in record and "description" in record):
                 raise DatasetFormatError(
                     f"{path}:{line_no}: snapshot record needs name and description")
             key = _normalize_name(str(record["name"]))

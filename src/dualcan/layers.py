@@ -158,27 +158,27 @@ def gru_sequence(columns: list, p: GruParams, keep: list, reverse: bool = False,
 
     Returns the states after every position as one [h x T*B] tensor, in
     position order: column t*B + b is the state of sequence b after step t.
-    ``keep`` is a list of T [1 x B] float tensors; a step computes
-    the cell ``h + z * (cand - h)`` and moves to ``h + keep * (cell - h)``,
-    so where ``keep`` is 0 the state passes through unchanged (padding
-    positions do not advance the recurrence).
+    ``keep`` is a list of T [1 x B] rows of 0s and 1s, as :func:`bigru`
+    builds them from a boolean mask: at step t a column whose keep is 1
+    advances to the cell ``h + z * (cand - h)`` and a column whose keep is 0
+    carries its state unchanged (padding positions do not advance the
+    recurrence).
 
     The whole recurrence is one tape node, packed like cuDNN's
-    variable-length sequences: step t works, forward and in BPTT, only on
-    its live prefix, the columns up to the last one whose keep is non-zero
-    at that step; the columns past it carry their state. With columns sorted
-    by descending length, as the word encoder passes them, the live prefix
-    is exactly the sentences still running. The gate inputs of every live
-    column-step come from one stacked [3h x in] product with the three
-    biases folded in, and each step does one stacked [2h x h] reset/update
-    product. The reset and update rows of these weights and biases are
-    negated once per call, so a step's sigmoid is ``1 / (1 + exp(e))`` of
-    the negated pre-activation ``e`` without negating it again. Each live
-    step keeps its gates and candidate arrays as it makes them; backward
-    packs them once into [rows x R] blocks, R the total of the live
-    prefixes, so the weight and input gradients are one matmul each over
-    live column-steps only. A step whose prefix keeps every column
-    at exactly 1 takes the cell as its state without the keep blend.
+    variable-length sequences but by column set rather than prefix: step t
+    packs, computes and writes back, forward and in BPTT, exactly the
+    columns that advance at it. Where they are a prefix they are a slice,
+    as they always are with columns sorted by descending length, as the
+    word encoder passes them; otherwise they are an index array. The gate
+    inputs of every column-step come from one stacked [3h x in] product
+    with the three biases folded in, and each step does one stacked
+    [2h x h] reset/update product. The reset and update rows of these
+    weights and biases are negated once per call, so a step's sigmoid is
+    ``1 / (1 + exp(e))`` of the negated pre-activation ``e`` without
+    negating it again. Each step keeps its gates and candidate arrays as it
+    makes them; backward packs them once into [rows x R] blocks, R the
+    number of column-steps, so the weight and input gradients are one
+    matmul each over those column-steps only.
 
     ``out`` is a C-contiguous [h x T*B] array that the states are written
     into and that becomes the output's data (:func:`bigru` passes each
@@ -186,9 +186,9 @@ def gru_sequence(columns: list, p: GruParams, keep: list, reverse: bool = False,
 
     The node saves only the gates, the candidates and its own output.
     Backpropagation rebuilds the packed input, the stacked weights and the
-    state before each live column-step from the parents and the output, and
+    state before each column-step from the parents and the output, and
     computes the step-independent factors of the gate gradients once over
-    all live column-steps, so each BPTT step is a few products.
+    all column-steps, so each BPTT step is a few products.
     """
     if not columns:
         raise ShapeError("gru_sequence over an empty sequence")
@@ -204,22 +204,22 @@ def gru_sequence(columns: list, p: GruParams, keep: list, reverse: bool = False,
         raise ShapeError(f"gru_sequence out must be a C-contiguous ({h}, {n * batch}) array, "
                          f"got shape {out.shape}")
     weights = tuple(p.named().values())   # reset, update, cand: w, u, b each
-    k = np.concatenate([kt.data for kt in keep])                          # [T x B]
-    moves, partial = k != 0.0, k != 1.0
-    # live[t]: columns up to the last one that moves at step t;
-    # blend[t]: some column of that prefix keeps neither 0 nor 1 exactly
-    live = np.where(moves.any(axis=1), batch - np.argmax(moves[:, ::-1], axis=1), 0)
-    first_partial = np.where(partial.any(axis=1), np.argmax(partial, axis=1), batch)
-    live, blend = live.tolist(), (first_partial < live).tolist()
-    # the live column-steps of step t are packed columns start[t] .. start[t + 1] - 1
-    start = [0, *accumulate(live)]
+    moves = np.concatenate([kt.data for kt in keep]) != 0.0               # [T x B]
+    widths = moves.sum(axis=1).tolist()
+    # cols[t]: the columns that advance at step t, a slice where they are a
+    # prefix (no column advances after one that does not); they are packed
+    # columns start[t] .. start[t + 1] - 1
+    gaps = (moves[:, 1:] > moves[:, :-1]).any(axis=1).tolist()
+    cols = [np.flatnonzero(row) if gap else slice(0, w)
+            for row, w, gap in zip(moves, widths, gaps)]
+    start = [0, *accumulate(widths)]
 
     # backward rebuilds these from the parents instead of keeping them
     def stacked(*tensors):
         return np.concatenate([t.data for t in tensors])
 
     def packed_x():
-        return np.concatenate([col.data[:, :width] for col, width in zip(columns, live)],
+        return np.concatenate([col.data[:, c] for col, c in zip(columns, cols)],
                               axis=1)                                     # [in x R]
 
     # the reset and update rows negated, once: exp of the negated
@@ -231,16 +231,15 @@ def gru_sequence(columns: list, p: GruParams, keep: list, reverse: bool = False,
     neg_u_rz = -stacked(p.u_reset, p.u_update)                            # [2h x h]
     x_rz, x_c, u_c = x_gates[:2 * h], x_gates[2 * h:], p.u_cand.data
     order = range(n - 1, -1, -1) if reverse else range(n)
-    # kept per live step, in run order: both gates and the candidate; and per
-    # step the state of every column after it, which is the output
+    # kept per step that advances a column, in run order: both gates and the
+    # candidate; and per step the state of every column after it, the output
     rz_steps, cand_steps = [], []
     states = out.reshape(h, n, batch)   # a view, as out is C-contiguous
     state = np.zeros((h, batch))
     for t in order:
-        width = live[t]
-        if width:
+        if widths[t]:
             packed = slice(start[t], start[t + 1])
-            s = state if width == batch else state[:, :width]
+            s = state[:, cols[t]]
             rz = neg_u_rz @ s
             rz += x_rz[:, packed]
             np.exp(rz, out=rz)
@@ -254,14 +253,7 @@ def gru_sequence(columns: list, p: GruParams, keep: list, reverse: bool = False,
             cell = c - s
             cell *= rz[h:]
             cell += s
-            if blend[t]:
-                cell -= s
-                cell *= k[t, :width]
-                cell += s
-            if width == batch:
-                state = cell
-            else:
-                state[:, :width] = cell
+            state[:, cols[t]] = cell
         states[:, t] = state
 
     def pack(steps, rows):
@@ -275,10 +267,10 @@ def gru_sequence(columns: list, p: GruParams, keep: list, reverse: bool = False,
 
     def backward(grad):
         gates, cand = pack(rz_steps, 2 * h), pack(cand_steps, h)
-        # the carried state before each live column-step, packed like gates
+        # the carried state before each column-step, packed like gates
         zero, back = np.zeros((h, batch)), 1 if reverse else -1
-        prev = np.concatenate([(zero if t == order[0] else states[:, t + back])[:, :width]
-                               for t, width in enumerate(live)], axis=1)  # [h x R]
+        prev = np.concatenate([(zero if t == order[0] else states[:, t + back])[:, c]
+                               for t, c in enumerate(cols)], axis=1)       # [h x R]
         r, z = gates[:h], gates[h:]
         # the step-independent factors of the three gate pre-activation gradients
         f_cand = z * (1.0 - cand * cand)
@@ -290,22 +282,16 @@ def gru_sequence(columns: list, p: GruParams, keep: list, reverse: bool = False,
         carry = np.zeros((h, batch))
         for t in reversed(order):
             carry += g[:, t]
-            width = live[t]
-            if not width:
+            if not widths[t]:
                 continue
             packed = slice(start[t], start[t + 1])
-            d_state = carry[:, :width]
-            d_cell = k[t, :width] * d_state if blend[t] else d_state
-            d_cand = np.multiply(d_cell, f_cand[:, packed], out=d_pre[2 * h:, packed])
+            d_state = carry[:, cols[t]]
+            d_cand = np.multiply(d_state, f_cand[:, packed], out=d_pre[2 * h:, packed])
             d_rs = u_c_t @ d_cand
             np.multiply(d_rs, f_reset[:, packed], out=d_pre[:h, packed])
-            np.multiply(d_cell, f_update[:, packed], out=d_pre[h:2 * h, packed])
-            d_prev = d_state - d_cell * z[:, packed] + d_rs * r[:, packed] \
+            np.multiply(d_state, f_update[:, packed], out=d_pre[h:2 * h, packed])
+            carry[:, cols[t]] = d_state - d_state * z[:, packed] + d_rs * r[:, packed] \
                 + u_rz_t @ d_pre[:2 * h, packed]
-            if width == batch:
-                carry = d_prev
-            else:
-                carry[:, :width] = d_prev
         del f_cand, f_reset, f_update   # before the products below allocate theirs
         d_w = d_pre @ packed_x().T                                         # [3h x in]
         d_u = np.concatenate([d_pre[:2 * h] @ prev.T,
@@ -318,7 +304,7 @@ def gru_sequence(columns: list, p: GruParams, keep: list, reverse: bool = False,
             d_x = stacked(p.w_reset, p.w_update, p.w_cand).T @ d_pre
             for t, col in enumerate(columns):
                 if col.requires_grad:
-                    col.grad[:, :live[t]] += d_x[:, start[t]:start[t + 1]]
+                    col.grad[:, cols[t]] += d_x[:, start[t]:start[t + 1]]
 
     return fused("gru_sequence", out, (*columns, *weights), backward)
 
@@ -328,9 +314,10 @@ def bigru(columns: list, p_fwd: GruParams, p_bwd: GruParams, mask) -> Tensor:
 
     Column t*B + b stacks the forward state of sequence b after steps 1..t on
     its backward state after steps T..t; both directions start from zero.
-    The boolean ``mask`` [B x T] becomes the T keep rows of both
+    The boolean ``mask`` [B x T] becomes the T 0/1 keep rows of both
     recurrences, so a False position neither advances them nor changes the
-    carried states.
+    carried states, and each step packs only the columns that advance: a
+    False position costs no cell, also between two True ones.
 
     Each direction writes its states straight into its half of one
     [2h x T*B] buffer, so the stacked output is no second copy of them; the

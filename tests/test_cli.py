@@ -483,6 +483,20 @@ def test_train_refuses_an_empty_split_before_training(synth_dir, tmp_path, capsy
     assert not out.exists()
 
 
+@pytest.mark.parametrize("record", ['"name and description"', '["name", "description"]', "5"])
+def test_train_refuses_a_snapshot_record_that_is_not_an_object(synth_dir, tmp_path, capsys,
+                                                                record):
+    lines = (synth_dir / "entities.jsonl").read_text().splitlines(keepends=True)
+    entities = tmp_path / "entities.jsonl"
+    entities.write_text("".join(lines) + record + "\n")
+    out = tmp_path / "run"
+    assert run_cli("train", "--config", str(synth_dir / "config.cfg"), "--out", str(out),
+                   "--set", f"entities={entities}") == 2
+    err = capsys.readouterr().err
+    assert f"data error: {entities}:{len(lines) + 1}: " in err and "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.fixture(scope="module")
 def small_corpus(tmp_path_factory):
     out = tmp_path_factory.mktemp("small")

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
@@ -314,10 +315,13 @@ def test_snapshot_resolver_case_insensitive(tmp_path):
 
 
 def test_snapshot_resolver_rejects_bad_records(tmp_path):
+    # valid JSON that is not an object with both keys, even a string or list
+    # that holds both words, is a format error naming its line
     path = tmp_path / "snap.jsonl"
-    path.write_text('{"name": "x"}\n')
-    with pytest.raises(data.DatasetFormatError):
-        data.SnapshotResolver(path)
+    for record in ('{"name": "x"}', '"name and description"', '["name", "description"]', "5"):
+        path.write_text('{"name": "acme", "description": "Acme makes tools."}\n' + record + "\n")
+        with pytest.raises(data.DatasetFormatError, match=f"{re.escape(str(path))}:2: "):
+            data.SnapshotResolver(path)
 
 
 def snapshot(tmp_path, descriptions: dict):

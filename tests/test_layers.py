@@ -205,7 +205,7 @@ def test_gru_sequence_node_holds_only_gates_candidates_and_states(rng):
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    live = int(mask.sum())   # each step's live prefix is exactly its real columns
+    live = int(mask.sum())   # each step computes exactly its real columns
     # the output states [h x T*B], gates [2h x R] and candidates [h x R]; the
     # packed input, previous states and stacked weights would add over 80 KB
     stored = out.data.nbytes + 3 * h * live * 8
@@ -249,22 +249,18 @@ def test_gru_sequence_gradients_match_tape_reference(rng, reverse):
     npt.assert_array_equal(grads[0][len(p.named()) + 4][:, 2], 0.0)
 
 
-# keep [B x T] per case; the live prefix of a step ends at its last moving column
+# keep [B x T] per case; a step computes exactly the columns whose keep is 1
 PACKED_KEEPS = {
-    # sorted, with a middle step where no column moves (live prefix 0)
+    # sorted, with a middle step where no column moves
     "idle-middle-step": [[1, 1, 0, 1, 1],
                          [1, 1, 0, 1, 0],
                          [1, 0, 0, 0, 0]],
     # unsorted: column 1 stops after step 1 and moves again at step 2, and
-    # column 0 stops inside the live prefix of steps 3 and 4
+    # column 0 stops while columns 1 and 2 move at steps 3 and 4
     "stop-and-restart": [[1, 1, 1, 0, 0],
                          [1, 0, 1, 1, 0],
                          [1, 1, 0, 1, 1]],
-    # fractional keep values blend the cell into the carried state
-    "fractional-keep": [[1, 0.5, 1, 1, 0.25],
-                        [1, 1, 0.75, 0, 0],
-                        [0.5, 1, 0, 0, 0]],
-    # no column moves at any step: no live column-step at all
+    # no column moves at any step: no column-step at all
     "all-idle": [[0, 0, 0, 0, 0]] * 3,
 }
 
@@ -289,30 +285,25 @@ def test_gru_sequence_packed_prefixes_match_tape_reference(rng, case, reverse):
 
 
 def gru_sequence_steps(columns, p, keep, reverse):
-    """A plain step loop over the live prefixes in the operation order of the
-    straightforward recurrence: one stacked input product over the packed
-    live columns plus the biases, then per step the sigmoid as
-    1 / (1 + exp(-a)), tanh, ``s + z * (c - s)``, and the keep blend on
-    steps whose prefix keeps some column at other than exactly 1."""
+    """A plain step loop in the operation order of the straightforward
+    recurrence: one stacked input product over the columns each step
+    advances plus the biases, then per step, on exactly those columns, the
+    sigmoid as 1 / (1 + exp(-a)), tanh and ``s + z * (c - s)``."""
     n, batch, h = len(columns), columns[0].shape[1], p.hidden_size
-    k = np.concatenate([kt.data for kt in keep])
-    live = [batch - int(np.argmax(row[::-1] != 0.0)) if (row != 0.0).any() else 0 for row in k]
-    starts = np.cumsum([0] + live)
+    moves = [np.flatnonzero(kt.data[0]) for kt in keep]
+    starts = np.cumsum([0] + [m.size for m in moves])
     x = np.concatenate([p.w_reset.data, p.w_update.data, p.w_cand.data]) \
-        @ np.concatenate([col.data[:, :width] for col, width in zip(columns, live)], axis=1) \
+        @ np.concatenate([col.data[:, m] for col, m in zip(columns, moves)], axis=1) \
         + np.concatenate([p.b_reset.data, p.b_update.data, p.b_cand.data])
     u_rz = np.concatenate([p.u_reset.data, p.u_update.data])
     state, states = np.zeros((h, batch)), np.empty((h, n, batch))
     for t in (reversed(range(n)) if reverse else range(n)):
-        width = live[t]
-        if width:
-            s, x_t = state[:, :width], x[:, starts[t]:starts[t + 1]]
+        m = moves[t]
+        if m.size:
+            s, x_t = state[:, m], x[:, starts[t]:starts[t + 1]]
             rz = 1.0 / (1.0 + np.exp(-(u_rz @ s + x_t[:2 * h])))
             c = np.tanh(p.u_cand.data @ (rz[:h] * s) + x_t[2 * h:])
-            cell = s + rz[h:] * (c - s)
-            if (k[t, :width] != 1.0).any():
-                cell = s + k[t, :width] * (cell - s)
-            state[:, :width] = cell
+            state[:, m] = s + rz[h:] * (c - s)
         states[:, t] = state
     return states.reshape(h, n * batch)
 
@@ -465,8 +456,7 @@ def test_bigru_writes_both_recurrences_into_its_output(rng):
         npt.assert_array_equal(buffered, concatenated)
 
 
-@pytest.mark.parametrize("case", [case for case, keep in PACKED_KEEPS.items()
-                                  if np.isin(keep, (0, 1)).all()])
+@pytest.mark.parametrize("case", PACKED_KEEPS)
 def test_bigru_mask_equals_explicit_keep_rows_bit_for_bit(rng, case):
     mask = np.array(PACKED_KEEPS[case], dtype=bool)                    # [B x T]
     batch, steps = mask.shape

@@ -319,31 +319,64 @@ class _CandidateColumns:
         return np.tanh(x, *args, **kwargs)
 
 
-def test_word_recurrence_computes_only_real_column_steps(tiny_setup, monkeypatch):
-    # padded word steps cost nothing: each direction of a word-level BiGRU
-    # computes as many column-steps as its source has real words
-    hp, params, emb, samples = _packed_batch(tiny_setup, "reverse-sorted")
-    counter = _CandidateColumns()
-    recurrence = layers.gru_sequence
+def _recurrence_calls(monkeypatch, samples, params, emb, hp):
+    """Encode ``samples``; per ``gru_sequence`` call in order, the number of
+    column-steps it computed and its output."""
+    counter, recurrence, outputs = _CandidateColumns(), layers.gru_sequence, []
 
     def counted(*args, **kwargs):
         counter.per_call.append(0)
         counter.active = True
         try:
-            return recurrence(*args, **kwargs)
+            outputs.append(recurrence(*args, **kwargs))
+            return outputs[-1]
         finally:
             counter.active = False
 
     monkeypatch.setattr(layers, "np", counter)
     monkeypatch.setattr(layers, "gru_sequence", counted)
     model.encode_samples(samples, params, emb, hp)
+    return counter.per_call, outputs
+
+
+def test_word_recurrence_computes_only_real_column_steps(tiny_setup, monkeypatch):
+    # padded word steps cost nothing: each direction of a word-level BiGRU
+    # computes as many column-steps as its source has real words
+    hp, params, emb, samples = _packed_batch(tiny_setup, "reverse-sorted")
+    per_call, _ = _recurrence_calls(monkeypatch, samples, params, emb, hp)
     real_words = [sum(int(words[sents].sum()) for words, sents in side) for side in (
         [(s.news_word_mask, s.news_sent_mask) for s in samples],
         [(s.entity_word_mask, s.entity_sent_mask) for s in samples],
         [(s.comment_word_mask, s.comment_sent_mask) for s in samples])]
     assert real_words == [8, 9, 6]     # of 12, 16 and 9 column-steps on the trimmed axis
-    assert len(counter.per_call) == 8
-    assert counter.per_call[:6] == [n for n in real_words for _ in ("fwd", "bwd")]
+    assert len(per_call) == 8
+    assert per_call[:6] == [n for n in real_words for _ in ("fwd", "bwd")]
+
+
+def test_sentence_recurrence_computes_only_real_column_steps(tiny_setup, monkeypatch):
+    # pad sentence slots cost nothing either, also a hole between two real
+    # sentences of unsorted samples: each direction of the sentence-level
+    # BiGRU computes as many column-steps as the batch has real news sentences
+    hp, params, vocab, emb, _ = tiny_setup
+    hp = dataclasses.replace(hp, max_words=4, max_news_sentences=3,
+                             max_entity_sentences=3, max_comment_sentences=3)
+    samples = [data.encode_document(_lengths_document(f"s{i}", news, [1], [1], vocab),
+                                    vocab, hp)
+               for i, news in enumerate(([1, 2, 3], [2], [3, 1]))]
+    news = samples[0].news
+    samples[0] = dataclasses.replace(samples[0], news=data.Source(
+        np.concatenate([news.ids[:1], news.ids[3:]]), np.array([1, 0, 3], np.int32),
+        news.max_words))
+    news_mask = np.stack([s.news_sent_mask for s in samples])
+    npt.assert_array_equal(news_mask, [[True, False, True], [True, False, False],
+                                       [True, True, False]])
+    per_call, outputs = _recurrence_calls(monkeypatch, samples, params, emb, hp)
+    assert per_call[6:] == [int(news_mask.sum())] * 2     # of 9 column-steps per direction
+    # the hole carries the state: forward from slot 0, backward from slot 2
+    fwd, bwd = (out.data.reshape(-1, 3, 3) for out in outputs[6:])   # [h x N x B]
+    npt.assert_array_equal(fwd[:, 1, 0], fwd[:, 0, 0])
+    npt.assert_array_equal(bwd[:, 1, 0], bwd[:, 2, 0])
+    assert (fwd[:, 0, 0] != 0.0).all() and (bwd[:, 2, 0] != 0.0).all()
 
 
 @dataclasses.dataclass(slots=True)
@@ -482,7 +515,7 @@ def test_one_sentence_gather_equals_the_per_slot_gathers(tiny_setup, case):
     samples = (_holes_and_ablation_batch(tiny_setup) if case == "holes-and-ablation"
                else _source_hole_batch(tiny_setup))
     counts = {int(s.news.real.sum()) for s in samples}
-    assert len(counts) > 1          # the sentence recurrence blends its keep rows
+    assert len(counts) > 1          # the sentence recurrence steps unsorted columns
     if case == "source-hole":
         assert samples[1].news.real.tolist() == [False, True]
 
