@@ -38,7 +38,7 @@ class DegenerateInputError(ValueError):
 
 
 def read_lines(path):
-    """Yield ``(line number, line)`` for each line of a UTF-8 text file.
+    """Yield ``(line number, line)`` per line of a UTF-8 text file; a leading BOM is dropped.
 
     The file is decoded in chunks with bad bytes escaped, and only a line
     that is not ASCII is checked, so an ASCII line costs one flag test. A
@@ -47,7 +47,7 @@ def read_lines(path):
     be opened raises a DatasetFormatError naming ``path``.
     """
     try:
-        fh = open(path, "r", encoding="utf-8", errors="surrogateescape")
+        fh = open(path, "r", encoding="utf-8-sig", errors="surrogateescape")
     except OSError as e:
         raise DatasetFormatError(f"{path}: cannot read: {e.strerror or e}") from e
     with fh:
@@ -140,34 +140,28 @@ class Document:
 
 
 class Vocabulary:
-    """token -> id map with ids 0 and 1 reserved for padding and unknowns."""
+    """token -> id map in insertion order; ids 0 and 1 are padding and unknowns."""
 
     def __init__(self):
-        self._token_to_id = {PAD_TOKEN: PAD_ID, OOV_TOKEN: OOV_ID}
-        self._id_to_token = [PAD_TOKEN, OOV_TOKEN]
+        self._ids = {PAD_TOKEN: PAD_ID, OOV_TOKEN: OOV_ID}
 
     def __len__(self):
-        return len(self._id_to_token)
+        return len(self._ids)
 
     def add(self, token: str) -> int:
-        tid = self._token_to_id.get(token)
-        if tid is None:
-            tid = len(self._id_to_token)
-            self._token_to_id[token] = tid
-            self._id_to_token.append(token)
-        return tid
+        return self._ids.setdefault(token, len(self._ids))
 
     def id_of(self, token: str) -> int:
-        return self._token_to_id.get(token, OOV_ID)
+        return self._ids.get(token, OOV_ID)
 
     def ids_of(self, tokens: list) -> np.ndarray:
-        return np.fromiter(map(self._token_to_id.get, tokens, repeat(OOV_ID)), np.int32)
+        return np.fromiter(map(self._ids.get, tokens, repeat(OOV_ID)), np.int32)
 
     def token_of(self, tid: int) -> str:
-        return self._id_to_token[tid]
+        return self.tokens()[tid]
 
     def tokens(self) -> list[str]:
-        return list(self._id_to_token)
+        return list(self._ids)
 
     @staticmethod
     def build(documents) -> "Vocabulary":
@@ -298,13 +292,14 @@ class SnapshotResolver:
                 record = json.loads(line)
             except json.JSONDecodeError as e:
                 raise DatasetFormatError(f"{path}:{line_no}: invalid JSON") from e
-            if not (isinstance(record, dict) and "name" in record and "description" in record):
+            if not (isinstance(record, dict) and isinstance(record.get("name"), str)
+                    and isinstance(record.get("description"), str)):
                 raise DatasetFormatError(
-                    f"{path}:{line_no}: snapshot record needs name and description")
-            key = _normalize_name(str(record["name"]))
+                    f"{path}:{line_no}: snapshot record needs name and description strings")
+            key = _normalize_name(record["name"])
             if key not in self._descriptions:
-                self._names.append(str(record["name"]))
-            self._descriptions[key] = str(record["description"])
+                self._names.append(record["name"])
+            self._descriptions[key] = record["description"]
 
     def lookup(self, name: str) -> str:
         return self._descriptions.get(_normalize_name(name), "")
@@ -336,14 +331,18 @@ def parse_document(record: dict, line_no: int = 0,
                    max_sentences_per_comment: int = 2) -> Document:
     """Validate one JSON record and tokenize it into a Document.
 
-    Comments keep at most ``max_sentences_per_comment`` sentences each before
-    being flattened chronologically (per-comment boundaries are only known
-    here).
+    A ``null`` field is a missing one, an entity's missing description is
+    empty, an integer id reads as its decimal text, and any other field not of
+    its type is an error. Comments keep at most ``max_sentences_per_comment``
+    sentences each, flattened chronologically (their bounds are known here).
     """
     where = f"line {line_no}" if line_no else "record"
     for field_name in ("id", "label", "news", "comments", "entities"):
-        if field_name not in record:
+        if record.get(field_name) is None:
             raise DatasetFormatError(f"{where}: missing required field '{field_name}'")
+    doc_id = str(record["id"]) if type(record["id"]) is int else record["id"]
+    if not isinstance(doc_id, str):
+        raise DatasetFormatError(f"{where}: id must be a string or an integer")
     label = record["label"]
     if label not in (0, 1):
         raise DatasetFormatError(f"{where}: label must be 0 or 1, got {label!r}")
@@ -363,11 +362,13 @@ def parse_document(record: dict, line_no: int = 0,
         comments.extend(sentences_to_tokens(comment)[:max_sentences_per_comment])
     entities = []
     for ent in record["entities"]:
-        if not isinstance(ent, dict) or "name" not in ent:
+        if not isinstance(ent, dict) or ent.get("name") is None:
             raise DatasetFormatError(f"{where}: entity entries need a name")
-        description = ent.get("description", "")
-        entities.append((str(ent["name"]), sentences_to_tokens(str(description))))
-    return Document(str(record["id"]), news, comments, entities, int(label), line_no)
+        description = "" if ent.get("description") is None else ent["description"]
+        if not (isinstance(ent["name"], str) and isinstance(description, str)):
+            raise DatasetFormatError(f"{where}: entity name and description must be strings")
+        entities.append((ent["name"], sentences_to_tokens(description)))
+    return Document(doc_id, news, comments, entities, int(label), line_no)
 
 
 def read_dataset(path, max_sentences_per_comment: int = 2):

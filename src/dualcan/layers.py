@@ -402,19 +402,22 @@ def co_attention(s: Tensor, d: Tensor, mask_s, mask_d, p: CoAttentionParams) -> 
 
     ``s`` [2h x B*N] holds the primary sequence of sample b in columns
     b*N .. b*N + N-1, and ``d`` [2h x B*E] the secondary one likewise; the
-    boolean masks [B x N] and [B x E] mark the real columns, and a mask row
-    with none raises :class:`DegenerateMaskError`. Per sample, the affinity
-    matrix F = tanh(D^T Wr S) couples every secondary column to every
-    primary column; the interaction maps mix each side with the
-    affinity-weighted other side; masked softmax rows give one attention
-    distribution per side, and the pooled vectors are the attention-weighted
-    column averages. The whole batch is one tape node: batched 3-D products
-    forward and a hand-written backward pass.
+    boolean masks [B x N] and [B x E] mark the real columns. A mask row with
+    none, on either side, attends over all of that sample's columns on that
+    side: where they are zero, as the encoder pads a side with no sentence,
+    its weights are uniform and it pools to zero. Per sample, the affinity
+    matrix F = tanh(D^T Wr S) couples every secondary column to every primary
+    column; the interaction maps mix each side with the affinity-weighted
+    other side; masked softmax rows give one attention distribution per side,
+    and the pooled vectors are the attention-weighted column averages. The
+    whole batch is one tape node: batched 3-D products forward and a
+    hand-written backward pass.
     """
     ms, md = np.asarray(mask_s, dtype=bool), np.asarray(mask_d, dtype=bool)
     if ms.ndim != 2 or md.ndim != 2 or ms.shape[0] != md.shape[0]:
         raise ShapeError(f"co_attention masks must be [B x N] and [B x E], got "
                          f"{ms.shape} and {md.shape}")
+    ms, md = (m | ~m.any(axis=1, keepdims=True) for m in (ms, md))
     batch, n, e = ms.shape[0], ms.shape[1], md.shape[1]
     k = p.w_affinity.shape[0]
     if s.shape != (k, batch * n) or d.shape != (k, batch * e):

@@ -7,7 +7,8 @@ the entity and comment sequences, and a two-layer affine head maps the four
 pooled vectors to two logits (label 1 = fake).
 
 Padding discipline: padding positions never advance a recurrence, receive
-exactly zero attention weight, and contribute exactly zero columns to the
+exactly zero attention weight (except on a side with no sentence, see
+:func:`layers.co_attention`), and contribute exactly zero columns to the
 co-attention inputs, so perturbing padded content cannot change the logits.
 """
 
@@ -91,10 +92,10 @@ PROFILES = {
 
 @dataclass
 class HyperParams:
-    """Model and training dimensions; all sentence/word limits are global,
-    so batching is plain concatenation. ``validate`` accepts finite values
-    of at least a field's ``min`` (default 1); field order is the order of
-    the ``hp`` lines in a checkpoint header."""
+    """Model and training dimensions; a sample keeps its real tokens within
+    the sentence and word limits, and each batch is padded as it is encoded.
+    ``validate`` accepts finite values of at least a field's ``min`` (default
+    1); field order is the order of the ``hp`` lines in a checkpoint header."""
 
     embedding_dim: int = 16
     hidden_size: int = 8
@@ -383,21 +384,15 @@ def encode_samples(samples: list, params: ModelParams, embeddings,
     )
 
 
-def _side_mask(mask: np.ndarray) -> np.ndarray:
-    # an all-padding side is pooled uniformly over its (zero) columns so the
-    # architecture stays total under ablation
-    return mask | ~mask.any(axis=1, keepdims=True)
-
-
 def forward(encoded: EncodedBatch, params: ModelParams):
     """Run both co-attention blocks and the prediction head over a batch.
 
     Returns (logits [2 x B], one AttentionReport per sample).
     """
     ent = layers.co_attention(encoded.news, encoded.entities, encoded.news_mask,
-                              _side_mask(encoded.entity_mask), params.entity_coattn)
+                              encoded.entity_mask, params.entity_coattn)
     com = layers.co_attention(encoded.news, encoded.comments, encoded.news_mask,
-                              _side_mask(encoded.comment_mask), params.comment_coattn)
+                              encoded.comment_mask, params.comment_coattn)
     logits = head([ent.pooled, com.pooled], params)
     reports = [AttentionReport(
         news_entity=ent.attn_primary[b],

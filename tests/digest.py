@@ -6,11 +6,11 @@ keeps every bit.
 
 On the benchmark's train-synth inputs (2 epochs) and train-paper inputs (1
 epoch on 16 samples), both generated with seed 1, there is one digest each
-for one batch's gradients, the trained flat values, ``predict`` outputs under
-every input mode and ``run_sample`` logits. Then there is one per artifact of
-``synth --size 200 --seed 3``, then ``train`` (3 epochs) and ``explain
---split full`` under every mode; the run's own directory in a file reads as
-``<work>``.
+for one batch's gradients and for ``predict`` outputs under every input mode,
+for the trained flat values and for ``run_sample`` logits. Then there is one
+per artifact of ``synth --size 200 --seed 3``, then ``train`` (3 epochs) and
+``explain --split full`` under every mode; the run's own directory in a file
+reads as ``<work>``.
 
 ``--against REV`` extracts the files committed at REV into a temporary
 directory, runs this same script there, prints each digest that differs and
@@ -51,17 +51,24 @@ def sha(*arrays) -> str:
 
 
 def model_digests(prepared, hp: model.HyperParams, params: model.ModelParams) -> dict:
-    """Digests of one batch's gradients at ``params``, then of the flat values
-    ``model.train`` makes of them, and of ``predict`` (every mode) and
-    ``run_sample`` on the test split with the trained values."""
+    """Digests of one batch's gradients at ``params`` under every input mode,
+    then of the flat values ``model.train`` makes of them, and of ``predict``
+    (every mode) and ``run_sample`` on the test split with the trained
+    values."""
     emb = prepared.embeddings
-    params.zero_grads()
-    graph = Graph()
-    with graph:
-        encoded = model.encode_samples(prepared.train[:hp.batch_size], params, emb, hp)
-        loss = model.cross_entropy(model.forward(encoded, params)[0], encoded.labels)
-    graph.backward(loss)
-    out = {"batch_grads": sha(params.grads)}
+
+    def batch_grads(mode: str) -> str:
+        params.zero_grads()
+        graph = Graph()
+        with graph:
+            batch = [model.ablate(s, mode) for s in prepared.train[:hp.batch_size]]
+            encoded = model.encode_samples(batch, params, emb, hp)
+            loss = model.cross_entropy(model.forward(encoded, params)[0], encoded.labels)
+        graph.backward(loss)
+        return sha(params.grads)
+
+    out = {"batch_grads": batch_grads("N+C+E"),
+           **{f"batch_grads.{mode}": batch_grads(mode) for mode in ("N+C", "N+E")}}
     trained = model.train(prepared.train, prepared.val, hp, params, emb).params
     out["trained_values"] = sha(trained.values)
     for mode in model.MODES:

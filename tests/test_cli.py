@@ -1,3 +1,4 @@
+import codecs
 import contextlib
 import csv
 import errno
@@ -380,6 +381,26 @@ def test_non_utf8_input_is_data_error(synth_dir, tmp_path, capsys, target):
     assert "data error" in err and "can't decode byte 0xff" in err
     assert f"{bad}:{line}: not UTF-8, can't decode byte 0xff at column {column}" in err
     assert not out.exists()
+
+
+def _snapshot_contents(path) -> list:
+    resolver = data.SnapshotResolver(path)
+    return [(name, pattern, resolver.lookup(name)) for name, pattern in resolver.patterns]
+
+
+@pytest.mark.parametrize("target", ["dataset", "entities", "embeddings", "config"])
+def test_a_file_with_a_byte_order_mark_reads_like_the_plain_one(synth_dir, tmp_path, target):
+    # a UTF-8 BOM before line 1 is dropped, not read into the first record,
+    # token or key
+    name = {"dataset": "dataset.jsonl", "entities": "entities.jsonl",
+            "embeddings": "embeddings.txt", "config": "config.cfg"}[target]
+    plain, marked = synth_dir / name, tmp_path / name
+    marked.write_bytes(codecs.BOM_UTF8 + plain.read_bytes())
+    vocab = data.Vocabulary.build(data.read_dataset(synth_dir / "dataset.jsonl")[0])
+    read = {"dataset": data.read_dataset, "entities": _snapshot_contents,
+            "embeddings": lambda path: data.load_embeddings(path, vocab).matrix.tolist(),
+            "config": cli.parse_config_file}[target]
+    assert read(marked) == read(plain)
 
 
 def _no_data_read(*args):

@@ -316,9 +316,13 @@ def test_snapshot_resolver_case_insensitive(tmp_path):
 
 def test_snapshot_resolver_rejects_bad_records(tmp_path):
     # valid JSON that is not an object with both keys, even a string or list
-    # that holds both words, is a format error naming its line
+    # that holds both words, is a format error naming its line; a null field
+    # is a missing one, and a field that is not a string is refused as well
     path = tmp_path / "snap.jsonl"
-    for record in ('{"name": "x"}', '"name and description"', '["name", "description"]', "5"):
+    for record in ('{"name": "x"}', '"name and description"', '["name", "description"]', "5",
+                   '{"name": null, "description": null}', '{"name": null, "description": "x"}',
+                   '{"name": "x", "description": null}', '{"name": 5, "description": "x"}',
+                   '{"name": "x", "description": 7}', '{"name": ["x"], "description": "x"}'):
         path.write_text('{"name": "acme", "description": "Acme makes tools."}\n' + record + "\n")
         with pytest.raises(data.DatasetFormatError, match=f"{re.escape(str(path))}:2: "):
             data.SnapshotResolver(path)
@@ -511,6 +515,33 @@ def test_parse_document_no_news():
     record["news"] = ""
     with pytest.raises(data.DegenerateInputError):
         data.parse_document(record)
+
+
+def test_null_fields_read_as_missing_and_other_non_text_is_refused(tmp_path):
+    # a null entity description is the empty one and an integer id its
+    # decimal text; a null id or entity name is the error of a missing one
+    record = good_record()
+    record.update(id=7, entities=[{"name": "acme", "description": None}])
+    doc = data.parse_document(record)
+    assert doc.doc_id == "7" and doc.entity_descriptions == [("acme", [])]
+    for fields, message in (({"id": None}, "missing required field 'id'"),
+                            ({"entities": [{"name": None, "description": None}]},
+                             "entity entries need a name")):
+        with pytest.raises(data.DatasetFormatError, match=message):
+            data.parse_document({**good_record(), **fields})
+    bad = [{"id": 1.5}, {"id": True}, {"id": ["doc"]},
+           {"entities": [{"name": 5, "description": "x"}]},
+           {"entities": [{"name": "acme", "description": 7}]}]
+    for fields in bad:
+        with pytest.raises(data.DatasetFormatError):
+            data.parse_document({**good_record(), **fields})
+    # a dataset line with such a field is skipped with a warning naming it
+    path = tmp_path / "data.jsonl"
+    path.write_text("".join(json.dumps({**good_record(i), **fields}) + "\n"
+                            for i, fields in enumerate([{}, {"id": None}, *bad, {"id": 9}])))
+    docs, warnings = data.read_dataset(path)
+    assert [d.doc_id for d in docs] == ["doc0", "9"]
+    assert [w.split(": ")[0] for w in warnings] == [f"{path}:{i}" for i in range(2, 8)]
 
 
 def test_read_dataset_empty_file(tmp_path):

@@ -17,7 +17,8 @@ def test_digests_repeat_and_see_a_one_ulp_change(tmp_path):
         return digest.model_digests(prepared, config.hp, params)
 
     first = digests()
-    assert sorted(first) == sorted(["batch_grads", "trained_values", "run_sample",
+    assert sorted(first) == sorted(["batch_grads", "batch_grads.N+C", "batch_grads.N+E",
+                                    "trained_values", "run_sample",
                                     *(f"predict.{mode}" for mode in model.MODES)])
     assert digests() == first
     assert digests(nudge=True)["trained_values"] != first["trained_values"]

@@ -709,8 +709,8 @@ def one(mask):
 
 def coattn_batch(rng, batch, n, e, two_h):
     """Random S [2h x B*N] and D [2h x B*E] with masks; with B > 1, sample 1
-    has an all-pad secondary side (zero columns under an all-real mask, the
-    model's fallback)."""
+    has an all-pad secondary side (zero columns under an all-real mask, which
+    is what co_attention makes of an empty mask row)."""
     s = rng.uniform(-2, 2, (two_h, batch * n))
     d = rng.uniform(-2, 2, (two_h, batch * e))
     mask_s, mask_d = mixed_mask(rng, batch, n), mixed_mask(rng, batch, e)
@@ -776,6 +776,39 @@ def test_co_attention_mixed_batch_matches_loop_oracle(rng, batch, n, e):
     if batch > 1:   # the all-pad side pools to zero under uniform weights
         npt.assert_allclose(out.attn_secondary[1], np.full(e, 1.0 / e), atol=1e-15)
         npt.assert_array_equal(out.pooled.data[4:, 1], 0.0)
+
+
+@pytest.mark.parametrize("primary", [True, False], ids=["primary", "secondary"])
+def test_co_attention_empty_row_attends_over_every_column(rng, primary):
+    # a mask row with no real column, on either side, reads as a row of all
+    # real columns in forward and backward; over zero columns, as the encoder
+    # gives a side with no sentence, its weights are uniform and it pools to 0
+    p = make_coattn(2, seed=47)
+    batch, n, e = 3, 3, 4
+    s_arr, d_arr, mask_s, mask_d = coattn_batch(rng, batch, n, e, 4)
+    weights = rng.uniform(-1, 1, (8, batch))
+    mask = mask_s if primary else mask_d
+    empty, full = mask.copy(), mask.copy()
+    empty[0], full[0] = False, True
+
+    def call(s, d, row_mask):
+        masks = (row_mask, mask_d) if primary else (mask_s, row_mask)
+        return layers.co_attention(s, d, *masks, p)
+
+    s, d = ad.Tensor(s_arr.copy(), requires_grad=True), ad.Tensor(d_arr.copy(), requires_grad=True)
+    tensors = list(p.named().values()) + [s, d]
+    grads = _tape_gradients([empty, full], tensors,
+                            lambda row_mask: _weighted_sum(call(s, d, row_mask).pooled, weights))
+    for empty_grad, full_grad in zip(*grads):
+        npt.assert_array_equal(empty_grad, full_grad)
+
+    width, half = (n, slice(0, 4)) if primary else (e, slice(4, 8))
+    (s_arr if primary else d_arr)[:, :width] = 0.0              # sample 0's side
+    out, out_full = (call(ad.Tensor(s_arr), ad.Tensor(d_arr), m) for m in (empty, full))
+    npt.assert_array_equal(out.pooled.data, out_full.pooled.data)
+    attn = out.attn_primary if primary else out.attn_secondary
+    npt.assert_array_equal(attn[0], np.full(width, 1.0 / width))
+    npt.assert_array_equal(out.pooled.data[half, 0], 0.0)
 
 
 def test_co_attention_records_one_node(rng):
@@ -880,8 +913,10 @@ def test_co_attention_errors():
         layers.co_attention(s, d_ok, one([True, True]), np.ones((2, 1), dtype=bool), p)
     with pytest.raises(ad.ShapeError):          # 1-D masks
         layers.co_attention(s, d_ok, np.array([True, True]), np.array([True, True]), p)
-    with pytest.raises(ad.DegenerateMaskError):
-        layers.co_attention(s, d_ok, one([True, True]), one([False, False]), p)
+    # a secondary row with no real column is no error: it attends over both
+    # (zero) columns, uniformly
+    out = layers.co_attention(s, d_ok, one([True, True]), one([False, False]), p)
+    npt.assert_array_equal(out.attn_secondary, [[0.5, 0.5]])
 
 
 # ---------------------------------------------------------------------------
