@@ -20,11 +20,12 @@ from __future__ import annotations
 import json
 import os
 import re
+import sys
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from itertools import repeat
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -104,8 +105,17 @@ def split_sentences(text: str) -> list[str]:
 
 
 def tokenize(sentence: str) -> list[str]:
-    """Lowercase, split punctuation into separate tokens, collapse whitespace."""
-    return _TOKEN.findall(sentence.lower())
+    """Lowercase, split punctuation into separate tokens, collapse whitespace.
+
+    The tokens are interned, so every occurrence of a token across the
+    documents, the resolved descriptions and the vocabulary's keys is one
+    ``str``: a corpus holds a pointer per occurrence instead of a string,
+    and a dict lookup of a token matches by identity. On Python 3.10, 3.11
+    and from 3.13 on an interned string is freed with its last reference; on
+    3.12 interning makes a string immortal, so each distinct token lives
+    until the interpreter exits.
+    """
+    return list(map(sys.intern, _TOKEN.findall(sentence.lower())))
 
 
 def sentences_to_tokens(text: str) -> list[list[str]]:
@@ -130,13 +140,10 @@ class Document:
     line: int = field(default=0, compare=False)
 
     def all_tokens(self):
-        for sent in self.news_sentences:
-            yield from sent
-        for sent in self.comment_sentences:
-            yield from sent
-        for _, sents in self.entity_descriptions:
-            for sent in sents:
-                yield from sent
+        """Every token: the news, then the comments, then each entity's description."""
+        return chain.from_iterable(chain(
+            self.news_sentences, self.comment_sentences,
+            *(sents for _, sents in self.entity_descriptions)))
 
 
 class Vocabulary:
@@ -165,10 +172,12 @@ class Vocabulary:
 
     @staticmethod
     def build(documents) -> "Vocabulary":
+        """Every token of the documents in first-seen order, collected in one
+        C-level pass."""
         vocab = Vocabulary()
-        for doc in documents:
-            for token in doc.all_tokens():
-                vocab.add(token)
+        tokens = dict.fromkeys(chain(vocab._ids, chain.from_iterable(
+            map(Document.all_tokens, documents))))
+        vocab._ids = dict(zip(tokens, range(len(tokens))))
         return vocab
 
 
@@ -344,7 +353,7 @@ def parse_document(record: dict, line_no: int = 0,
     if not isinstance(doc_id, str):
         raise DatasetFormatError(f"{where}: id must be a string or an integer")
     label = record["label"]
-    if label not in (0, 1):
+    if type(label) is not int or label not in (0, 1):
         raise DatasetFormatError(f"{where}: label must be 0 or 1, got {label!r}")
     if not isinstance(record["news"], str):
         raise DatasetFormatError(f"{where}: news must be a string")
@@ -368,7 +377,7 @@ def parse_document(record: dict, line_no: int = 0,
         if not (isinstance(ent["name"], str) and isinstance(description, str)):
             raise DatasetFormatError(f"{where}: entity name and description must be strings")
         entities.append((ent["name"], sentences_to_tokens(description)))
-    return Document(doc_id, news, comments, entities, int(label), line_no)
+    return Document(doc_id, news, comments, entities, label, line_no)
 
 
 def read_dataset(path, max_sentences_per_comment: int = 2):

@@ -1,7 +1,20 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from dualcan import data, model
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def load_perfbench(name):
+    """A module of ``perfbench/``, loaded from its file."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture

@@ -6,11 +6,12 @@ keeps every bit.
 
 On the benchmark's train-synth inputs (2 epochs) and train-paper inputs (1
 epoch on 16 samples), both generated with seed 1, there is one digest each
-for one batch's gradients and for ``predict`` outputs under every input mode,
-for the trained flat values and for ``run_sample`` logits. Then there is one
-per artifact of ``synth --size 200 --seed 3``, then ``train`` (3 epochs) and
-``explain --split full`` under every mode; the run's own directory in a file
-reads as ``<work>``.
+for what ``cli.prepare_data`` returns (the vocabulary's tokens and each
+split's samples), for one batch's gradients and for ``predict`` outputs
+under every input mode, for the trained flat values and for ``run_sample``
+logits. Then there is one per artifact of ``synth --size 200 --seed 3``,
+then ``train`` (3 epochs) and ``explain --split full`` under every mode; the
+run's own directory in a file reads as ``<work>``.
 
 ``--against REV`` extracts the files committed at REV into a temporary
 directory, runs this same script there, prints each digest that differs and
@@ -50,11 +51,22 @@ def sha(*arrays) -> str:
     return h.hexdigest()
 
 
+def prepared_digest(prepared) -> str:
+    """Digest of the vocabulary's tokens in id order, then per split of each
+    sample's id, label, and token ids and sentence lengths per source."""
+    arrays = [np.array(prepared.vocab.tokens())]
+    for split in (prepared.train, prepared.val, prepared.test):
+        arrays += [np.array([s.doc_id for s in split]), np.array([s.label for s in split])]
+        arrays += [a for s in split for source in (s.news, s.entities, s.comments)
+                   for a in (source.ids, source.lengths)]
+    return sha(*arrays)
+
+
 def model_digests(prepared, hp: model.HyperParams, params: model.ModelParams) -> dict:
-    """Digests of one batch's gradients at ``params`` under every input mode,
-    then of the flat values ``model.train`` makes of them, and of ``predict``
-    (every mode) and ``run_sample`` on the test split with the trained
-    values."""
+    """Digests of the prepared data, of one batch's gradients at ``params``
+    under every input mode, then of the flat values ``model.train`` makes of
+    them, and of ``predict`` (every mode) and ``run_sample`` on the test
+    split with the trained values."""
     emb = prepared.embeddings
 
     def batch_grads(mode: str) -> str:
@@ -67,7 +79,7 @@ def model_digests(prepared, hp: model.HyperParams, params: model.ModelParams) ->
         graph.backward(loss)
         return sha(params.grads)
 
-    out = {"batch_grads": batch_grads("N+C+E"),
+    out = {"prepared_data": prepared_digest(prepared), "batch_grads": batch_grads("N+C+E"),
            **{f"batch_grads.{mode}": batch_grads(mode) for mode in ("N+C", "N+E")}}
     trained = model.train(prepared.train, prepared.val, hp, params, emb).params
     out["trained_values"] = sha(trained.values)

@@ -12,8 +12,8 @@ import pytest
 
 from dualcan import data, model
 
-from conftest import (pad_block, paper_document, paper_vocab, random_document, tiny_documents,
-                      tiny_hyperparams, tiny_vocab)
+from conftest import (load_perfbench, pad_block, paper_document, paper_vocab, random_document,
+                      tiny_documents, tiny_hyperparams, tiny_vocab)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -504,10 +504,12 @@ def test_parse_document_missing_field():
 
 
 def test_parse_document_bad_label():
-    record = good_record()
-    record["label"] = 2
-    with pytest.raises(data.DatasetFormatError):
-        data.parse_document(record)
+    # only the integers 0 and 1: a JSON true, false, 1.0 or 0.0 is refused too
+    for label in (2, True, False, 1.0, 0.0):
+        record = good_record()
+        record["label"] = label
+        with pytest.raises(data.DatasetFormatError, match="label must be 0 or 1"):
+            data.parse_document(record)
 
 
 def test_parse_document_no_news():
@@ -885,3 +887,27 @@ def test_prepared_gossipcop_corpus_holds_at_most_16_kb_per_document():
     tokens = sum(s.news.ids.size + s.entities.ids.size + s.comments.ids.size for s in samples)
     assert tokens / len(docs) > 1200           # about 1,500 real tokens per document
     assert held / len(docs) <= 16 * 1024
+
+
+def test_read_paper_documents_share_each_token_and_hold_at_most_30_kb_each(tmp_path):
+    # a str per token occurrence held 82 KB per document
+    gen = load_perfbench("gen")
+    gen.PAPER_DIM = 1   # the embedding file is not read here: one value per token is quick
+    paths = gen.paper_corpus(tmp_path, seed=1, n_train=100, n_val=0, n_test=0)
+    resolver = data.SnapshotResolver(paths["entities"])
+    tracemalloc.start()
+    try:
+        docs = data.resolve_documents(data.read_dataset(paths["train"])[0], resolver)
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    # one block of 64 KiB or more is the interpreter's table of interned
+    # strings growing; its size depends on what the process interned before
+    held = sum(trace.size for trace in snapshot.traces if trace.size < 64 * 1024)
+    assert len(docs) == 100
+    assert held / len(docs) <= 30 * 1024
+    first = {}
+    for doc in docs:
+        for token in doc.all_tokens():
+            assert first.setdefault(token, token) is token
+    assert all(first[token] is token for token in data.Vocabulary.build(docs).tokens()[2:])

@@ -17,11 +17,18 @@ def test_digests_repeat_and_see_a_one_ulp_change(tmp_path):
         return digest.model_digests(prepared, config.hp, params)
 
     first = digests()
-    assert sorted(first) == sorted(["batch_grads", "batch_grads.N+C", "batch_grads.N+E",
-                                    "trained_values", "run_sample",
+    assert sorted(first) == sorted(["prepared_data", "batch_grads", "batch_grads.N+C",
+                                    "batch_grads.N+E", "trained_values", "run_sample",
                                     *(f"predict.{mode}" for mode in model.MODES)])
     assert digests() == first
     assert digests(nudge=True)["trained_values"] != first["trained_values"]
+    # a moved token id, or a moved token in the vocabulary, moves the prepared digest
+    prepared.train[0].news.ids[0] += 1
+    assert digest.prepared_digest(prepared) != first["prepared_data"]
+    prepared.train[0].news.ids[0] -= 1
+    assert digest.prepared_digest(prepared) == first["prepared_data"]
+    prepared.vocab.add("an added token")
+    assert digest.prepared_digest(prepared) != first["prepared_data"]
 
 
 def test_sha_covers_dtype_shape_and_order():

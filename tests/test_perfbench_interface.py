@@ -2,27 +2,16 @@
 These tests run its span tracer and its oracle and explain patterns on tiny
 inputs, so that a refactor which breaks ``perfbench/run.py`` fails here."""
 
-import importlib.util
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dualcan import cli, data, interpret, model
 
-from conftest import (pad_block, random_document, tiny_documents, tiny_embeddings,
-                      tiny_hyperparams, tiny_vocab)
+from conftest import (load_perfbench, pad_block, random_document, tiny_documents,
+                      tiny_embeddings, tiny_hyperparams, tiny_vocab)
 from oracles import model_forward_loops
-
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-
-
-def load_perfbench(name):
-    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def load_spans():
