@@ -221,16 +221,10 @@ def cmd_train(args) -> int:
     params = ModelParams.create(hp)
     result = model.train(prepared.train, prepared.val, hp, params,
                          prepared.embeddings, config.mode)
-    ckpt_path = out / "checkpoint.bin"
-    model.save_checkpoint(ckpt_path, hp, result.params)
+    model.save_checkpoint(out / "checkpoint.bin", hp, result.params)
     _write_epoch_csv(out / "epochs.csv", result.history)
-
-    # score the test split with the checkpoint as saved, so a later eval of
-    # the same file reproduces these numbers exactly
-    saved_hp, values = model.load_checkpoint(ckpt_path)
-    saved_params = model.restore_params(saved_hp, values)
-    test_report = model.evaluate(prepared.test, saved_params, prepared.embeddings,
-                                 saved_hp, config.mode)
+    test_report = model.evaluate(prepared.test, result.params, prepared.embeddings,
+                                 hp, config.mode)
     data_mod.write_json(out / "metrics.json", test_report)
     print(f"best epoch {result.best_epoch} (val macro-F1 {result.best_val_f1:.4f})")
     print(f"test metrics: {json.dumps(test_report, sort_keys=True)}")

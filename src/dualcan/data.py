@@ -206,10 +206,12 @@ def load_embeddings(path, vocab: Vocabulary) -> EmbeddingTable:
     line must have d values. Only the rows of vocabulary tokens are parsed;
     their values must be finite decimals (``nan``, ``inf`` and underscores as
     in ``1_0`` fail). When a token appears twice, the later line wins. There
-    is no header line, so a word2vec ``count dim`` first line fails at line 2.
-    Each of these errors is a DatasetFormatError naming ``path:line``, and the
-    first bad line in file order is the one reported. Vocabulary tokens
-    absent from the file keep zero vectors.
+    is no header line, so a word2vec ``count dim`` first line fails at line 2,
+    and the message says that line 1 looks like such a header. A space after
+    a line's last value fails too, and the message names it. Each of these
+    errors is a DatasetFormatError naming ``path:line``, and the first bad
+    line in file order is the one reported. Vocabulary tokens absent from the
+    file keep zero vectors.
 
     The file is streamed. Each line is split once at its first space, and
     the value text of vocabulary rows is parsed in blocks of
@@ -218,6 +220,7 @@ def load_embeddings(path, vocab: Vocabulary) -> EmbeddingTable:
     dim = None
     matrix = None
     block = []  # (line number, vocabulary id, value text) not parsed yet
+    header = False  # line 1 reads like word2vec's "count dim"
     id_of = vocab.id_of
     for line_no, line in read_lines(path):
         token, sep, values = line.partition(" ")  # loadtxt takes the "\n"
@@ -225,10 +228,14 @@ def load_embeddings(path, vocab: Vocabulary) -> EmbeddingTable:
         if dim is None and sep:
             dim = width
             matrix = np.zeros((len(vocab), dim))
+            header = token.isdecimal() and values.strip().isdecimal()
         if not sep or width != dim:
             _parse_block(path, block, matrix, vocab)  # an earlier bad line reports first
-            problem = (f"expected {dim} values, found {width}" if sep
-                       else "embedding line has no values")
+            if not sep:
+                raise DatasetFormatError(f"{path}:{line_no}: embedding line has no values")
+            problem = f"expected {dim} values, found {width}{_trailing_space(values)}"
+            if header:
+                problem += "; line 1 looks like a word2vec 'count dim' header (drop that line)"
             raise DatasetFormatError(f"{path}:{line_no}: {problem}")
         tid = id_of(token)
         if tid > OOV_ID:
@@ -269,13 +276,20 @@ def _parse_block(path, block: list, matrix: np.ndarray, vocab: Vocabulary) -> No
     matrix[list(latest)] = rows[list(latest.values())]
 
 
+def _trailing_space(values: str) -> str:
+    """A note for an error message when a space follows a line's last value."""
+    trailing = values.rstrip("\r\n").endswith(" ")
+    return " (a trailing space follows the last value)" if trailing else ""
+
+
 def _first_bad_row(path, block: list, dim: int, vocab: Vocabulary) -> DatasetFormatError:
     """The error naming the first row of a failed block that fails on its own."""
     for line_no, tid, text in block:
         try:
             row = _parse_rows([text], dim)
         except ValueError:
-            return DatasetFormatError(f"{path}:{line_no}: non-numeric value")
+            return DatasetFormatError(
+                f"{path}:{line_no}: non-numeric value{_trailing_space(text)}")
         if not np.isfinite(row).all():
             return DatasetFormatError(
                 f"{path}:{line_no}: non-finite value for token {vocab.token_of(tid)!r}")

@@ -353,7 +353,11 @@ def _word_encode_blocks(sources: list, enc: EncoderParams, embeddings):
 def encode_samples(samples: list, params: ModelParams, embeddings,
                    hp: HyperParams) -> EncodedBatch:
     """Encode many samples, sharing one word-level recurrence per source and
-    one news sentence-level recurrence across the whole list."""
+    one news sentence-level recurrence across the whole list.
+
+    ``hp`` is unused: the sizes come from the samples and ``params``. It is
+    kept for the call shape that ``perfbench/spans.py`` traces and
+    ``perfbench/workloads.py`` calls."""
     for sample in samples:
         if not sample.news.real.any():
             raise layers.DegenerateMaskError(

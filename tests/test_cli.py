@@ -97,6 +97,22 @@ def test_train_writes_artifacts(trained_dir):
                            "precision_macro", "recall_macro", "f1_macro", "pr_auc"}
 
 
+def test_train_scores_the_params_it_trained_without_reading_the_checkpoint(
+        tmp_path, monkeypatch):
+    corpus, out = tmp_path / "corpus", tmp_path / "run"
+    assert run_cli("synth", "--out", str(corpus), "--size", "40") == 0
+
+    def refuse(*args):
+        raise AssertionError("train re-read its checkpoint")
+
+    monkeypatch.setattr(model, "load_checkpoint", refuse)
+    monkeypatch.setattr(model, "restore_params", refuse)
+    assert run_cli("train", "--config", str(corpus / "config.cfg"), "--out", str(out),
+                   "--set", "hp.max_epochs=2") == 0
+    for name in ("checkpoint.bin", "epochs.csv", "metrics.json"):
+        assert (out / name).is_file(), name
+
+
 def test_run_directories_hold_no_temporary_files(trained_dir, synth_dir, tmp_path):
     assert sorted(p.name for p in trained_dir.iterdir()) == [
         "checkpoint.bin", "epochs.csv", "metrics.json"]
@@ -250,7 +266,8 @@ def test_train_epoch_csv_structure(trained_dir):
 
 
 def test_train_epoch_csv_columns(trained_dir):
-    rows = list(csv.DictReader((trained_dir / "epochs.csv").open()))
+    with (trained_dir / "epochs.csv").open(newline="") as fh:
+        rows = list(csv.DictReader(fh))
     assert list(rows[0]) == ["epoch", "train_loss", "grad_norm", "val_accuracy",
                              "val_precision_pos", "val_recall_pos", "val_f1_pos",
                              "val_precision_macro", "val_recall_macro", "val_f1_macro",

@@ -296,7 +296,23 @@ def test_load_embeddings_rejects_non_finite_values(tmp_path, embedding_block, va
 def test_load_embeddings_word2vec_header_fails_at_line_2(tmp_path):
     path = tmp_path / "emb.txt"
     _write_lines(path, ["2 3", "a 1 2 3", "b 4 5 6"])
-    with pytest.raises(data.DatasetFormatError, match=r"emb\.txt:2: expected 1 values"):
+    with pytest.raises(data.DatasetFormatError, match=r"emb\.txt:2: expected 1 values, found 3; "
+                       r"line 1 looks like a word2vec 'count dim' header"):
+        data.load_embeddings(path, _vocab_of("ab"))
+
+
+@pytest.mark.parametrize("lines, message", [
+    (["a 1 2 ", "b 3 4 "], "1: non-numeric value"),  # every line: an empty last value
+    (["zz 1 2 ", "b 3 4 "], "2: non-numeric value"),  # the first vocabulary row is at fault
+    (["a 1 2", "b 3 4 "], "2: expected 2 values, found 3"),  # one line: a width error
+], ids=["every-line", "first-kept-row", "one-line"])
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+def test_load_embeddings_names_a_trailing_space(tmp_path, embedding_block, lines, message,
+                                                newline):
+    path = tmp_path / "emb.txt"
+    _write_lines(path, lines, newline)
+    with pytest.raises(data.DatasetFormatError,
+                       match=rf"emb\.txt:{message} \(a trailing space follows the last value\)$"):
         data.load_embeddings(path, _vocab_of("ab"))
 
 
