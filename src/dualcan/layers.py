@@ -152,8 +152,43 @@ class CoAttentionOutput:
     attn_secondary: np.ndarray        # [B x E]
 
 
+@dataclass
+class StepPlan:
+    """The step-independent set-up of a recurrence over T [in x B] columns,
+    built from its keep rows by :func:`step_plan`.
+
+    At step t, ``widths[t]`` columns advance: ``cols[t]``, a slice where they
+    are a prefix (no column advances after one that does not) and an index
+    array otherwise. Their inputs are packed columns ``start[t]`` ..
+    ``start[t + 1] - 1`` of ``x``, the [in x R] inputs of all R column-steps
+    in position order, R = ``start[-1]``. The plan does not depend on the
+    direction, so both directions of a :func:`bigru` share one.
+    """
+
+    widths: list
+    cols: list
+    start: list
+    x: np.ndarray
+
+
+def _packed_input(columns: list, cols: list) -> np.ndarray:
+    """The advancing columns of every step side by side, in position order."""
+    return np.concatenate([col.data[:, c] for col, c in zip(columns, cols)], axis=1)
+
+
+def step_plan(columns: list, keep: list) -> StepPlan:
+    """The :class:`StepPlan` of a recurrence over ``columns`` whose column b
+    advances at step t where ``keep[t]`` [1 x B] is nonzero."""
+    moves = np.concatenate([kt.data for kt in keep]) != 0.0               # [T x B]
+    widths = moves.sum(axis=1).tolist()
+    gaps = (moves[:, 1:] > moves[:, :-1]).any(axis=1).tolist()
+    cols = [np.flatnonzero(row) if gap else slice(0, w)
+            for row, w, gap in zip(moves, widths, gaps)]
+    return StepPlan(widths, cols, [0, *accumulate(widths)], _packed_input(columns, cols))
+
+
 def gru_sequence(columns: list, p: GruParams, keep: list, reverse: bool = False, *,
-                 out: np.ndarray) -> Tensor:
+                 out: np.ndarray, plan: StepPlan | None = None) -> Tensor:
     """Run a GRU over a list of T [in x B] columns from a zero initial state.
 
     Returns the states after every position as one [h x T*B] tensor, in
@@ -182,13 +217,18 @@ def gru_sequence(columns: list, p: GruParams, keep: list, reverse: bool = False,
 
     ``out`` is a C-contiguous [h x T*B] array that the states are written
     into and that becomes the output's data (:func:`bigru` passes each
-    direction one half of its buffer).
+    direction one half of its buffer). ``plan`` is the :class:`StepPlan`
+    that :func:`step_plan` builds from these same ``columns`` and ``keep``:
+    each step's advancing columns, their packed offsets and the packed
+    [in x R] input. Without one, the call builds it; :func:`bigru` builds it
+    once for both directions.
 
-    The node saves only the gates, the candidates and its own output.
-    Backpropagation rebuilds the packed input, the stacked weights and the
-    state before each column-step from the parents and the output, and
-    computes the step-independent factors of the gate gradients once over
-    all column-steps, so each BPTT step is a few products.
+    The node saves only the gates, the candidates and its own output, not
+    the plan's packed input. Backpropagation rebuilds the packed input, the
+    stacked weights and the state before each column-step from the parents
+    and the output, and computes the step-independent factors of the gate
+    gradients once over all column-steps, so each BPTT step is a few
+    products.
     """
     if not columns:
         raise ShapeError("gru_sequence over an empty sequence")
@@ -203,32 +243,28 @@ def gru_sequence(columns: list, p: GruParams, keep: list, reverse: bool = False,
     if out.shape != (h, n * batch) or not out.flags.c_contiguous:
         raise ShapeError(f"gru_sequence out must be a C-contiguous ({h}, {n * batch}) array, "
                          f"got shape {out.shape}")
+    if plan is None:
+        plan = step_plan(columns, keep)
+    # backward keeps these lists but not the plan, so not its packed input
+    widths, cols, start = plan.widths, plan.cols, plan.start
     weights = tuple(p.named().values())   # reset, update, cand: w, u, b each
-    moves = np.concatenate([kt.data for kt in keep]) != 0.0               # [T x B]
-    widths = moves.sum(axis=1).tolist()
-    # cols[t]: the columns that advance at step t, a slice where they are a
-    # prefix (no column advances after one that does not); they are packed
-    # columns start[t] .. start[t + 1] - 1
-    gaps = (moves[:, 1:] > moves[:, :-1]).any(axis=1).tolist()
-    cols = [np.flatnonzero(row) if gap else slice(0, w)
-            for row, w, gap in zip(moves, widths, gaps)]
-    start = [0, *accumulate(widths)]
 
     # backward rebuilds these from the parents instead of keeping them
     def stacked(*tensors):
         return np.concatenate([t.data for t in tensors])
 
-    def packed_x():
-        return np.concatenate([col.data[:, c] for col, c in zip(columns, cols)],
-                              axis=1)                                     # [in x R]
-
-    # the reset and update rows negated, once: exp of the negated
-    # pre-activation then needs no per-step negation, and as negation is
-    # exact and rounding sign-symmetric it is the same number
-    x_gates = np.concatenate([-p.w_reset.data, -p.w_update.data, p.w_cand.data]) \
-        @ packed_x()                                                      # [3h x R]
-    x_gates += np.concatenate([-p.b_reset.data, -p.b_update.data, p.b_cand.data])
-    neg_u_rz = -stacked(p.u_reset, p.u_update)                            # [2h x h]
+    # the reset and update rows negated, once, in the fresh stacked copies:
+    # exp of the negated pre-activation then needs no per-step negation, and
+    # as negation is exact and rounding sign-symmetric it is the same number
+    w_x = stacked(p.w_reset, p.w_update, p.w_cand)                        # [3h x in]
+    b_x = stacked(p.b_reset, p.b_update, p.b_cand)                        # [3h x 1]
+    neg_u_rz = stacked(p.u_reset, p.u_update)                             # [2h x h]
+    w_x[:2 * h] *= -1.0
+    b_x[:2 * h] *= -1.0
+    neg_u_rz *= -1.0
+    x_gates = w_x @ plan.x                                                # [3h x R]
+    x_gates += b_x
+    del w_x, b_x   # not held through the steps
     x_rz, x_c, u_c = x_gates[:2 * h], x_gates[2 * h:], p.u_cand.data
     order = range(n - 1, -1, -1) if reverse else range(n)
     # kept per step that advances a column, in run order: both gates and the
@@ -293,7 +329,7 @@ def gru_sequence(columns: list, p: GruParams, keep: list, reverse: bool = False,
             carry[:, cols[t]] = d_state - d_state * z[:, packed] + d_rs * r[:, packed] \
                 + u_rz_t @ d_pre[:2 * h, packed]
         del f_cand, f_reset, f_update   # before the products below allocate theirs
-        d_w = d_pre @ packed_x().T                                         # [3h x in]
+        d_w = d_pre @ _packed_input(columns, cols).T                      # [3h x in]
         d_u = np.concatenate([d_pre[:2 * h] @ prev.T,
                               d_pre[2 * h:] @ (r * prev).T])               # [3h x h]
         d_b = d_pre.sum(axis=1, keepdims=True)                             # [3h x 1]
@@ -319,7 +355,10 @@ def bigru(columns: list, p_fwd: GruParams, p_bwd: GruParams, mask) -> Tensor:
     carried states, and each step packs only the columns that advance: a
     False position costs no cell, also between two True ones.
 
-    Each direction writes its states straight into its half of one
+    The step plan (:func:`step_plan`: each step's advancing columns, their
+    packed offsets and the packed [in x R] input) does not depend on the
+    direction, so it is built once and passed to both; neither node keeps
+    it. Each direction writes its states straight into its half of one
     [2h x T*B] buffer, so the stacked output is no second copy of them; the
     one node on top only splits the gradient between the halves.
     """
@@ -329,10 +368,13 @@ def bigru(columns: list, p_fwd: GruParams, p_bwd: GruParams, mask) -> Tensor:
     mask = np.asarray(mask, dtype=bool)
     if mask.shape != (batch, n):
         raise ShapeError(f"bigru mask must be [B x T] = [{batch} x {n}], got shape {mask.shape}")
+    if any(col.data.shape != columns[0].data.shape for col in columns):
+        raise ShapeError("bigru columns must all have one [in x B] shape")
     keep = split_cols(Tensor(mask.T.reshape(1, -1)), n)                  # T of [1 x B]
+    plan = step_plan(columns, keep)
     states = np.empty((2 * h, n * batch))
-    fwd = gru_sequence(columns, p_fwd, keep, out=states[:h])
-    bwd = gru_sequence(columns, p_bwd, keep, reverse=True, out=states[h:])
+    fwd = gru_sequence(columns, p_fwd, keep, out=states[:h], plan=plan)
+    bwd = gru_sequence(columns, p_bwd, keep, reverse=True, out=states[h:], plan=plan)
 
     def backward(g):
         fwd.grad += g[:h]

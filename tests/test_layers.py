@@ -3,9 +3,11 @@ import tracemalloc
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dualcan import autodiff as ad
-from dualcan import layers
+from dualcan import layers, model
 
 from oracles import (
     bigru_loops,
@@ -471,6 +473,125 @@ def test_bigru_mask_equals_explicit_keep_rows_bit_for_bit(rng, case):
                             lambda run: _weighted_sum(run(columns, pf, pb, mask), weights))
     for from_mask, from_keep_rows in zip(*grads):
         npt.assert_array_equal(from_mask, from_keep_rows)
+
+
+def test_bigru_rejects_columns_of_different_shapes(rng):
+    pf, pb = make_gru(2, 2), make_gru(2, 2)
+    mask = np.array([[True, False], [False, True], [True, True]])       # B = 3, T = 2
+    for second in (np.zeros((3, 3)), np.zeros((2, 2))):                  # rows, then batch
+        columns = [ad.Tensor(rng.uniform(-1, 1, (2, 3))), ad.Tensor(second)]
+        with pytest.raises(ad.ShapeError, match="bigru columns must all have one"):
+            layers.bigru(columns, pf, pb, mask)
+
+
+def bigru_memory_inputs(rng):
+    """Two directions at h = 32 over 10 steps of 24 length-sorted input
+    columns of 24 rows that require grad, and the mask."""
+    h, d, batch, steps = 32, 24, 24, 10
+    pf, pb = make_gru(d, h, seed=71), make_gru(d, h, seed=72)
+    lengths = np.sort(rng.integers(1, steps + 1, batch))[::-1]
+    mask = np.arange(steps) < lengths[:, None]                            # [B x T]
+    columns = [ad.Tensor(rng.uniform(-1, 1, (d, batch)), requires_grad=True)
+               for _ in range(steps)]
+    return columns, pf, pb, mask
+
+
+def traced_bigru(columns, pf, pb, mask, graph):
+    """``bigru``'s output and the bytes held after it returns, under ``graph``
+    when one is given."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        if graph is None:
+            out = layers.bigru(columns, pf, pb, mask)
+        else:
+            with graph:
+                out = layers.bigru(columns, pf, pb, mask)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    return out, held
+
+
+def test_bigru_nodes_hold_only_gates_candidates_and_states(rng):
+    columns, pf, pb, mask = bigru_memory_inputs(rng)
+    out, held = traced_bigru(columns, pf, pb, mask, ad.Graph())
+    live = int(mask.sum())
+    # the [2h x T*B] output and each direction's gates [2h x R] and candidates
+    # [h x R]; the shared plan's packed input [24 x R] alone would add over
+    # 16 KB
+    stored = out.data.nbytes + 2 * 3 * 32 * live * 8
+    assert 24 * live * 8 > 16_384
+    assert stored <= held <= stored + 16_384, (held, stored)
+
+
+def test_bigru_without_a_graph_holds_only_its_output(rng):
+    columns, pf, pb, mask = bigru_memory_inputs(rng)
+    out, held = traced_bigru(columns, pf, pb, mask, None)
+    assert out.data.nbytes <= held <= out.data.nbytes + 1024, (held, out.data.nbytes)
+
+
+def check_step_plan(rng, mask):
+    """The plan of ``mask`` [B x T] against the mask itself, and
+    ``gru_sequence`` given it against ``gru_sequence`` without one, bit for
+    bit in both directions, output and every gradient."""
+    batch, steps = mask.shape
+    columns = [ad.Tensor(rng.uniform(-1, 1, (3, batch)), requires_grad=True)
+               for _ in range(steps)]
+    keep = keep_rows(mask)
+    plan = layers.step_plan(columns, keep)
+    moving = [np.flatnonzero(mask[:, t]) for t in range(steps)]
+    assert plan.widths == [m.size for m in moving]
+    for c, m in zip(plan.cols, moving):
+        assert isinstance(c, slice) == np.array_equal(m, np.arange(m.size))
+        npt.assert_array_equal(np.arange(batch)[c], m)
+    assert plan.start == [0, *np.cumsum(plan.widths).tolist()]
+    npt.assert_array_equal(plan.x, np.concatenate(
+        [col.data[:, m] for col, m in zip(columns, moving)], axis=1))
+
+    p = make_gru(3, 4, seed=73)
+    weights = rng.uniform(-1, 1, (4, steps * batch))
+    tensors = list(p.named().values()) + columns
+
+    def given_plan(columns, p, keep, reverse):
+        return layers.gru_sequence(columns, p, keep, reverse, out=gru_out(columns, p),
+                                   plan=layers.step_plan(columns, keep))
+
+    for reverse in (False, True):
+        npt.assert_array_equal(given_plan(columns, p, keep, reverse).data,
+                               fused_gru(columns, p, keep, reverse).data)
+        grads = _tape_gradients(
+            (given_plan, fused_gru), tensors,
+            lambda run: _weighted_sum(run(columns, p, keep, reverse), weights))
+        for with_plan, without in zip(*grads):
+            npt.assert_array_equal(with_plan, without)
+
+
+@pytest.mark.parametrize("case", PACKED_KEEPS)
+def test_step_plan_of_packed_keeps(rng, case):
+    check_step_plan(rng, np.array(PACKED_KEEPS[case], dtype=bool))
+
+
+@settings(max_examples=60, deadline=None)
+@given(mask=st.integers(1, 6).flatmap(lambda batch: st.lists(
+    st.lists(st.booleans(), min_size=batch, max_size=batch), min_size=1, max_size=6)))
+def test_step_plan_of_drawn_masks(mask):
+    # drawn [T x B] rows: holes, idle steps and unsorted rows all occur
+    check_step_plan(np.random.default_rng(len(mask)), np.array(mask, dtype=bool).T)
+
+
+def test_encode_samples_builds_one_step_plan_per_bigru(tiny_setup, monkeypatch):
+    hp, params, _, emb, samples = tiny_setup
+    built = []
+    real = layers.step_plan
+
+    def counting(columns, keep):
+        built.append(len(columns))
+        return real(columns, keep)
+
+    monkeypatch.setattr(layers, "step_plan", counting)
+    model.encode_samples(samples, params, emb, hp)
+    assert len(built) == 4     # one per bigru: 3 word-level sources, 1 sentence level
 
 
 def test_gru_sequence_rejects_an_out_of_the_wrong_shape(rng):
