@@ -188,7 +188,7 @@ def step_plan(columns: list, keep: list) -> StepPlan:
 
 
 def gru_sequence(columns: list, p: GruParams, keep: list, reverse: bool = False, *,
-                 out: np.ndarray, plan: StepPlan | None = None) -> Tensor:
+                 out: np.ndarray, plan: StepPlan) -> Tensor:
     """Run a GRU over a list of T [in x B] columns from a zero initial state.
 
     Returns the states after every position as one [h x T*B] tensor, in
@@ -220,8 +220,7 @@ def gru_sequence(columns: list, p: GruParams, keep: list, reverse: bool = False,
     direction one half of its buffer). ``plan`` is the :class:`StepPlan`
     that :func:`step_plan` builds from these same ``columns`` and ``keep``:
     each step's advancing columns, their packed offsets and the packed
-    [in x R] input. Without one, the call builds it; :func:`bigru` builds it
-    once for both directions.
+    [in x R] input; :func:`bigru` builds it once for both directions.
 
     The node saves only the gates, the candidates and its own output, not
     the plan's packed input. Backpropagation rebuilds the packed input, the
@@ -243,8 +242,10 @@ def gru_sequence(columns: list, p: GruParams, keep: list, reverse: bool = False,
     if out.shape != (h, n * batch) or not out.flags.c_contiguous:
         raise ShapeError(f"gru_sequence out must be a C-contiguous ({h}, {n * batch}) array, "
                          f"got shape {out.shape}")
-    if plan is None:
-        plan = step_plan(columns, keep)
+    if len(plan.widths) != n or plan.x.shape != (p.input_size, plan.start[-1]):
+        raise ShapeError(f"gru_sequence plan must cover {n} steps of {p.input_size}-row "
+                         f"columns, got {len(plan.widths)} steps and a packed input of "
+                         f"shape {plan.x.shape}")
     # backward keeps these lists but not the plan, so not its packed input
     widths, cols, start = plan.widths, plan.cols, plan.start
     weights = tuple(p.named().values())   # reset, update, cand: w, u, b each

@@ -135,17 +135,12 @@ def collect() -> dict:
         return {**_benchmark_digests(Path(tmp)), **_artifact_digests(Path(tmp) / "cli")}
 
 
-def extract(rev: str, dest) -> None:
-    """Write the files committed at git revision ``rev`` into directory ``dest``."""
-    archive = subprocess.run(["git", "-C", str(CHECKOUT), "archive", rev],
-                             check=True, stdout=subprocess.PIPE).stdout
-    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
-
-
 def digests_at(rev: str) -> dict:
     """:func:`collect` run by this script on the files committed at ``rev``."""
     with tempfile.TemporaryDirectory() as tmp:
-        extract(rev, tmp)
+        archive = subprocess.run(["git", "-C", str(CHECKOUT), "archive", rev],
+                                 check=True, stdout=subprocess.PIPE).stdout
+        subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
         script = Path(tmp) / "tests" / "digest.py"
         script.parent.mkdir(exist_ok=True)
         script.write_bytes(Path(__file__).read_bytes())

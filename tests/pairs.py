@@ -3,8 +3,8 @@
     python tests/pairs.py --against HEAD --workloads eval-synth --pairs 10
     python tests/pairs.py --against HEAD --workloads train-synth,train-paper --pairs 5 --seconds 15
 
-Extracts the files committed at REV into a temporary directory, as
-``tests/digest.py --against`` does, and runs the benchmark's command from
+Extracts the files committed at REV into a temporary directory with
+``git archive``, as ``tests/digest.py --against`` does, and runs the benchmark's command from
 ``BENCHMARK.json`` (``perfbench/run.py``) with ``--trace 0`` there and in this
 checkout, one after the other. Pair i runs both sides with seed i and the
 same ``--seconds`` (default: the file's ``run_seconds``); REV runs first in
@@ -16,8 +16,8 @@ prints REV's median and quartiles, this checkout's median, their ratio, and
 this checkout's wins out of N pairs in the metric's ``better`` direction
 (a tie counts for neither side), then each side's failed and attempted
 operations. It exits 1 if any run is not ``correct``. The quartiles are
-``statistics.quantiles(n=4, method="inclusive")``, which stay within the
-runs' range.
+``statistics.quantiles(n=4)``, the default exclusive method, as in
+``perfbench/spread.py``.
 """
 
 from __future__ import annotations
@@ -31,10 +31,13 @@ import tempfile
 from pathlib import Path
 
 CHECKOUT = Path(__file__).resolve().parent.parent
-if __name__ == "__main__":   # tests/digest.py imports the package from src/
-    sys.path[:0] = [str(CHECKOUT / "src")]
 
-from digest import extract  # noqa: E402
+
+def extract(rev: str, dest) -> None:
+    """Write the files committed at git revision ``rev`` into directory ``dest``."""
+    archive = subprocess.run(["git", "-C", str(CHECKOUT), "archive", rev],
+                             check=True, stdout=subprocess.PIPE).stdout
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
 
 
 def run_once(root: Path, command: list, workload: str, seed: int, seconds: float) -> dict:
@@ -59,8 +62,7 @@ def summary(metrics: list, pairs: list) -> list:
         parent = [p["metrics"][name]["value"] for p, _ in pairs]
         change = [c["metrics"][name]["value"] for _, c in pairs]
         p_med, c_med = statistics.median(parent), statistics.median(change)
-        q1, _, q3 = statistics.quantiles(parent, n=4, method="inclusive") \
-            if len(parent) > 1 else (p_med,) * 3
+        q1, _, q3 = statistics.quantiles(parent, n=4) if len(parent) > 1 else (p_med,) * 3
         sign = 1 if m["better"] == "higher" else -1
         wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
         ratio = f"{c_med / p_med:7.3f}" if p_med else f"{'-':>7s}"

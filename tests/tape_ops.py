@@ -5,8 +5,8 @@ package keeps only those and ``gather_cols``. The ops here compose the tape
 references that the fused layers are checked against (``matmul``, ``add``,
 ``concat``, ``tanh``, ``softmax_rows`` and the rest), and :func:`grad_check`
 compares a tape's gradients with central differences. :func:`gru_out` and
-:func:`unpadded` state the ``keep`` and ``out`` that ``gru_sequence``
-requires.
+:func:`unpadded` state the ``keep``, ``out`` and ``plan`` that
+``gru_sequence`` requires.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from dualcan.autodiff import (
     masked_softmax,
     softmax_backward,
 )
+from dualcan.layers import step_plan
 
 
 def zero_grad(t: Tensor) -> None:
@@ -41,10 +42,11 @@ def gru_out(columns: list, p) -> np.ndarray:
 
 
 def unpadded(columns: list, p) -> dict:
-    """``gru_sequence``'s ``keep`` and ``out`` for columns with no padding:
-    T all-ones [1 x B] keep rows and a fresh output buffer."""
-    return {"keep": [Tensor(np.ones((1, columns[0].shape[1]))) for _ in columns],
-            "out": gru_out(columns, p)}
+    """``gru_sequence``'s ``keep``, ``out`` and ``plan`` for columns with no
+    padding: T all-ones [1 x B] keep rows, a fresh output buffer and their
+    step plan."""
+    keep = [Tensor(np.ones((1, columns[0].shape[1]))) for _ in columns]
+    return {"keep": keep, "out": gru_out(columns, p), "plan": step_plan(columns, keep)}
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:

@@ -61,8 +61,10 @@ def gru_sequence_reference(columns, p, keep, reverse=False):
 
 
 def fused_gru(columns, p, keep, reverse=False):
-    """``layers.gru_sequence`` into a fresh output buffer."""
-    return layers.gru_sequence(columns, p, keep, reverse, out=gru_out(columns, p))
+    """``layers.gru_sequence`` into a fresh output buffer, with the step plan
+    of ``columns`` and ``keep``."""
+    return layers.gru_sequence(columns, p, keep, reverse, out=gru_out(columns, p),
+                               plan=layers.step_plan(columns, keep))
 
 
 def columns_of(seq):
@@ -533,8 +535,8 @@ def test_bigru_without_a_graph_holds_only_its_output(rng):
 
 def check_step_plan(rng, mask):
     """The plan of ``mask`` [B x T] against the mask itself, and
-    ``gru_sequence`` given it against ``gru_sequence`` without one, bit for
-    bit in both directions, output and every gradient."""
+    ``gru_sequence`` given it against the plain step loop, bit for bit, and
+    its gradients against the tape reference, in both directions."""
     batch, steps = mask.shape
     columns = [ad.Tensor(rng.uniform(-1, 1, (3, batch)), requires_grad=True)
                for _ in range(steps)]
@@ -552,19 +554,14 @@ def check_step_plan(rng, mask):
     p = make_gru(3, 4, seed=73)
     weights = rng.uniform(-1, 1, (4, steps * batch))
     tensors = list(p.named().values()) + columns
-
-    def given_plan(columns, p, keep, reverse):
-        return layers.gru_sequence(columns, p, keep, reverse, out=gru_out(columns, p),
-                                   plan=layers.step_plan(columns, keep))
-
     for reverse in (False, True):
-        npt.assert_array_equal(given_plan(columns, p, keep, reverse).data,
-                               fused_gru(columns, p, keep, reverse).data)
+        npt.assert_array_equal(fused_gru(columns, p, keep, reverse).data,
+                               gru_sequence_steps(columns, p, keep, reverse))
         grads = _tape_gradients(
-            (given_plan, fused_gru), tensors,
+            (fused_gru, gru_sequence_reference), tensors,
             lambda run: _weighted_sum(run(columns, p, keep, reverse), weights))
-        for with_plan, without in zip(*grads):
-            npt.assert_array_equal(with_plan, without)
+        for fused_grad, reference_grad in zip(*grads):
+            npt.assert_allclose(fused_grad, reference_grad, rtol=0, atol=1e-10)
 
 
 @pytest.mark.parametrize("case", PACKED_KEEPS)
@@ -599,7 +596,16 @@ def test_gru_sequence_rejects_an_out_of_the_wrong_shape(rng):
     columns = columns_of(rng.uniform(-1, 1, (2, 4)))
     for out in (np.empty((3, 5)), np.empty((4, 3)).T):
         with pytest.raises(ad.ShapeError, match="out must be a C-contiguous"):
-            layers.gru_sequence(columns, p, unpadded(columns, p)["keep"], out=out)
+            layers.gru_sequence(columns, p, **{**unpadded(columns, p), "out": out})
+
+
+def test_gru_sequence_rejects_the_plan_of_other_columns(rng):
+    p = make_gru(2, 3)
+    columns = columns_of(rng.uniform(-1, 1, (2, 4)))
+    for other in (columns[:3], columns_of(rng.uniform(-1, 1, (5, 4)))):   # steps, then rows
+        with pytest.raises(ad.ShapeError, match="plan must cover 4 steps of 2-row"):
+            layers.gru_sequence(columns, p, **{**unpadded(columns, p),
+                                               "plan": unpadded(other, p)["plan"]})
 
 
 def test_gru_hidden_stays_in_unit_interval(rng):

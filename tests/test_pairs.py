@@ -22,12 +22,12 @@ def test_summary_reports_medians_quartiles_ratio_and_wins():
     lines = pairs.summary(METRICS, list(zip(parent, change)))
     assert lines[0].split() == ["metric", "parent", "median", "[q1,", "q3]", "change",
                                 "ratio", "wins"]
-    # parent 1.6 2.0 2.0 2.2 2.4: median 2.0, quartiles 2.0 and 2.2; change
-    # median 2.1; lower wins in pairs 1, 3 and 4, pair 2 ties
-    assert lines[1].split() == ["explain_ms.p50", "2", "[", "2,", "2.2]", "2.1", "1.050", "3/5"]
+    # parent 1.6 2.0 2.0 2.2 2.4: median 2.0, exclusive quartiles 1.8 and
+    # 2.3; change median 2.1; lower wins in pairs 1, 3 and 4, pair 2 ties
+    assert lines[1].split() == ["explain_ms.p50", "2", "[", "1.8,", "2.3]", "2.1", "1.050", "3/5"]
     # higher is better: 101 > 100 and 96 > 95 win, 90 = 90 ties
-    assert lines[2].split() == ["eval_samples_per_s", "100", "[", "95,", "105]", "100", "1.000",
-                                "2/5"]
+    assert lines[2].split() == ["eval_samples_per_s", "100", "[", "92.5,", "107.5]", "100",
+                                "1.000", "2/5"]
     assert lines[3] == "parent: 0 failed of 500 attempted operations, 5 of 5 runs correct"
     assert lines[4] == "change: 1 failed of 500 attempted operations, 4 of 5 runs correct"
 
