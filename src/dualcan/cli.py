@@ -16,6 +16,8 @@ import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
+import numpy as np
+
 from . import data as data_mod
 from . import interpret, model
 from .autodiff import DegenerateMaskError, NonFiniteError, ShapeError
@@ -245,10 +247,10 @@ def _load_for_eval(args):
     elif args.out:
         _check_out(args.out, is_dir=False)
     _require_file(args.checkpoint, "checkpoint")
+    config.validate_paths()
     hp, values = model.load_checkpoint(args.checkpoint)
     params = model.restore_params(hp, values)
     config.hp = hp
-    config.validate_paths()
     prepared = prepare_data(config, hp)
     return hp, params, config, prepared
 
@@ -386,7 +388,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        # a saturated GRU gate overflows exp to inf, and 1 / (1 + inf) is its
+        # exact limit 0, so an overflow alone is no fault to report
+        with np.errstate(over="ignore"):
+            return _COMMANDS[args.command](args)
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1

@@ -17,6 +17,7 @@ from __future__ import annotations
 import ctypes
 import io
 import math
+import os
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -187,7 +188,10 @@ class FlatParams:
         self._named = dict(named)
         sizes = [t.size for t in self._named.values()]
         self._spans = [(stop - size, stop) for size, stop in zip(sizes, np.cumsum(sizes).tolist())]
-        self.values = np.concatenate([t.data.reshape(-1) for t in self._named.values()])
+        arrays = [t.data for t in self._named.values()]
+        self.values = _tiled_vector(arrays)
+        if self.values is None:
+            self.values = np.concatenate([a.reshape(-1) for a in arrays], dtype=np.float64)
         self.grads = None
         for t, (start, stop) in zip(self._named.values(), self._spans):
             t.data = self.values[start:stop].reshape(t.shape)
@@ -224,17 +228,39 @@ class FlatParams:
     def load_values(self, values: dict) -> None:
         """Write ``values`` (name -> array) into the tensors in place; every
         name and shape is checked before anything is written."""
-        missing = set(self._named) - set(values)
-        extra = set(values) - set(self._named)
-        if missing or extra:
-            raise CheckpointError(
-                f"parameter names do not match (missing {sorted(missing)}, extra {sorted(extra)})")
-        for name, t in self._named.items():
-            if t.shape != values[name].shape:
-                raise CheckpointError(
-                    f"parameter {name}: shape {values[name].shape} != expected {t.shape}")
+        _check_values(self._named, values)
         for name, t in self._named.items():
             t.data[...] = values[name]
+
+
+def _check_values(named: dict, values: dict) -> None:
+    """Raise CheckpointError unless ``values`` has exactly the names of the
+    ``named`` tensors, each with its tensor's shape."""
+    missing = set(named) - set(values)
+    extra = set(values) - set(named)
+    if missing or extra:
+        raise CheckpointError(
+            f"parameter names do not match (missing {sorted(missing)}, extra {sorted(extra)})")
+    for name, t in named.items():
+        if t.shape != values[name].shape:
+            raise CheckpointError(
+                f"parameter {name}: shape {values[name].shape} != expected {t.shape}")
+
+
+def _tiled_vector(arrays: list) -> np.ndarray | None:
+    """The writeable native float64 vector that ``arrays`` cover exactly,
+    back to back in order, as C-contiguous views; None if they tile none."""
+    base = arrays[0].base if arrays else None
+    if not (isinstance(base, np.ndarray) and base.ndim == 1 and base.dtype == np.float64
+            and base.flags.c_contiguous and base.flags.writeable):
+        return None
+    address = base.ctypes.data
+    for a in arrays:
+        if a.base is not base or a.dtype != np.float64 or not a.flags.c_contiguous \
+                or a.ctypes.data != address:
+            return None
+        address += a.nbytes
+    return base if address == base.ctypes.data + base.nbytes else None
 
 
 class ModelParams(FlatParams):
@@ -242,10 +268,12 @@ class ModelParams(FlatParams):
 
     Word embeddings are deliberately not part of the parameter set: they are
     frozen lookup tables owned by the data pipeline. Without an ``rng`` the
-    weights are zeros, a layout to load values into.
+    weights are zero views, a layout that ``values`` (name -> array, checked
+    against it) then fill; see :func:`restore_params`.
     """
 
-    def __init__(self, hp: HyperParams, rng: np.random.Generator | None):
+    def __init__(self, hp: HyperParams, rng: np.random.Generator | None,
+                 values: dict | None = None):
         h = hp.hidden_size
         d = hp.embedding_dim
         self.news_encoder = EncoderParams.create(d, h, rng)
@@ -260,7 +288,7 @@ class ModelParams(FlatParams):
         self.head_b1 = layers.zeros_init(q, 1)
         self.head_w2 = layers.uniform_init(2, q, rng)
         self.head_b2 = layers.zeros_init(2, 1)
-        super().__init__({
+        named = {
             **self.news_encoder.named("news.word"),
             **self.entity_encoder.named("entity.word"),
             **self.comment_encoder.named("comment.word"),
@@ -269,7 +297,12 @@ class ModelParams(FlatParams):
                          "coattn.comment": self.comment_coattn}),
             "head.w1": self.head_w1, "head.b1": self.head_b1,
             "head.w2": self.head_w2, "head.b2": self.head_b2,
-        })
+        }
+        if values is not None:
+            _check_values(named, values)
+            for name, t in named.items():
+                t.data = values[name]
+        super().__init__(named)
 
     @staticmethod
     def create(hp: HyperParams) -> "ModelParams":
@@ -690,31 +723,37 @@ def load_checkpoint(path):
     """Read a checkpoint back; returns (hp, values dict name -> array).
 
     The round trip is bit-exact: arrays compare equal to what was saved.
-    Anything malformed raises CheckpointError: the tensors must have unique
-    names and lie back to back from offset 0 in header order, filling the
-    payload exactly, and hold finite values only. A file that cannot be read
-    raises CheckpointError too.
+    The payload is read once, into one float64 vector; the arrays are views
+    of it in header order, so :func:`restore_params` can take it as is.
+    Anything malformed raises CheckpointError: a file whose first line is
+    not the magic line is refused after that line; the tensors must have
+    unique names and lie back to back from offset 0 in header order, filling
+    the payload exactly, and hold finite values only. A file that cannot be
+    read raises CheckpointError too.
     """
     try:
         with open(path, "rb") as fh:
-            raw = fh.read()
+            return _read_checkpoint(fh)
     except OSError as e:
         raise CheckpointError(f"{path}: cannot read: {e.strerror or e}") from e
-    try:
-        return _parse_checkpoint(raw)
     except ValueError as e:
         raise CheckpointError(f"{path}: {e}") from e
 
 
-def _parse_checkpoint(raw: bytes):
-    if not raw.startswith(_CHECKPOINT_MAGIC.encode() + b"\n"):
+def _read_checkpoint(fh):
+    magic = _CHECKPOINT_MAGIC.encode() + b"\n"
+    if fh.readline(len(magic)) != magic:
         raise ValueError("not a recognized checkpoint file")
-    end = raw.find(b"\nend\n")
-    if end < 0:
+    lines = []
+    for line in fh:
+        if line == b"end\n":
+            break
+        lines.append(line)
+    else:
         raise ValueError("truncated header")
     hp_kwargs = {}
     directory = []
-    for line in raw[:end].decode("utf-8").split("\n")[1:]:
+    for line in b"".join(lines).decode("utf-8").split("\n")[:-1]:
         parts = line.split(" ")
         if parts[0] == "hp" and len(parts) == 3 and parts[1] not in hp_kwargs:
             hp_kwargs[parts[1]] = parse_field(HyperParams, parts[1], parts[2])
@@ -730,30 +769,42 @@ def _parse_checkpoint(raw: bytes):
         raise ValueError(f"header missing hyperparameters {sorted(missing)}")
     hp = HyperParams(**hp_kwargs)
     hp.validate()
-    # each tensor is read in place from ``raw`` and copied once
-    base = end + len(b"\nend\n")
-    payload_size = len(raw) - base
-    values = {}
+    payload_size = os.fstat(fh.fileno()).st_size - fh.tell()
+    names = set()
     pos = 0
     for name, shape, offset in directory:
-        if name in values:
+        if name in names:
             raise ValueError(f"tensor {name} listed twice")
         if offset != pos:
             raise ValueError(f"tensor {name} starts at byte {offset}, expected {pos}")
-        count = math.prod(shape)
-        pos += 8 * count
+        names.add(name)
+        pos += 8 * math.prod(shape)
         if pos > payload_size:
             raise ValueError(f"payload truncated for tensor {name}")
-        array = np.frombuffer(raw, dtype="<f8", count=count, offset=base + offset)
-        if not np.isfinite(array).all():
-            raise ValueError(f"tensor {name} holds non-finite values")
-        values[name] = array.reshape(shape).copy()
     if pos != payload_size:
         raise ValueError(f"{payload_size - pos} payload bytes after the last tensor")
+    # one read straight into the vector the restored model keeps
+    flat = np.empty(pos // 8, dtype="<f8")
+    if fh.readinto(flat) != pos:
+        raise ValueError("payload truncated")
+    flat = flat.astype(np.float64, copy=False)
+    values = {}
+    for name, shape, offset in directory:
+        start = offset // 8
+        values[name] = flat[start:start + math.prod(shape)].reshape(shape)
+        if not np.isfinite(values[name]).all():
+            raise ValueError(f"tensor {name} holds non-finite values")
     return hp, values
 
 
 def restore_params(hp: HyperParams, values: dict) -> ModelParams:
-    params = ModelParams(hp, None)
-    params.load_values(values)
-    return params
+    """The model of ``hp`` holding ``values`` (name -> array), with every
+    name and shape checked against its layout; no initialisation is drawn.
+
+    When the arrays tile one writeable float64 vector back to back in
+    ``named()`` order, as those of :func:`load_checkpoint` and
+    :meth:`FlatParams.copy_values` do, the model takes that vector as its
+    ``values``: its tensors share memory with the dict, and a write through
+    either shows in the other. Other arrays are copied into a new vector.
+    """
+    return ModelParams(hp, None, values)

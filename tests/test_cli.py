@@ -476,6 +476,20 @@ def test_out_under_a_file_exits_before_reading_data(synth_dir, trained_dir, tmp_
     assert afile.read_text() == "kept\n"
 
 
+@pytest.mark.parametrize("command", ["eval", "explain"])
+def test_missing_dataset_exits_2_before_reading_the_checkpoint(synth_dir, trained_dir, tmp_path,
+                                                               capsys, monkeypatch, command):
+    missing = tmp_path / "absent.jsonl"
+    monkeypatch.setattr(model, "load_checkpoint", _no_data_read)
+    out = tmp_path / ("metrics.json" if command == "eval" else "explain")
+    assert run_cli(command, "--config", str(synth_dir / "config.cfg"), "--checkpoint",
+                   str(trained_dir / "checkpoint.bin"), "--set", f"dataset={missing}",
+                   "--out", str(out)) == 2
+    assert f"data error: configured dataset path does not exist: {missing}" in \
+        capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, key", [("train", "dataset"), ("eval", "embeddings"),
                                           ("eval", "checkpoint")])
 def test_unreadable_input_exits_2_naming_path(synth_dir, trained_dir, tmp_path, capsys,
@@ -588,6 +602,45 @@ def test_corrupted_inputs_exit_with_a_documented_code(small_corpus, target, edit
         assert "Traceback" not in err.getvalue()
         if code in (1, 2):
             assert not out.exists()
+
+
+@settings(max_examples=25, deadline=None)
+@given(command=st.sampled_from(["eval", "explain"]),
+       edits=st.lists(_CORRUPTION, min_size=1, max_size=4))
+def test_corrupted_checkpoints_exit_0_or_2_and_write_nothing_when_refused(
+        synth_dir, trained_dir, command, edits):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        checkpoint = tmp / "checkpoint.bin"
+        checkpoint.write_bytes(_corrupt((trained_dir / "checkpoint.bin").read_bytes(), edits))
+        # eval writes a metrics file, explain a report directory
+        out = tmp / ("metrics.json" if command == "eval" else "explain")
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = run_cli(command, "--config", str(synth_dir / "config.cfg"),
+                           "--checkpoint", str(checkpoint), "--out", str(out))
+        assert code in (0, 2), err.getvalue()
+        assert "Traceback" not in err.getvalue()
+        if code == 2:
+            assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "explain"])
+def test_saturated_gates_score_without_numpy_warnings(synth_dir, trained_dir, tmp_path,
+                                                      command):
+    # weights of 1e3 drive GRU gates far past where exp overflows
+    hp, values = model.load_checkpoint(trained_dir / "checkpoint.bin")
+    params = model.restore_params(hp, values)
+    params.values *= 1e3
+    model.save_checkpoint(tmp_path / "large.bin", hp, params)
+    out = tmp_path / ("metrics.json" if command == "eval" else "explain")
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(io.StringIO()):
+        warnings.simplefilter("always")
+        assert run_cli(command, "--config", str(synth_dir / "config.cfg"), "--checkpoint",
+                       str(tmp_path / "large.bin"), "--out", str(out)) == 0
+    assert [str(w.message) for w in caught] == []
+    assert out.exists()
 
 
 # ---------------------------------------------------------------------------

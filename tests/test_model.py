@@ -1510,15 +1510,19 @@ def test_restore_params_loads_without_drawing_an_initialisation(tiny_setup, monk
         raise AssertionError("restore_params drew an initialisation")
 
     monkeypatch.setattr(np.random, "default_rng", no_draw)
-    restored = model.restore_params(hp, values)
-    assert_flat_views(restored)
-    assert list(restored.named()) == list(values)
-    for name, tensor in restored.named().items():
-        assert tensor.data.tobytes() == values[name].tobytes(), name
-        assert not np.shares_memory(tensor.data, values[name]), name
+    # a copy_values() dict tiles one vector, which the model takes; a dict
+    # of separate arrays is copied
+    separate = {name: array.copy() for name, array in values.items()}
+    for given, shared in ((values, True), (separate, False)):
+        restored = model.restore_params(hp, given)
+        assert_flat_views(restored)
+        assert list(restored.named()) == list(given)
+        for name, tensor in restored.named().items():
+            assert tensor.data.tobytes() == given[name].tobytes(), name
+            assert np.shares_memory(tensor.data, given[name]) == shared, name
 
 
-def test_load_checkpoint_peaks_at_about_two_payloads(tmp_path):
+def test_load_checkpoint_peaks_at_about_one_payload(tmp_path):
     hp = dataclasses.replace(model.HyperParams(), embedding_dim=48, hidden_size=48)
     params = model.ModelParams.create(hp)
     path = tmp_path / "model.bin"
@@ -1529,11 +1533,51 @@ def test_load_checkpoint_peaks_at_about_two_payloads(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the bytes of the file and one copy of each tensor; no payload slice
-    # and no per-tensor slice of it
-    assert peak <= 2.1 * params.values.nbytes, peak / params.values.nbytes
+    # the payload read once into one vector; no bytes of the whole file and
+    # no per-tensor copy
+    assert peak <= 1.1 * params.values.nbytes, peak / params.values.nbytes
     for name, tensor in params.named().items():
         assert values[name].tobytes() == tensor.data.tobytes(), name
+
+
+def test_restoring_a_loaded_checkpoint_keeps_its_vector(tmp_path):
+    hp = dataclasses.replace(model.HyperParams(), embedding_dim=48, hidden_size=48)
+    params = model.ModelParams.create(hp)
+    path = tmp_path / "model.bin"
+    model.save_checkpoint(path, hp, params)
+    _, values = model.load_checkpoint(path)
+    tracemalloc.start()
+    try:
+        restored = model.restore_params(hp, values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the layout's small zero biases and objects only, no second payload
+    assert peak <= 0.1 * params.values.nbytes, peak / params.values.nbytes
+    assert_flat_views(restored)
+    for name, tensor in restored.named().items():
+        assert np.shares_memory(tensor.data, values[name]), name
+        assert tensor.data.tobytes() == params.named()[name].data.tobytes(), name
+
+
+@pytest.mark.parametrize("line", [b"the 0.418 0.24968 -0.41242 0.1217 0.34527\n", b"x" * 4096],
+                         ids=["embedding-lines", "one-line"])
+def test_load_checkpoint_refuses_a_large_text_file_after_its_first_line(tmp_path, line):
+    path = tmp_path / "embeddings.txt"
+    chunk = line * (2**20 // len(line))
+    with open(path, "wb") as fh:
+        for _ in range(50):
+            fh.write(chunk)
+    assert path.stat().st_size > 49 * 2**20
+    tracemalloc.start()
+    try:
+        with pytest.raises(model.CheckpointError, match="not a recognized checkpoint file"):
+            model.load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        path.unlink()   # pytest keeps the temporary directories of recent runs
+    assert peak < 2**20, peak
 
 
 def test_checkpoint_rejects_garbage(tmp_path):

@@ -21,20 +21,43 @@ def test_summary_reports_medians_quartiles_ratio_and_wins():
               result(2.1, 104.0, failed=1)]
     lines = pairs.summary(METRICS, list(zip(parent, change)))
     assert lines[0].split() == ["metric", "parent", "median", "[q1,", "q3]", "change",
-                                "ratio", "wins"]
+                                "ratio", "wins", "all"]
     # parent 1.6 2.0 2.0 2.2 2.4: median 2.0, exclusive quartiles 1.8 and
     # 2.3; change median 2.1; lower wins in pairs 1, 3 and 4, pair 2 ties
-    assert lines[1].split() == ["explain_ms.p50", "2", "[", "1.8,", "2.3]", "2.1", "1.050", "3/5"]
+    assert lines[1].split() == ["explain_ms.p50", "2", "[", "1.8,", "2.3]", "2.1", "1.050", "3/5",
+                                "no"]
     # higher is better: 101 > 100 and 96 > 95 win, 90 = 90 ties
     assert lines[2].split() == ["eval_samples_per_s", "100", "[", "92.5,", "107.5]", "100",
-                                "1.000", "2/5"]
+                                "1.000", "2/5", "no"]
     assert lines[3] == "parent: 0 failed of 500 attempted operations, 5 of 5 runs correct"
     assert lines[4] == "change: 1 failed of 500 attempted operations, 4 of 5 runs correct"
 
 
 def test_summary_of_one_pair_uses_its_value_as_both_quartiles():
     lines = pairs.summary(METRICS[:1], [(result(2.0, 1.0), result(1.0, 1.0))])
-    assert lines[1].split() == ["explain_ms.p50", "2", "[", "2,", "2]", "1", "0.500", "1/1"]
+    assert lines[1].split() == ["explain_ms.p50", "2", "[", "2,", "2]", "1", "0.500", "1/1",
+                                "yes"]
+
+
+@pytest.mark.parametrize("better, change, verdict", [
+    # lower is better: the change's highest run must read below the parent's lowest
+    ("lower", [140.0, 143.5, 141.0], "yes"),
+    ("lower", [140.0, 144.0, 141.0], "no"),     # ties the parent's lowest run
+    ("lower", [100.0, 150.0, 100.0], "no"),     # wins 2 of 3 pairs, but not every run
+    # higher is better: the change's lowest run must read above the parent's highest
+    ("higher", [152.5, 160.0, 151.5], "yes"),
+    ("higher", [152.5, 160.0, 151.0], "no"),
+])
+def test_summary_says_whether_every_change_run_beat_every_parent_run(better, change, verdict):
+    metric = [{"name": "peak_rss_mb", "unit": "MB", "better": better, "bound": 0.1}]
+    parent = [151.0, 144.0, 148.0]
+
+    def rss(value):
+        return {"correct": True, "failed": 0, "attempted": 1,
+                "metrics": {"peak_rss_mb": {"value": value, "unit": "MB"}}}
+
+    lines = pairs.summary(metric, [(rss(p), rss(c)) for p, c in zip(parent, change)])
+    assert lines[1].split()[-1] == verdict
 
 
 @pytest.mark.parametrize("failed", [0, 1])
