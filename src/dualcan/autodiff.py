@@ -12,7 +12,8 @@ keep their grads. So a graph runs backward once.
 
 Each layer of the model is one hand-written node recorded with
 :func:`fused`, and :func:`gather_cols` is the one structural op beside them;
-:func:`split_cols` cuts a tensor into column views, such as a recurrence's steps.
+:func:`split_cols` cuts a tensor into column views, such as a recurrence's steps,
+and :func:`split_rows` an array into row tensors, such as its keep rows.
 Operations run fine without an active graph (plain forward evaluation); a
 graph is only needed when gradients are wanted:
 
@@ -186,6 +187,13 @@ def split_cols(x: Tensor, parts: int) -> list:
         for part, grad in zip(out, x.grad.reshape(shape).swapaxes(0, 1)):
             part.requires_grad, part.grad = True, grad
     return out
+
+
+def split_rows(data: np.ndarray) -> list:
+    """The rows of a 2-D array as [1 x cols] tensors without grad, recording
+    no node: views into ``data``, not checked for finite values, so for
+    values finite by construction."""
+    return [_wrap(row) for row in data[:, None]]
 
 
 def fused(op: str, data: np.ndarray, parents: tuple, backward_fn) -> Tensor:

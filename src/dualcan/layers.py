@@ -25,7 +25,7 @@ from .autodiff import (
     fused,
     masked_softmax,
     softmax_backward,
-    split_cols,
+    split_rows,
 )
 
 
@@ -155,7 +155,7 @@ class CoAttentionOutput:
 @dataclass
 class StepPlan:
     """The step-independent set-up of a recurrence over T [in x B] columns,
-    built from its keep rows by :func:`step_plan`.
+    built from its boolean mask by :func:`step_plan`.
 
     At step t, ``widths[t]`` columns advance: ``cols[t]``, a slice where they
     are a prefix (no column advances after one that does not) and an index
@@ -176,10 +176,18 @@ def _packed_input(columns: list, cols: list) -> np.ndarray:
     return np.concatenate([col.data[:, c] for col, c in zip(columns, cols)], axis=1)
 
 
-def step_plan(columns: list, keep: list) -> StepPlan:
+def _same_columns(a, b) -> bool:
+    """Whether two entries of :attr:`StepPlan.cols` name the same columns; a
+    prefix slice never names those of an index array."""
+    if type(a) is not type(b):
+        return False
+    return a == b if isinstance(a, slice) else np.array_equal(a, b)
+
+
+def step_plan(columns: list, mask: np.ndarray) -> StepPlan:
     """The :class:`StepPlan` of a recurrence over ``columns`` whose column b
-    advances at step t where ``keep[t]`` [1 x B] is nonzero."""
-    moves = np.concatenate([kt.data for kt in keep]) != 0.0               # [T x B]
+    advances at step t where the boolean ``mask`` [B x T] is True."""
+    moves = mask.T                                                        # [T x B]
     widths = moves.sum(axis=1).tolist()
     gaps = (moves[:, 1:] > moves[:, :-1]).any(axis=1).tolist()
     cols = [np.flatnonzero(row) if gap else slice(0, w)
@@ -215,12 +223,18 @@ def gru_sequence(columns: list, p: GruParams, keep: list, reverse: bool = False,
     number of column-steps, so the weight and input gradients are one
     matmul each over those column-steps only.
 
+    Each step reads the state of its advancing columns as a contiguous
+    array: where they are the columns of the last step that advanced, in run
+    order, that step's new cell, which nothing has changed since; otherwise a
+    copy of them out of the carried state.
+
     ``out`` is a C-contiguous [h x T*B] array that the states are written
     into and that becomes the output's data (:func:`bigru` passes each
     direction one half of its buffer). ``plan`` is the :class:`StepPlan`
-    that :func:`step_plan` builds from these same ``columns`` and ``keep``:
-    each step's advancing columns, their packed offsets and the packed
-    [in x R] input; :func:`bigru` builds it once for both directions.
+    that :func:`step_plan` builds from these same ``columns`` and the mask
+    that ``keep`` holds: each step's advancing columns, their packed offsets
+    and the packed [in x R] input; :func:`bigru` builds it once for both
+    directions.
 
     The node saves only the gates, the candidates and its own output, not
     the plan's packed input. Backpropagation rebuilds the packed input, the
@@ -273,10 +287,14 @@ def gru_sequence(columns: list, p: GruParams, keep: list, reverse: bool = False,
     rz_steps, cand_steps = [], []
     states = out.reshape(h, n, batch)   # a view, as out is C-contiguous
     state = np.zeros((h, batch))
+    last = None   # the last step that advanced, in run order
     for t in order:
         if widths[t]:
             packed = slice(start[t], start[t + 1])
-            s = state[:, cols[t]]
+            if last is not None and _same_columns(cols[t], cols[last]):
+                s = cell
+            else:
+                s = np.ascontiguousarray(state[:, cols[t]])
             rz = neg_u_rz @ s
             rz += x_rz[:, packed]
             np.exp(rz, out=rz)
@@ -291,6 +309,7 @@ def gru_sequence(columns: list, p: GruParams, keep: list, reverse: bool = False,
             cell *= rz[h:]
             cell += s
             state[:, cols[t]] = cell
+            last = t
         states[:, t] = state
 
     def pack(steps, rows):
@@ -351,17 +370,19 @@ def bigru(columns: list, p_fwd: GruParams, p_bwd: GruParams, mask) -> Tensor:
 
     Column t*B + b stacks the forward state of sequence b after steps 1..t on
     its backward state after steps T..t; both directions start from zero.
-    The boolean ``mask`` [B x T] becomes the T 0/1 keep rows of both
-    recurrences, so a False position neither advances them nor changes the
-    carried states, and each step packs only the columns that advance: a
-    False position costs no cell, also between two True ones.
+    The boolean ``mask`` [B x T] sets which columns advance at each step of
+    both recurrences, so a False position neither advances them nor changes
+    the carried states, and each step packs only the columns that advance: a
+    False position costs no cell, also between two True ones. Both get the
+    mask as T [1 x B] keep rows of 0s and 1s, views of one float copy of
+    ``mask.T``.
 
     The step plan (:func:`step_plan`: each step's advancing columns, their
-    packed offsets and the packed [in x R] input) does not depend on the
-    direction, so it is built once and passed to both; neither node keeps
-    it. Each direction writes its states straight into its half of one
-    [2h x T*B] buffer, so the stacked output is no second copy of them; the
-    one node on top only splits the gradient between the halves.
+    packed offsets and the packed [in x R] input) is built from the mask. It
+    does not depend on the direction, so it is built once and passed to both;
+    neither node keeps it. Each direction writes its states straight into its
+    half of one [2h x T*B] buffer, so the stacked output is no second copy of
+    them; the one node on top only splits the gradient between the halves.
     """
     if not columns:
         raise ShapeError("bigru over an empty sequence")
@@ -371,8 +392,8 @@ def bigru(columns: list, p_fwd: GruParams, p_bwd: GruParams, mask) -> Tensor:
         raise ShapeError(f"bigru mask must be [B x T] = [{batch} x {n}], got shape {mask.shape}")
     if any(col.data.shape != columns[0].data.shape for col in columns):
         raise ShapeError("bigru columns must all have one [in x B] shape")
-    keep = split_cols(Tensor(mask.T.reshape(1, -1)), n)                  # T of [1 x B]
-    plan = step_plan(columns, keep)
+    keep = split_rows(mask.T.astype(np.float64, order="C"))              # T of [1 x B]
+    plan = step_plan(columns, mask)
     states = np.empty((2 * h, n * batch))
     fwd = gru_sequence(columns, p_fwd, keep, out=states[:h], plan=plan)
     bwd = gru_sequence(columns, p_bwd, keep, reverse=True, out=states[h:], plan=plan)

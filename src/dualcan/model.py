@@ -514,12 +514,16 @@ def run_sample(sample: SampleArrays, params: ModelParams, embeddings, hp: HyperP
 def predict(samples: list, params: ModelParams, embeddings, hp: HyperParams, mode: str):
     """Yield (class probabilities [2], AttentionReport) per sample, in input
     order, running the forward pass in chunks of ``hp.batch_size`` under the
-    input ablation ``mode``."""
+    input ablation ``mode``. A chunk whose logits are not all finite raises
+    NonFiniteError, naming its first sample, before the softmax."""
     for start in range(0, len(samples), hp.batch_size):
         chunk = samples[start:start + hp.batch_size]
         if mode != "N+C+E":
             chunk = [ablate(s, mode) for s in chunk]
         logits, reports = forward(encode_samples(chunk, params, embeddings, hp), params)
+        if not np.isfinite(logits.data).all():
+            raise NonFiniteError(f"non-finite logits in the batch of {len(chunk)} samples "
+                                 f"from sample {chunk[0].doc_id}")
         yield from zip(masked_softmax(logits.data.T), reports)
 
 

@@ -14,11 +14,15 @@ time.
 Then, per workload and per end-to-end metric of ``BENCHMARK.json``, it
 prints REV's median and quartiles, this checkout's median, their ratio, and
 this checkout's wins out of N pairs in the metric's ``better`` direction
-(a tie counts for neither side), and under ``all`` whether every run of
-this checkout beat every run of REV in that direction (``yes`` or ``no``),
-then each side's failed and attempted operations. It exits 1 if any run is
-not ``correct``. The quartiles are ``statistics.quantiles(n=4)``, the
-default exclusive method, as in ``perfbench/spread.py``.
+(a tie counts for neither side); then a ``verdict``: ``better`` where this
+checkout won at least nine tenths of the pairs and its median is ahead of
+REV's by more than REV's interquartile distance, ``worse`` where it lost as
+many and is behind by as much, and ``level`` otherwise; and under ``all``
+whether every run of this checkout beat every run of REV in that direction
+(``yes`` or ``no``); then each side's failed and attempted operations. It
+exits 1 if any run is not ``correct``. The quartiles are
+``statistics.quantiles(n=4)``, the default exclusive method, as in
+``perfbench/spread.py``.
 """
 
 from __future__ import annotations
@@ -57,7 +61,7 @@ def summary(metrics: list, pairs: list) -> list:
     of ``BENCHMARK.json``; ``pairs`` holds one (parent, change) pair of
     printed results per seed."""
     lines = [f"{'metric':22s} {'parent median [q1, q3]':>37s} {'change':>12s} "
-             f"{'ratio':>7s} {'wins':>7s} {'all':>4s}"]
+             f"{'ratio':>7s} {'wins':>7s} {'verdict':>7s} {'all':>4s}"]
     for m in metrics:
         name = m["name"]
         parent = [p["metrics"][name]["value"] for p, _ in pairs]
@@ -66,11 +70,17 @@ def summary(metrics: list, pairs: list) -> list:
         q1, _, q3 = statistics.quantiles(parent, n=4) if len(parent) > 1 else (p_med,) * 3
         sign = 1 if m["better"] == "higher" else -1
         wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+        losses = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
+        # nine tenths of the pairs, and a median gap beyond the parent's spread
+        ahead, spread = sign * (c_med - p_med), q3 - q1
+        verdict = ("better" if 10 * wins >= 9 * len(pairs) and ahead > spread
+                   else "worse" if 10 * losses >= 9 * len(pairs) and -ahead > spread
+                   else "level")
         # the change's worst run against the parent's best one
         apart = "yes" if min(sign * c for c in change) > max(sign * p for p in parent) else "no"
         ratio = f"{c_med / p_med:7.3f}" if p_med else f"{'-':>7s}"
         lines.append(f"{name:22s} {p_med:12.5g} [{q1:10.5g}, {q3:10.5g}] {c_med:12.5g} "
-                     f"{ratio} {f'{wins}/{len(pairs)}':>7s} {apart:>4s}")
+                     f"{ratio} {f'{wins}/{len(pairs)}':>7s} {verdict:>7s} {apart:>4s}")
     for side, i in (("parent", 0), ("change", 1)):
         results = [pair[i] for pair in pairs]
         lines.append(f"{side}: {sum(r['failed'] for r in results)} failed of "

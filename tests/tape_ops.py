@@ -43,10 +43,11 @@ def gru_out(columns: list, p) -> np.ndarray:
 
 def unpadded(columns: list, p) -> dict:
     """``gru_sequence``'s ``keep``, ``out`` and ``plan`` for columns with no
-    padding: T all-ones [1 x B] keep rows, a fresh output buffer and their
-    step plan."""
-    keep = [Tensor(np.ones((1, columns[0].shape[1]))) for _ in columns]
-    return {"keep": keep, "out": gru_out(columns, p), "plan": step_plan(columns, keep)}
+    padding: T all-ones [1 x B] keep rows, a fresh output buffer and the step
+    plan of an all-True mask."""
+    mask = np.ones((columns[0].shape[1], len(columns)), dtype=bool)       # [B x T]
+    keep = [Tensor(np.ones((1, mask.shape[0]))) for _ in columns]
+    return {"keep": keep, "out": gru_out(columns, p), "plan": step_plan(columns, mask)}
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:

@@ -607,8 +607,10 @@ def test_corrupted_inputs_exit_with_a_documented_code(small_corpus, target, edit
 @settings(max_examples=25, deadline=None)
 @given(command=st.sampled_from(["eval", "explain"]),
        edits=st.lists(_CORRUPTION, min_size=1, max_size=4))
-def test_corrupted_checkpoints_exit_0_or_2_and_write_nothing_when_refused(
+def test_corrupted_checkpoints_exit_0_2_or_3_and_write_nothing_when_refused(
         synth_dir, trained_dir, command, edits):
+    # exit 3: values grown large enough to overflow the logits, as two byte
+    # substitutions can make them (the top bytes of a head.b1 and a head.w2 entry)
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         checkpoint = tmp / "checkpoint.bin"
@@ -619,9 +621,9 @@ def test_corrupted_checkpoints_exit_0_or_2_and_write_nothing_when_refused(
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = run_cli(command, "--config", str(synth_dir / "config.cfg"),
                            "--checkpoint", str(checkpoint), "--out", str(out))
-        assert code in (0, 2), err.getvalue()
+        assert code in (0, 2, 3), err.getvalue()
         assert "Traceback" not in err.getvalue()
-        if code == 2:
+        if code in (2, 3):
             assert not out.exists()
 
 
@@ -641,6 +643,50 @@ def test_saturated_gates_score_without_numpy_warnings(synth_dir, trained_dir, tm
                        str(tmp_path / "large.bin"), "--out", str(out)) == 0
     assert [str(w.message) for w in caught] == []
     assert out.exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "explain"])
+def test_non_finite_logits_exit_3_and_write_nothing(synth_dir, trained_dir, tmp_path, capsys,
+                                                    command):
+    # finite weights of alternating sign at 1e300 overflow the forward pass
+    # to NaN logits, which no probability may be made of
+    hp, values = model.load_checkpoint(trained_dir / "checkpoint.bin")
+    params = model.restore_params(hp, values)
+    params.values[:] = np.where(np.arange(params.values.size) % 2, 1e300, -1e300)
+    model.save_checkpoint(tmp_path / "huge.bin", hp, params)
+    out = tmp_path / ("metrics.json" if command == "eval" else "explain")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run_cli(command, "--config", str(synth_dir / "config.cfg"), "--checkpoint",
+                       str(tmp_path / "huge.bin"), "--out", str(out))
+    assert code == 3
+    assert [str(w.message) for w in caught] == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(r"numerical failure: non-finite logits in the batch of \d+ samples "
+                        r"from sample \S+\n", captured.err), captured.err
+    assert not out.exists()
+
+
+def test_train_exits_3_when_validation_logits_are_non_finite(synth_dir, tmp_path, capsys,
+                                                             monkeypatch):
+    real = model.forward
+
+    def nan_without_a_tape(encoded, params):
+        # the training steps record the logits on a tape; the validation pass does not
+        logits, reports = real(encoded, params)
+        if not logits.requires_grad:
+            logits.data.fill(np.nan)
+        return logits, reports
+
+    monkeypatch.setattr(model, "forward", nan_without_a_tape)
+    out = tmp_path / "run"
+    assert run_cli("train", "--config", str(synth_dir / "config.cfg"), "--out", str(out),
+                   "--set", "hp.max_epochs=1") == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: non-finite logits in the batch of ")
+    assert len(err.splitlines()) == 1
+    assert not (out / "metrics.json").exists()
 
 
 # ---------------------------------------------------------------------------

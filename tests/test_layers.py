@@ -62,9 +62,10 @@ def gru_sequence_reference(columns, p, keep, reverse=False):
 
 def fused_gru(columns, p, keep, reverse=False):
     """``layers.gru_sequence`` into a fresh output buffer, with the step plan
-    of ``columns`` and ``keep``."""
+    of ``columns`` and the [B x T] mask of the 1s in ``keep``."""
+    mask = np.concatenate([k.data for k in keep]).T == 1.0
     return layers.gru_sequence(columns, p, keep, reverse, out=gru_out(columns, p),
-                               plan=layers.step_plan(columns, keep))
+                               plan=layers.step_plan(columns, mask))
 
 
 def columns_of(seq):
@@ -335,6 +336,67 @@ def test_gru_sequence_equals_a_plain_step_loop_bit_for_bit(rng, case, reverse):
                            gru_sequence_steps(columns, p, ones["keep"], reverse))
 
 
+# [B x T] keeps where the columns that advance change between steps that
+# advance: a step reads the last such step's cell only where they are the same
+COLUMN_CHANGES = {
+    # columns 3, 2 and 1 stop in turn: equal prefixes, then narrower ones
+    "narrowing-prefix": [[1, 1, 1, 1, 1],
+                         [1, 1, 1, 1, 0],
+                         [1, 1, 0, 0, 0],
+                         [1, 0, 0, 0, 0]],
+    # columns 1 and 2 start late: wider prefixes, then equal ones
+    "widening-prefix": [[1, 1, 1, 1, 1],
+                        [0, 1, 1, 1, 1],
+                        [0, 0, 0, 1, 1]],
+    # two idle steps between two full-width steps, then a hole
+    "idle-between-equal-widths": [[1, 0, 0, 1, 1],
+                                  [1, 0, 0, 1, 0],
+                                  [1, 0, 0, 1, 1]],
+    # column 1 sits out steps 1 and 2, the same index array twice, and reopens
+    "hole-reopens": [[1, 1, 1, 1],
+                     [1, 0, 0, 1],
+                     [1, 1, 1, 1]],
+    # one column advances at each step, but never the same one twice running
+    "same-width-other-columns": [[1, 0, 1, 0],
+                                 [0, 1, 0, 1]],
+    "one-column-gaps": [[1, 0, 1, 1, 0, 1]],
+    "one-column-every-step": [[1, 1, 1, 1]],
+}
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("case", COLUMN_CHANGES)
+def test_gru_sequence_reads_each_steps_state_bit_for_bit(rng, case, reverse):
+    keep = keep_rows(np.array(COLUMN_CHANGES[case], dtype=bool))
+    batch, steps = keep[0].shape[1], len(keep)
+    p = make_gru(4, 5, seed=74)
+    columns = [ad.Tensor(rng.uniform(-2, 2, (4, batch))) for _ in range(steps)]
+    npt.assert_array_equal(fused_gru(columns, p, keep, reverse=reverse).data,
+                           gru_sequence_steps(columns, p, keep, reverse))
+
+
+def test_bigru_passes_float_keep_rows_of_its_mask(rng, monkeypatch):
+    mask = np.array([[True, True, False, True], [True, False, False, False],
+                     [False, True, True, True]])
+    passed, real = [], layers.gru_sequence
+
+    def recording(columns, p, keep, *args, **kwargs):
+        passed.append(keep)
+        return real(columns, p, keep, *args, **kwargs)
+
+    monkeypatch.setattr(layers, "gru_sequence", recording)
+    columns = [ad.Tensor(rng.uniform(-1, 1, (2, 3))) for _ in range(4)]
+    layers.bigru(columns, make_gru(2, 3, seed=75), make_gru(2, 3, seed=76), mask)
+    assert len(passed) == 2
+    for keep in passed:
+        # the rows perfbench's useful-step count sums, one [1 x B] row per step
+        assert [(k.data.shape, k.data.dtype) for k in keep] == [((1, 3), np.float64)] * 4
+        npt.assert_array_equal(np.concatenate([k.data for k in keep]), mask.T)
+        # views of one [T x B] array
+        assert all(k.data.base is keep[0].data.base is not None for k in keep)
+        assert keep[0].data.base.shape == (4, 3)
+
+
 def test_gru_sequence_without_a_graph_holds_only_its_output(rng):
     h, d, batch, steps = 32, 24, 12, 20
     p = make_gru(d, h, seed=69)
@@ -541,7 +603,7 @@ def check_step_plan(rng, mask):
     columns = [ad.Tensor(rng.uniform(-1, 1, (3, batch)), requires_grad=True)
                for _ in range(steps)]
     keep = keep_rows(mask)
-    plan = layers.step_plan(columns, keep)
+    plan = layers.step_plan(columns, mask)
     moving = [np.flatnonzero(mask[:, t]) for t in range(steps)]
     assert plan.widths == [m.size for m in moving]
     for c, m in zip(plan.cols, moving):
@@ -582,9 +644,9 @@ def test_encode_samples_builds_one_step_plan_per_bigru(tiny_setup, monkeypatch):
     built = []
     real = layers.step_plan
 
-    def counting(columns, keep):
+    def counting(columns, mask):
         built.append(len(columns))
-        return real(columns, keep)
+        return real(columns, mask)
 
     monkeypatch.setattr(layers, "step_plan", counting)
     model.encode_samples(samples, params, emb, hp)

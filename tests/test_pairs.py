@@ -21,14 +21,14 @@ def test_summary_reports_medians_quartiles_ratio_and_wins():
               result(2.1, 104.0, failed=1)]
     lines = pairs.summary(METRICS, list(zip(parent, change)))
     assert lines[0].split() == ["metric", "parent", "median", "[q1,", "q3]", "change",
-                                "ratio", "wins", "all"]
+                                "ratio", "wins", "verdict", "all"]
     # parent 1.6 2.0 2.0 2.2 2.4: median 2.0, exclusive quartiles 1.8 and
     # 2.3; change median 2.1; lower wins in pairs 1, 3 and 4, pair 2 ties
     assert lines[1].split() == ["explain_ms.p50", "2", "[", "1.8,", "2.3]", "2.1", "1.050", "3/5",
-                                "no"]
+                                "level", "no"]
     # higher is better: 101 > 100 and 96 > 95 win, 90 = 90 ties
     assert lines[2].split() == ["eval_samples_per_s", "100", "[", "92.5,", "107.5]", "100",
-                                "1.000", "2/5", "no"]
+                                "1.000", "2/5", "level", "no"]
     assert lines[3] == "parent: 0 failed of 500 attempted operations, 5 of 5 runs correct"
     assert lines[4] == "change: 1 failed of 500 attempted operations, 4 of 5 runs correct"
 
@@ -36,7 +36,27 @@ def test_summary_reports_medians_quartiles_ratio_and_wins():
 def test_summary_of_one_pair_uses_its_value_as_both_quartiles():
     lines = pairs.summary(METRICS[:1], [(result(2.0, 1.0), result(1.0, 1.0))])
     assert lines[1].split() == ["explain_ms.p50", "2", "[", "2,", "2]", "1", "0.500", "1/1",
-                                "yes"]
+                                "better", "yes"]
+
+
+# parent runs 10 .. 19: median 14.5, exclusive quartiles 11.75 and 17.25, so
+# an interquartile distance of 5.5
+@pytest.mark.parametrize("change, verdict", [
+    # 9 of 10 pairs lower, the median 6 below the parent's
+    ([4, 5, 6, 7, 8, 9, 10, 11, 12, 20], "better"),
+    # a tie, then 9 pairs higher, the median 6 above the parent's
+    ([10, 17, 18, 19, 20, 21, 22, 23, 24, 25], "worse"),
+    # 9 of 10 pairs lower, but the median only 5 below, inside the spread
+    ([5, 6, 7, 8, 9, 10, 11, 12, 13, 20], "level"),
+    # the median 6 below, but only 8 of 10 pairs lower
+    ([4, 5, 6, 7, 8, 9, 10, 11, 19, 20], "level"),
+])
+def test_summary_gives_a_verdict_from_the_share_of_wins_and_the_parents_spread(change,
+                                                                                verdict):
+    parent = range(10, 20)
+    lines = pairs.summary(METRICS[:1], [(result(p, 1.0), result(c, 1.0))
+                                        for p, c in zip(parent, change)])
+    assert lines[1].split()[-2] == verdict
 
 
 @pytest.mark.parametrize("better, change, verdict", [
