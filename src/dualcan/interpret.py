@@ -7,6 +7,7 @@ weights, shading normalized per column.
 
 from __future__ import annotations
 
+import re
 from html import escape
 from pathlib import Path
 
@@ -18,6 +19,10 @@ from .model import predicted_label
 CELL = 18
 LEFT_MARGIN = 34
 TOP_MARGIN = 46
+
+# a character XML 1.0 does not allow in a document: a control other than tab,
+# LF and CR, a lone surrogate, U+FFFE or U+FFFF
+_NOT_XML = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
 
 # attention families: field of model.AttentionReport (and report key), heatmap title
 FAMILIES = (
@@ -45,9 +50,17 @@ def report_entry(doc_id: str, label: int, probs, attn) -> dict:
     }
 
 
+def _xml_text(text: str) -> str:
+    """``text`` escaped for an SVG text node, each character XML 1.0 does not
+    allow replaced with U+FFFD."""
+    return escape(_NOT_XML.sub("\ufffd", text), quote=False)
+
+
 def render_heatmap_svg(path, weights: np.ndarray, sample_ids: list, title: str) -> None:
     """Write a heatmap of ``weights`` [positions x samples] to ``path``,
-    atomically (``data.atomic_write``)."""
+    atomically (``data.atomic_write``). A sample id or title character that
+    XML 1.0 does not allow is drawn as U+FFFD, so any id gives a well-formed
+    file."""
     weights = np.asarray(weights, dtype=float)
     rows, cols = weights.shape
     if cols != len(sample_ids):
@@ -64,13 +77,13 @@ def render_heatmap_svg(path, weights: np.ndarray, sample_ids: list, title: str) 
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',
         f'<text x="{LEFT_MARGIN}" y="16" font-size="12" font-family="sans-serif">'
-        f'{escape(title, quote=False)}</text>',
+        f'{_xml_text(title)}</text>',
     ]
     for j, sid in enumerate(sample_ids):
         x = LEFT_MARGIN + j * CELL + CELL // 2
         parts.append(
             f'<text x="{x}" y="{TOP_MARGIN - 6}" font-size="8" font-family="sans-serif" '
-            f'text-anchor="middle">{escape(str(sid), quote=False)}</text>')
+            f'text-anchor="middle">{_xml_text(str(sid))}</text>')
     for i in range(rows):
         y = TOP_MARGIN + i * CELL
         parts.append(

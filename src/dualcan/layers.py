@@ -218,10 +218,15 @@ def gru_sequence(columns: list, p: GruParams, keep: list, reverse: bool = False,
     [2h x h] reset/update product. The reset and update rows of these
     weights and biases are negated once per call, so a step's sigmoid is
     ``1 / (1 + exp(e))`` of the negated pre-activation ``e`` without
-    negating it again. Each step keeps its gates and candidate arrays as it
-    makes them; backward packs them once into [rows x R] blocks, R the
-    number of column-steps, so the weight and input gradients are one
-    matmul each over those column-steps only.
+    negating it again. The step products go through ``ndarray.dot`` and that
+    division through ``np.reciprocal``, numpy's cheapest calls for the same
+    bits: ``dot`` hands 2-D float64 operands to the same BLAS gemm (gemv for
+    one column) as ``@``, and IEEE division is correctly rounded, so
+    ``reciprocal(x)`` is ``1.0 / x``, ``1 / inf = 0`` included. Each step
+    keeps its gates and candidate arrays as it makes them; backward packs
+    them once into [rows x R] blocks, R the number of column-steps, so the
+    weight and input gradients are one matmul each over those column-steps
+    only.
 
     Each step reads the state of its advancing columns as a contiguous
     array: where they are the columns of the last step that advanced, in run
@@ -295,14 +300,14 @@ def gru_sequence(columns: list, p: GruParams, keep: list, reverse: bool = False,
                 s = cell
             else:
                 s = np.ascontiguousarray(state[:, cols[t]])
-            rz = neg_u_rz @ s
+            rz = neg_u_rz.dot(s)
             rz += x_rz[:, packed]
-            np.exp(rz, out=rz)
+            np.exp(rz, rz)
             rz += 1.0
-            np.divide(1.0, rz, out=rz)
-            c = u_c @ (rz[:h] * s)
+            np.reciprocal(rz, rz)
+            c = u_c.dot(rz[:h] * s)
             c += x_c[:, packed]
-            np.tanh(c, out=c)
+            np.tanh(c, c)
             rz_steps.append(rz)
             cand_steps.append(c)
             cell = c - s
@@ -342,12 +347,12 @@ def gru_sequence(columns: list, p: GruParams, keep: list, reverse: bool = False,
                 continue
             packed = slice(start[t], start[t + 1])
             d_state = carry[:, cols[t]]
-            d_cand = np.multiply(d_state, f_cand[:, packed], out=d_pre[2 * h:, packed])
-            d_rs = u_c_t @ d_cand
-            np.multiply(d_rs, f_reset[:, packed], out=d_pre[:h, packed])
-            np.multiply(d_state, f_update[:, packed], out=d_pre[h:2 * h, packed])
+            d_cand = np.multiply(d_state, f_cand[:, packed], d_pre[2 * h:, packed])
+            d_rs = u_c_t.dot(d_cand)
+            np.multiply(d_rs, f_reset[:, packed], d_pre[:h, packed])
+            np.multiply(d_state, f_update[:, packed], d_pre[h:2 * h, packed])
             carry[:, cols[t]] = d_state - d_state * z[:, packed] + d_rs * r[:, packed] \
-                + u_rz_t @ d_pre[:2 * h, packed]
+                + u_rz_t.dot(d_pre[:2 * h, packed])
         del f_cand, f_reset, f_update   # before the products below allocate theirs
         d_w = d_pre @ _packed_input(columns, cols).T                      # [3h x in]
         d_u = np.concatenate([d_pre[:2 * h] @ prev.T,

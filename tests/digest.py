@@ -5,7 +5,9 @@ keeps every bit.
     python tests/digest.py --against REV   # and which of them differ at REV
 
 On the benchmark's train-synth inputs (2 epochs) and train-paper inputs (1
-epoch on 16 samples), both generated with seed 1, there is one digest each
+epoch on 16 samples), and at the coaid profile's h = d = 300 (batch 2, 1
+epoch on 4 samples of a ``paper_corpus`` whose embedding rows are repeated
+to 300 dimensions), all generated with seed 1, there is one digest each
 for what ``cli.prepare_data`` returns (the vocabulary's tokens and each
 split's samples), for one batch's gradients and for ``predict`` outputs
 under every input mode, for the trained flat values and for ``run_sample``
@@ -92,13 +94,28 @@ def model_digests(prepared, hp: model.HyperParams, params: model.ModelParams) ->
     return out
 
 
+def _coaid_width_corpus(out: Path, seed: int) -> dict:
+    """A small ``gen.paper_corpus`` whose embedding rows are each repeated
+    three times, so its vectors have the coaid profile's 300 dimensions."""
+    from perfbench import gen
+
+    paths = gen.paper_corpus(out, seed, n_train=4, n_val=2, n_test=2)
+    rows = paths["embeddings"].read_text(encoding="utf-8").splitlines()
+    paths["embeddings"].write_text("".join(
+        f"{token} {vector} {vector} {vector}\n"
+        for token, vector in (row.split(" ", 1) for row in rows)), encoding="utf-8")
+    return paths
+
+
 def _benchmark_digests(work: Path) -> dict:
     from perfbench import gen, workloads
 
     synth, paper = workloads.WORKLOADS["train-synth"], workloads.WORKLOADS["train-paper"]
     inputs = {"train-synth": (synth.hp, 2, synth.corpus),
               "train-paper": (paper.hp, 1, lambda out, seed: gen.paper_corpus(
-                  out, seed, n_train=16, n_val=4, n_test=8))}
+                  out, seed, n_train=16, n_val=4, n_test=8)),
+              "coaid-width": (replace(model.HyperParams.profile("coaid"), batch_size=2), 1,
+                              _coaid_width_corpus)}
     out = {}
     for name, (hp, epochs, corpus) in inputs.items():
         hp = replace(hp, max_epochs=epochs, patience=epochs)

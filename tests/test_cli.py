@@ -966,6 +966,44 @@ def test_explain_reports_each_requested_id_once(synth_dir, trained_dir, tmp_path
     assert heatmap.count(f">{a}</text>") == heatmap.count(f">{b}</text>") == 1
 
 
+def test_explain_heatmaps_parse_for_ids_xml_cannot_hold(synth_dir, trained_dir, tmp_path):
+    import xml.etree.ElementTree as ET
+
+    # a control character and a lone surrogate, both valid in a JSON string
+    lines = (synth_dir / "dataset.jsonl").read_text(encoding="utf-8").splitlines()
+    docs = [json.loads(line) for line in lines]
+    docs[0]["id"], docs[1]["id"] = "doc\u0001ctl", "doc\ud800half"
+    (tmp_path / "dataset.jsonl").write_text(
+        "".join(json.dumps(doc) + "\n" for doc in docs), encoding="utf-8")
+    config = (synth_dir / "config.cfg").read_text(encoding="utf-8").replace(
+        str(synth_dir / "dataset.jsonl"), str(tmp_path / "dataset.jsonl"))
+    (tmp_path / "config.cfg").write_text(config, encoding="utf-8")
+    out = tmp_path / "explain"
+    code = run_cli("explain", "--checkpoint", str(trained_dir / "checkpoint.bin"),
+                   "--config", str(tmp_path / "config.cfg"), "--split", "full",
+                   "--out", str(out))
+    assert code == 0
+    report = json.loads((out / "attention_report.json").read_text(encoding="utf-8"))
+    # in split order, each id as the dataset gives it
+    assert sorted(e["id"] for e in report["samples"]) == sorted(doc["id"] for doc in docs)
+    for family in ("news_entity", "entity", "news_comment", "comment"):
+        labels = [t.text for t in ET.parse(out / f"attention_{family}.svg").iter(
+            "{http://www.w3.org/2000/svg}text")]
+        assert {"doc\ufffdctl", "doc\ufffdhalf"} <= set(labels)
+
+
+def test_heatmap_labels_replace_what_xml_cannot_hold(tmp_path):
+    import xml.etree.ElementTree as ET
+
+    kept = "tab\there\u00e9\ud7ff\ue000\ufffd\U0001f600\U0010ffff"
+    ids = ["nul\x00", "bell\x07", "esc\x1b", "low\udc00", "ff\ufffe", "ff\uffff", kept]
+    path = tmp_path / "map.svg"
+    interpret.render_heatmap_svg(path, np.ones((1, len(ids))), ids, "t")
+    labels = [t.text for t in ET.parse(path).iter("{http://www.w3.org/2000/svg}text")]
+    assert labels[1:1 + len(ids)] == ["nul\ufffd", "bell\ufffd", "esc\ufffd", "low\ufffd",
+                                      "ff\ufffd", "ff\ufffd", kept]
+
+
 def test_explain_all_unknown_ids_is_error(synth_dir, trained_dir, tmp_path):
     code = run_cli("explain", "--checkpoint", str(trained_dir / "checkpoint.bin"),
                    "--config", str(synth_dir / "config.cfg"),

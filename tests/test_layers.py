@@ -293,19 +293,25 @@ def gru_sequence_steps(columns, p, keep, reverse):
     """A plain step loop in the operation order of the straightforward
     recurrence: one stacked input product over the columns each step
     advances plus the biases, then per step, on exactly those columns, the
-    sigmoid as 1 / (1 + exp(-a)), tanh and ``s + z * (c - s)``."""
+    sigmoid as 1 / (1 + exp(-a)), tanh and ``s + z * (c - s)``.
+
+    The state a step reads is C-ordered, as the layer's always is, and so is
+    the packed input, as the layer's is once any step's columns are a
+    prefix: ``a[:, m]`` alone is F-ordered, and at h = 100 and up OpenBLAS's
+    gemm can round a product with an F-ordered operand differently."""
     n, batch, h = len(columns), columns[0].shape[1], p.hidden_size
     moves = [np.flatnonzero(kt.data[0]) for kt in keep]
     starts = np.cumsum([0] + [m.size for m in moves])
-    x = np.concatenate([p.w_reset.data, p.w_update.data, p.w_cand.data]) \
-        @ np.concatenate([col.data[:, m] for col, m in zip(columns, moves)], axis=1) \
+    packed = np.ascontiguousarray(
+        np.concatenate([col.data[:, m] for col, m in zip(columns, moves)], axis=1))
+    x = np.concatenate([p.w_reset.data, p.w_update.data, p.w_cand.data]) @ packed \
         + np.concatenate([p.b_reset.data, p.b_update.data, p.b_cand.data])
     u_rz = np.concatenate([p.u_reset.data, p.u_update.data])
     state, states = np.zeros((h, batch)), np.empty((h, n, batch))
     for t in (reversed(range(n)) if reverse else range(n)):
         m = moves[t]
         if m.size:
-            s, x_t = state[:, m], x[:, starts[t]:starts[t + 1]]
+            s, x_t = np.ascontiguousarray(state[:, m]), x[:, starts[t]:starts[t + 1]]
             rz = 1.0 / (1.0 + np.exp(-(u_rz @ s + x_t[:2 * h])))
             c = np.tanh(p.u_cand.data @ (rz[:h] * s) + x_t[2 * h:])
             state[:, m] = s + rz[h:] * (c - s)
@@ -334,6 +340,46 @@ def test_gru_sequence_equals_a_plain_step_loop_bit_for_bit(rng, case, reverse):
     ones = unpadded(columns, p)
     npt.assert_array_equal(layers.gru_sequence(columns, p, reverse=reverse, **ones).data,
                            gru_sequence_steps(columns, p, ones["keep"], reverse))
+
+
+# [B x T] keeps at the paper's widths, where the step products take other
+# gemm and gemv kernel paths than at h = 5
+WIDE_KEEPS = {
+    "length-sorted": (np.arange(4) < np.array([4, 4, 3, 2, 1])[:, None]).tolist(),
+    "holed": [[1, 1, 1, 1],
+              [1, 0, 0, 1],
+              [0, 1, 1, 1]],
+    "one-column": [[1, 1, 0, 1]],
+}
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("case", WIDE_KEEPS)
+@pytest.mark.parametrize("width", [100, 300])   # gossipcop and coaid: h = d
+def test_gru_sequence_equals_a_plain_step_loop_bit_for_bit_at_paper_widths(
+        rng, width, case, reverse):
+    keep = keep_rows(np.array(WIDE_KEEPS[case], dtype=bool))
+    batch, steps = keep[0].shape[1], len(keep)
+    p = make_gru(width, width, seed=69)
+    columns = [ad.Tensor(rng.uniform(-2, 2, (width, batch))) for _ in range(steps)]
+    npt.assert_array_equal(fused_gru(columns, p, keep, reverse=reverse).data,
+                           gru_sequence_steps(columns, p, keep, reverse))
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_gru_sequence_equals_a_plain_step_loop_bit_for_bit_when_gates_saturate(rng, reverse):
+    # pre-activations of thousands: exp overflows to inf and a gate reads
+    # 1 / inf = 0, in the fused step as in the plain loop
+    keep = keep_rows(np.array(BIT_KEEPS["stop-and-restart"], dtype=bool))
+    p = make_gru(5, 6, seed=70)
+    for t in p.named().values():
+        t.data *= 1e3
+    columns = [ad.Tensor(rng.uniform(-2, 2, (5, 3))) for _ in range(len(keep))]
+    with np.errstate(over="ignore"):
+        fused = fused_gru(columns, p, keep, reverse=reverse).data
+        plain = gru_sequence_steps(columns, p, keep, reverse)
+    assert np.isfinite(fused).all()
+    npt.assert_array_equal(fused, plain)
 
 
 # [B x T] keeps where the columns that advance change between steps that
