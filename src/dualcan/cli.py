@@ -25,6 +25,15 @@ from .data import DatasetFormatError, DegenerateInputError, SnapshotResolver, Sy
 from .metrics import MetricError
 from .model import CheckpointError, DivergenceError, HyperParams, ModelParams
 
+# the files each command writes into its out directory
+CHECKPOINT, EPOCHS, METRICS = "checkpoint.bin", "epochs.csv", "metrics.json"
+REPORT, CONFIG = "attention_report.json", "config.cfg"
+_WRITES = {
+    "train": (CHECKPOINT, EPOCHS, METRICS),
+    "explain": (REPORT, *interpret.HEATMAP_FILES),
+    "synth": (*data_mod.SYNTHETIC_FILES.values(), CONFIG),
+}
+
 
 class UsageError(Exception):
     pass
@@ -83,6 +92,14 @@ def _check_out(path, is_dir: bool) -> None:
     parent = next((p for p in out.parents if p.exists()), None)
     if parent is not None and not parent.is_dir():
         raise UsageError(f"out path is under a file: {parent}")
+
+
+def _check_out_dir(path, command: str) -> None:
+    """:func:`_check_out` for the directory ``path`` and each file that
+    ``command`` writes into it."""
+    _check_out(path, is_dir=True)
+    for name in _WRITES[command]:
+        _check_out(Path(path) / name, is_dir=False)
 
 
 def _key_value(text: str, where: str) -> tuple:
@@ -209,7 +226,7 @@ def _warn_missing_classes(splits: dict) -> None:
 
 def cmd_train(args) -> int:
     config = build_run_config(args)
-    _check_out(config.out, is_dir=True)
+    _check_out_dir(config.out, "train")
     config.validate_paths()
     hp = config.hp
     prepared = prepare_data(config, hp)
@@ -223,11 +240,11 @@ def cmd_train(args) -> int:
     params = ModelParams.create(hp)
     result = model.train(prepared.train, prepared.val, hp, params,
                          prepared.embeddings, config.mode)
-    model.save_checkpoint(out / "checkpoint.bin", hp, result.params)
-    _write_epoch_csv(out / "epochs.csv", result.history)
+    model.save_checkpoint(out / CHECKPOINT, hp, result.params)
+    _write_epoch_csv(out / EPOCHS, result.history)
     test_report = model.evaluate(prepared.test, result.params, prepared.embeddings,
                                  hp, config.mode)
-    data_mod.write_json(out / "metrics.json", test_report)
+    data_mod.write_json(out / METRICS, test_report)
     print(f"best epoch {result.best_epoch} (val macro-F1 {result.best_val_f1:.4f})")
     print(f"test metrics: {json.dumps(test_report, sort_keys=True)}")
     print(f"artifacts written to {out}")
@@ -243,7 +260,7 @@ def _load_for_eval(args):
                              f"stored in the checkpoint")
     config = build_run_config(args)
     if args.command == "explain":
-        _check_out(config.out, is_dir=True)
+        _check_out_dir(config.out, "explain")
     elif args.out:
         _check_out(args.out, is_dir=False)
     _require_file(args.checkpoint, "checkpoint")
@@ -294,7 +311,7 @@ def cmd_explain(args) -> int:
                for s, (probs, attn) in zip(samples, predictions)]
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
-    data_mod.write_json(out / "attention_report.json", {"samples": entries, "skipped": skipped})
+    data_mod.write_json(out / REPORT, {"samples": entries, "skipped": skipped})
     written = interpret.export_heatmaps(out, entries)
     print(f"report for {len(entries)} samples "
           f"({len(skipped)} skipped) in {out}")
@@ -318,8 +335,9 @@ def cmd_synth(args) -> int:
         hp.validate()
     except ValueError as e:
         raise UsageError(str(e)) from e
+    _check_out_dir(args.out, "synth")
     paths = data_mod.gen_synthetic(spec, args.out)
-    config_path = Path(args.out) / "config.cfg"
+    config_path = Path(args.out) / CONFIG
     settings = {"dataset": paths["dataset"], "entities": paths["entities"],
                 "embeddings": paths["embeddings"], "out": Path(args.out) / "run",
                 "split_seed": args.seed}

@@ -629,8 +629,14 @@ def _entity_description(name: str, label: int | None, rng) -> str:
     return " ".join([first] + extra)
 
 
+# the files gen_synthetic writes, by the key of the path it returns for each
+SYNTHETIC_FILES = {"dataset": "dataset.jsonl", "entities": "entities.jsonl",
+                   "embeddings": "embeddings.txt", "meta": "meta.json"}
+
+
 def gen_synthetic(spec: SyntheticSpec, out_dir) -> dict:
-    """Write dataset.jsonl, entities.jsonl, embeddings.txt and meta.json.
+    """Write the :data:`SYNTHETIC_FILES` into ``out_dir``: the dataset, the
+    entity snapshot, the embeddings and the spec's meta data.
 
     Labels are decidable only from the planted cue tokens in the enabled
     channels; everything else is drawn from a shared filler distribution.
@@ -695,11 +701,11 @@ def gen_synthetic(spec: SyntheticSpec, out_dir) -> dict:
             "entities": entities,
         })
 
-    dataset_path = out / "dataset.jsonl"
+    dataset_path = out / SYNTHETIC_FILES["dataset"]
     with atomic_write(dataset_path, "w", encoding="utf-8") as fh:
         fh.writelines(json.dumps(record, sort_keys=True) + "\n" for record in records)
 
-    snapshot_path = out / "entities.jsonl"
+    snapshot_path = out / SYNTHETIC_FILES["entities"]
     with atomic_write(snapshot_path, "w", encoding="utf-8") as fh:
         fh.writelines(json.dumps({"name": name, "description": snapshot[name]},
                                  sort_keys=True) + "\n" for name in sorted(snapshot))
@@ -713,7 +719,7 @@ def gen_synthetic(spec: SyntheticSpec, out_dir) -> dict:
         for sent in sentences_to_tokens(desc):
             vocab_tokens.update(sent)
     emb_rng = np.random.default_rng(spec.seed + 1)
-    embeddings_path = out / "embeddings.txt"
+    embeddings_path = out / SYNTHETIC_FILES["embeddings"]
     with atomic_write(embeddings_path, "w", encoding="utf-8") as fh:
         for token in sorted(vocab_tokens):
             vec = emb_rng.uniform(-0.5, 0.5, size=spec.embedding_dim)
@@ -729,7 +735,7 @@ def gen_synthetic(spec: SyntheticSpec, out_dir) -> dict:
         "labels": {"fake": n_fake, "real": spec.size - n_fake},
         "cue_entity_sentence_index": 0 if "entities" in spec.signal else None,
     }
-    meta_path = out / "meta.json"
+    meta_path = out / SYNTHETIC_FILES["meta"]
     write_json(meta_path, meta)
 
     return {

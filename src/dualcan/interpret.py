@@ -31,6 +31,8 @@ FAMILIES = (
     ("news_comment", "news sentences (comment block)"),
     ("comment", "comment sentences"),
 )
+# the file export_heatmaps writes for each family, in FAMILIES order
+HEATMAP_FILES = tuple(f"attention_{key}.svg" for key, _ in FAMILIES)
 
 
 def report_entry(doc_id: str, label: int, probs, attn) -> dict:
@@ -104,9 +106,9 @@ def export_heatmaps(out_dir, entries: list) -> list:
     out = Path(out_dir)
     ids = [e["id"] for e in entries]
     written = []
-    for key, title in FAMILIES:
+    for (key, title), name in zip(FAMILIES, HEATMAP_FILES):
         matrix = np.array([e["attention"][key] for e in entries]).T  # [positions x samples]
-        path = out / f"attention_{key}.svg"
+        path = out / name
         render_heatmap_svg(path, matrix, ids, title)
         written.append(str(path))
     return written

@@ -154,45 +154,55 @@ class CoAttentionOutput:
 
 @dataclass
 class StepPlan:
-    """The step-independent set-up of a recurrence over T [in x B] columns,
-    built from its boolean mask by :func:`step_plan`.
+    """The step schedule of a recurrence over T [in x B] columns: decided from
+    its boolean mask by :func:`step_plan`, and only read by :func:`gru_sequence`.
 
-    At step t, ``widths[t]`` columns advance: ``cols[t]``, a slice where they
-    are a prefix (no column advances after one that does not) and an index
-    array otherwise. Their inputs are packed columns ``start[t]`` ..
-    ``start[t + 1] - 1`` of ``x``, the [in x R] inputs of all R column-steps
-    in position order, R = ``start[-1]``. The plan does not depend on the
-    direction, so both directions of a :func:`bigru` share one.
+    At step t the columns ``cols[t]`` advance: a slice where they are a
+    prefix (no column advances after one that does not), an index array
+    otherwise, and the very entry of the last step before t that advanced
+    where they are its columns, so two consecutive advancing steps share one
+    object exactly when their columns are equal. Their inputs are packed
+    columns ``start[t]`` .. ``start[t + 1] - 1`` of ``x``, the [in x R] inputs
+    of all R column-steps in position order, R = ``start[-1]``. The plan does
+    not depend on the direction, so both directions of a :func:`bigru` share one.
     """
 
-    widths: list
     cols: list
     start: list
     x: np.ndarray
 
 
-def _packed_input(columns: list, cols: list) -> np.ndarray:
-    """The advancing columns of every step side by side, in position order."""
-    return np.concatenate([col.data[:, c] for col, c in zip(columns, cols)], axis=1)
-
-
-def _same_columns(a, b) -> bool:
-    """Whether two entries of :attr:`StepPlan.cols` name the same columns; a
-    prefix slice never names those of an index array."""
-    if type(a) is not type(b):
-        return False
-    return a == b if isinstance(a, slice) else np.array_equal(a, b)
+def _packed(blocks: list, cols: list) -> np.ndarray:
+    """The columns ``cols[t]`` of each [rows x B] array ``blocks[t]`` side by
+    side, in position order. The result is F-ordered where every block is
+    F- and not C-contiguous, and C-ordered otherwise, so its layout follows
+    that of the blocks and not the mask: gemm can round a product with the
+    two layouts of one operand differently."""
+    packed = np.concatenate([block[:, c] for block, c in zip(blocks, cols)], axis=1)
+    if all(block.flags.fnc for block in blocks):
+        return np.asfortranarray(packed)
+    return np.ascontiguousarray(packed)
 
 
 def step_plan(columns: list, mask: np.ndarray) -> StepPlan:
     """The :class:`StepPlan` of a recurrence over ``columns`` whose column b
-    advances at step t where the boolean ``mask`` [B x T] is True."""
+    advances at step t where the boolean ``mask`` [B x T] is True. Columns of
+    different shapes cannot be packed and raise :class:`ShapeError`. A step's
+    columns are compared with the last advancing step's once, here: by width
+    for two prefixes, element by element only for two index arrays."""
+    if any(col.data.shape != columns[0].data.shape for col in columns):
+        raise ShapeError("bigru columns must all have one [in x B] shape")
     moves = mask.T                                                        # [T x B]
     widths = moves.sum(axis=1).tolist()
     gaps = (moves[:, 1:] > moves[:, :-1]).any(axis=1).tolist()
-    cols = [np.flatnonzero(row) if gap else slice(0, w)
-            for row, w, gap in zip(moves, widths, gaps)]
-    return StepPlan(widths, cols, [0, *accumulate(widths)], _packed_input(columns, cols))
+    cols, last = [], None   # last: the entry of the last step that advanced
+    for row, w, gap in zip(moves, widths, gaps):
+        c = np.flatnonzero(row) if gap else slice(0, w)
+        if w and type(c) is type(last) and (np.array_equal(c, last) if gap else last.stop == w):
+            c = last
+        cols.append(c)
+        last = c if w else last
+    return StepPlan(cols, [0, *accumulate(widths)], _packed([col.data for col in columns], cols))
 
 
 def gru_sequence(columns: list, p: GruParams, keep: list, reverse: bool = False, *,
@@ -201,18 +211,18 @@ def gru_sequence(columns: list, p: GruParams, keep: list, reverse: bool = False,
 
     Returns the states after every position as one [h x T*B] tensor, in
     position order: column t*B + b is the state of sequence b after step t.
-    ``keep`` is a list of T [1 x B] rows of 0s and 1s, as :func:`bigru`
-    builds them from a boolean mask: at step t a column whose keep is 1
-    advances to the cell ``h + z * (cand - h)`` and a column whose keep is 0
-    carries its state unchanged (padding positions do not advance the
-    recurrence).
+    ``plan`` is the :class:`StepPlan` that :func:`step_plan` builds from these
+    same ``columns`` and a [B x T] mask, and it alone sets the schedule: at
+    step t the columns ``plan.cols[t]`` advance to the cell
+    ``h + z * (cand - h)`` and every other column carries its state unchanged
+    (padding positions do not advance the recurrence). ``keep``, T [1 x B]
+    rows of 0s and 1s that are 1 exactly there, only restates the plan for
+    tools that count column-steps; :func:`bigru` builds both from its mask.
 
     The whole recurrence is one tape node, packed like cuDNN's
     variable-length sequences but by column set rather than prefix: step t
     packs, computes and writes back, forward and in BPTT, exactly the
-    columns that advance at it. Where they are a prefix they are a slice,
-    as they always are with columns sorted by descending length, as the
-    word encoder passes them; otherwise they are an index array. The gate
+    columns that advance at it. The gate
     inputs of every column-step come from one stacked [3h x in] product
     with the three biases folded in, and each step does one stacked
     [2h x h] reset/update product. The reset and update rows of these
@@ -229,17 +239,13 @@ def gru_sequence(columns: list, p: GruParams, keep: list, reverse: bool = False,
     only.
 
     Each step reads the state of its advancing columns as a contiguous
-    array: where they are the columns of the last step that advanced, in run
-    order, that step's new cell, which nothing has changed since; otherwise a
-    copy of them out of the carried state.
+    array: where its ``cols`` entry is the one of the last step that advanced,
+    in run order, that step's new cell, which nothing has changed since;
+    otherwise a copy of them out of the carried state.
 
     ``out`` is a C-contiguous [h x T*B] array that the states are written
     into and that becomes the output's data (:func:`bigru` passes each
-    direction one half of its buffer). ``plan`` is the :class:`StepPlan`
-    that :func:`step_plan` builds from these same ``columns`` and the mask
-    that ``keep`` holds: each step's advancing columns, their packed offsets
-    and the packed [in x R] input; :func:`bigru` builds it once for both
-    directions.
+    direction one half of its buffer).
 
     The node saves only the gates, the candidates and its own output, not
     the plan's packed input. Backpropagation rebuilds the packed input, the
@@ -261,12 +267,12 @@ def gru_sequence(columns: list, p: GruParams, keep: list, reverse: bool = False,
     if out.shape != (h, n * batch) or not out.flags.c_contiguous:
         raise ShapeError(f"gru_sequence out must be a C-contiguous ({h}, {n * batch}) array, "
                          f"got shape {out.shape}")
-    if len(plan.widths) != n or plan.x.shape != (p.input_size, plan.start[-1]):
+    if len(plan.cols) != n or plan.x.shape != (p.input_size, plan.start[-1]):
         raise ShapeError(f"gru_sequence plan must cover {n} steps of {p.input_size}-row "
-                         f"columns, got {len(plan.widths)} steps and a packed input of "
+                         f"columns, got {len(plan.cols)} steps and a packed input of "
                          f"shape {plan.x.shape}")
     # backward keeps these lists but not the plan, so not its packed input
-    widths, cols, start = plan.widths, plan.cols, plan.start
+    cols, start = plan.cols, plan.start
     weights = tuple(p.named().values())   # reset, update, cand: w, u, b each
 
     # backward rebuilds these from the parents instead of keeping them
@@ -292,14 +298,11 @@ def gru_sequence(columns: list, p: GruParams, keep: list, reverse: bool = False,
     rz_steps, cand_steps = [], []
     states = out.reshape(h, n, batch)   # a view, as out is C-contiguous
     state = np.zeros((h, batch))
-    last = None   # the last step that advanced, in run order
+    last = None   # the columns of the last step that advanced, in run order
     for t in order:
-        if widths[t]:
+        if start[t] < start[t + 1]:
             packed = slice(start[t], start[t + 1])
-            if last is not None and _same_columns(cols[t], cols[last]):
-                s = cell
-            else:
-                s = np.ascontiguousarray(state[:, cols[t]])
+            s = cell if cols[t] is last else np.ascontiguousarray(state[:, cols[t]])
             rz = neg_u_rz.dot(s)
             rz += x_rz[:, packed]
             np.exp(rz, rz)
@@ -314,7 +317,7 @@ def gru_sequence(columns: list, p: GruParams, keep: list, reverse: bool = False,
             cell *= rz[h:]
             cell += s
             state[:, cols[t]] = cell
-            last = t
+            last = cols[t]
         states[:, t] = state
 
     def pack(steps, rows):
@@ -330,8 +333,8 @@ def gru_sequence(columns: list, p: GruParams, keep: list, reverse: bool = False,
         gates, cand = pack(rz_steps, 2 * h), pack(cand_steps, h)
         # the carried state before each column-step, packed like gates
         zero, back = np.zeros((h, batch)), 1 if reverse else -1
-        prev = np.concatenate([(zero if t == order[0] else states[:, t + back])[:, c]
-                               for t, c in enumerate(cols)], axis=1)       # [h x R]
+        prev = _packed([zero if t == order[0] else states[:, t + back]
+                        for t in range(n)], cols)                          # [h x R]
         r, z = gates[:h], gates[h:]
         # the step-independent factors of the three gate pre-activation gradients
         f_cand = z * (1.0 - cand * cand)
@@ -343,7 +346,7 @@ def gru_sequence(columns: list, p: GruParams, keep: list, reverse: bool = False,
         carry = np.zeros((h, batch))
         for t in reversed(order):
             carry += g[:, t]
-            if not widths[t]:
+            if start[t] == start[t + 1]:
                 continue
             packed = slice(start[t], start[t + 1])
             d_state = carry[:, cols[t]]
@@ -354,7 +357,7 @@ def gru_sequence(columns: list, p: GruParams, keep: list, reverse: bool = False,
             carry[:, cols[t]] = d_state - d_state * z[:, packed] + d_rs * r[:, packed] \
                 + u_rz_t.dot(d_pre[:2 * h, packed])
         del f_cand, f_reset, f_update   # before the products below allocate theirs
-        d_w = d_pre @ _packed_input(columns, cols).T                      # [3h x in]
+        d_w = d_pre @ _packed([col.data for col in columns], cols).T      # [3h x in]
         d_u = np.concatenate([d_pre[:2 * h] @ prev.T,
                               d_pre[2 * h:] @ (r * prev).T])               # [3h x h]
         d_b = d_pre.sum(axis=1, keepdims=True)                             # [3h x 1]
@@ -378,14 +381,13 @@ def bigru(columns: list, p_fwd: GruParams, p_bwd: GruParams, mask) -> Tensor:
     The boolean ``mask`` [B x T] sets which columns advance at each step of
     both recurrences, so a False position neither advances them nor changes
     the carried states, and each step packs only the columns that advance: a
-    False position costs no cell, also between two True ones. Both get the
-    mask as T [1 x B] keep rows of 0s and 1s, views of one float copy of
-    ``mask.T``.
+    False position costs no cell, also between two True ones.
 
-    The step plan (:func:`step_plan`: each step's advancing columns, their
-    packed offsets and the packed [in x R] input) is built from the mask. It
-    does not depend on the direction, so it is built once and passed to both;
-    neither node keeps it. Each direction writes its states straight into its
+    :func:`step_plan` decides that schedule from the mask, once for both
+    directions, as it does not depend on the direction; neither node keeps
+    it. Both also get the mask as T [1 x B] keep rows of 0s and 1s, views of
+    one float copy of ``mask.T``, which only restate the plan for tools that
+    count column-steps. Each direction writes its states straight into its
     half of one [2h x T*B] buffer, so the stacked output is no second copy of
     them; the one node on top only splits the gradient between the halves.
     """
@@ -395,10 +397,8 @@ def bigru(columns: list, p_fwd: GruParams, p_bwd: GruParams, mask) -> Tensor:
     mask = np.asarray(mask, dtype=bool)
     if mask.shape != (batch, n):
         raise ShapeError(f"bigru mask must be [B x T] = [{batch} x {n}], got shape {mask.shape}")
-    if any(col.data.shape != columns[0].data.shape for col in columns):
-        raise ShapeError("bigru columns must all have one [in x B] shape")
-    keep = split_rows(mask.T.astype(np.float64, order="C"))              # T of [1 x B]
     plan = step_plan(columns, mask)
+    keep = split_rows(mask.T.astype(np.float64, order="C"))              # T of [1 x B]
     states = np.empty((2 * h, n * batch))
     fwd = gru_sequence(columns, p_fwd, keep, out=states[:h], plan=plan)
     bwd = gru_sequence(columns, p_bwd, keep, reverse=True, out=states[h:], plan=plan)

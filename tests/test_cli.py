@@ -476,6 +476,66 @@ def test_out_under_a_file_exits_before_reading_data(synth_dir, trained_dir, tmp_
     assert afile.read_text() == "kept\n"
 
 
+def _files_under(path):
+    return sorted(p.relative_to(path) for p in path.rglob("*"))
+
+
+def test_train_refuses_an_artifact_path_that_is_a_directory_before_training(
+        synth_dir, tmp_path, capsys, monkeypatch):
+    blocked = tmp_path / "r2" / "checkpoint.bin"
+    blocked.mkdir(parents=True)
+    before = _files_under(tmp_path)
+    monkeypatch.setattr(cli, "prepare_data", _no_data_read)
+    monkeypatch.setattr(model, "train", _no_data_read)
+    assert run_cli("train", "--config", str(synth_dir / "config.cfg"),
+                   "--out", str(tmp_path / "r2")) == 1
+    assert capsys.readouterr().err == f"usage error: out path is a directory: {blocked}\n"
+    assert _files_under(tmp_path) == before
+
+
+def test_explain_refuses_a_heatmap_path_that_is_a_directory_before_reading_data(
+        synth_dir, trained_dir, tmp_path, capsys, monkeypatch):
+    blocked = tmp_path / "x" / "attention_comment.svg"
+    blocked.mkdir(parents=True)
+    before = _files_under(tmp_path)
+    monkeypatch.setattr(cli, "prepare_data", _no_data_read)
+    monkeypatch.setattr(model, "load_checkpoint", _no_data_read)
+    assert run_cli("explain", "--config", str(synth_dir / "config.cfg"),
+                   "--checkpoint", str(trained_dir / "checkpoint.bin"),
+                   "--out", str(tmp_path / "x")) == 1
+    assert capsys.readouterr().err == f"usage error: out path is a directory: {blocked}\n"
+    assert _files_under(tmp_path) == before
+
+
+def test_synth_refuses_an_out_path_that_is_a_file(tmp_path, capsys, monkeypatch):
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n")
+    monkeypatch.setattr(data, "gen_synthetic", _no_data_read)
+    assert run_cli("synth", "--out", str(afile), "--size", "40", "--seed", "1") == 1
+    assert capsys.readouterr().err == \
+        f"usage error: out path exists and is not a directory: {afile}\n"
+    assert _files_under(tmp_path) == [Path("afile")]
+    assert afile.read_text() == "kept\n"
+
+
+def test_synth_refuses_a_corpus_file_path_that_is_a_directory(tmp_path, capsys):
+    blocked = tmp_path / "s2" / "meta.json"
+    blocked.mkdir(parents=True)
+    assert run_cli("synth", "--out", str(tmp_path / "s2"), "--size", "40", "--seed", "1") == 1
+    assert capsys.readouterr().err == f"usage error: out path is a directory: {blocked}\n"
+    assert _files_under(tmp_path) == [Path("s2"), Path("s2/meta.json")]
+
+
+def test_each_command_checks_every_file_it_writes(synth_dir, trained_dir, tmp_path):
+    # the names the out checks cover are the names each command writes
+    assert {p.name for p in synth_dir.iterdir()} == set(cli._WRITES["synth"])
+    assert {p.name for p in trained_dir.iterdir()} == set(cli._WRITES["train"])
+    out = tmp_path / "explain"
+    assert run_cli("explain", "--config", str(synth_dir / "config.cfg"),
+                   "--checkpoint", str(trained_dir / "checkpoint.bin"), "--out", str(out)) == 0
+    assert {p.name for p in out.iterdir()} == set(cli._WRITES["explain"])
+
+
 @pytest.mark.parametrize("command", ["eval", "explain"])
 def test_missing_dataset_exits_2_before_reading_the_checkpoint(synth_dir, trained_dir, tmp_path,
                                                                capsys, monkeypatch, command):

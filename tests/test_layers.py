@@ -1,4 +1,5 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import numpy.testing as npt
@@ -295,15 +296,17 @@ def gru_sequence_steps(columns, p, keep, reverse):
     advances plus the biases, then per step, on exactly those columns, the
     sigmoid as 1 / (1 + exp(-a)), tanh and ``s + z * (c - s)``.
 
-    The state a step reads is C-ordered, as the layer's always is, and so is
-    the packed input, as the layer's is once any step's columns are a
-    prefix: ``a[:, m]`` alone is F-ordered, and at h = 100 and up OpenBLAS's
-    gemm can round a product with an F-ordered operand differently."""
+    The operands are laid out as the layer's: the state a step reads is
+    C-ordered, and the packed input is F-ordered where every column is F- and
+    not C-contiguous and C-ordered otherwise. ``a[:, m]`` alone is F-ordered
+    whatever the mask, and at h = 100 and up OpenBLAS's gemm can round a
+    product with an F-ordered operand differently."""
     n, batch, h = len(columns), columns[0].shape[1], p.hidden_size
     moves = [np.flatnonzero(kt.data[0]) for kt in keep]
     starts = np.cumsum([0] + [m.size for m in moves])
-    packed = np.ascontiguousarray(
-        np.concatenate([col.data[:, m] for col, m in zip(columns, moves)], axis=1))
+    packed = np.concatenate([col.data[:, m] for col, m in zip(columns, moves)], axis=1)
+    fortran = all(np.isfortran(col.data) for col in columns)
+    packed = np.asfortranarray(packed) if fortran else np.ascontiguousarray(packed)
     x = np.concatenate([p.w_reset.data, p.w_update.data, p.w_cand.data]) @ packed \
         + np.concatenate([p.b_reset.data, p.b_update.data, p.b_cand.data])
     u_rz = np.concatenate([p.u_reset.data, p.u_update.data])
@@ -362,6 +365,45 @@ def test_gru_sequence_equals_a_plain_step_loop_bit_for_bit_at_paper_widths(
     batch, steps = keep[0].shape[1], len(keep)
     p = make_gru(width, width, seed=69)
     columns = [ad.Tensor(rng.uniform(-2, 2, (width, batch))) for _ in range(steps)]
+    npt.assert_array_equal(fused_gru(columns, p, keep, reverse=reverse).data,
+                           gru_sequence_steps(columns, p, keep, reverse))
+
+
+def word_encoder_columns(rng, width, steps, batch):
+    """``steps`` [width x batch] columns cut as ``model._word_encode_blocks``
+    cuts its looked-up block: F-ordered views of one step-major [d x T*B]
+    transpose."""
+    block = ad.Tensor(rng.uniform(-2, 2, (steps * batch, width)).T)
+    return ad.split_cols(block, steps)
+
+
+# [B x T] masks at h = d = 100 whose packed input takes each layout
+LAYOUT_MASKS = {
+    # no step advances a prefix: every step's columns are an index array
+    "all-index-C-ordered": [[0, 0, 0, 0],
+                            [1, 1, 1, 1],
+                            [1, 0, 1, 1],
+                            [0, 1, 1, 0]],
+    # length-sorted sentences, as the word encoder packs them
+    "word-encoder-F-ordered": (np.arange(4) < np.array([4, 4, 3, 2, 1])[:, None]).tolist(),
+}
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("case", LAYOUT_MASKS)
+def test_gru_sequence_packs_in_the_columns_layout_bit_for_bit_at_h_100(rng, case, reverse):
+    mask = np.array(LAYOUT_MASKS[case], dtype=bool)
+    batch, steps = mask.shape
+    p = make_gru(100, 100, seed=77)
+    fortran = case == "word-encoder-F-ordered"
+    if fortran:
+        columns = word_encoder_columns(rng, 100, steps, batch)
+    else:
+        columns = [ad.Tensor(rng.uniform(-2, 2, (100, batch))) for _ in range(steps)]
+    assert all(np.isfortran(col.data) == fortran for col in columns)
+    x = layers.step_plan(columns, mask).x
+    assert (x.flags.f_contiguous, x.flags.c_contiguous) == (fortran, not fortran)
+    keep = keep_rows(mask)
     npt.assert_array_equal(fused_gru(columns, p, keep, reverse=reverse).data,
                            gru_sequence_steps(columns, p, keep, reverse))
 
@@ -651,13 +693,31 @@ def check_step_plan(rng, mask):
     keep = keep_rows(mask)
     plan = layers.step_plan(columns, mask)
     moving = [np.flatnonzero(mask[:, t]) for t in range(steps)]
-    assert plan.widths == [m.size for m in moving]
+    assert np.diff(plan.start).tolist() == [m.size for m in moving]
     for c, m in zip(plan.cols, moving):
         assert isinstance(c, slice) == np.array_equal(m, np.arange(m.size))
         npt.assert_array_equal(np.arange(batch)[c], m)
-    assert plan.start == [0, *np.cumsum(plan.widths).tolist()]
+    assert plan.start[0] == 0
     npt.assert_array_equal(plan.x, np.concatenate(
         [col.data[:, m] for col, m in zip(columns, moving)], axis=1))
+    # consecutive advancing steps share one entry exactly where their columns
+    # are equal, so gru_sequence compares them by identity
+    advancing = [t for t in range(steps) if moving[t].size]
+    for a, b in zip(advancing, advancing[1:]):
+        assert (plan.cols[a] is plan.cols[b]) == np.array_equal(mask[:, a], mask[:, b])
+    # the keep rows bigru passes restate its plan: 1 exactly at cols[t]
+    with mock.patch.object(layers, "gru_sequence", wraps=layers.gru_sequence) as spy:
+        layers.bigru(columns, make_gru(3, 4, seed=73), make_gru(3, 4, seed=75), mask)
+    assert spy.call_count == 2
+    for call in spy.call_args_list:
+        rows, passed = np.concatenate([k.data for k in call.args[2]]), call.kwargs["plan"]
+        assert rows.sum() == passed.start[-1] == plan.start[-1]
+        for row, c in zip(rows, passed.cols):
+            npt.assert_array_equal(np.flatnonzero(row), np.arange(batch)[c])
+    # step_plan itself refuses columns it could not pack
+    for odd in ((4, batch), (3, batch + 1)) if steps > 1 else ():        # rows, then batch
+        with pytest.raises(ad.ShapeError, match="bigru columns must all have one"):
+            layers.step_plan([*columns[:-1], ad.Tensor(np.zeros(odd))], mask)
 
     p = make_gru(3, 4, seed=73)
     weights = rng.uniform(-1, 1, (4, steps * batch))
